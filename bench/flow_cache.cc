@@ -1,23 +1,39 @@
-// Flow-decision cache: cached vs uncached dispatch cost, machine-readable.
+// Flow-decision cache x execution tier: cached vs uncached dispatch cost,
+// machine-readable.
 //
 // Sweeps flow counts (cache-friendly through cache-thrashing) across the
 // packet hooks, driving the stack's installed hook functions directly —
 // the same dispatch path the simulator exercises, minus simulated time —
-// with a verifier-cacheable bytecode policy deployed through syrupd. Each
-// scenario measures ns/packet with the cache enabled (steady state, table
-// warmed) and disabled (every packet executes the policy), plus the
-// batched entry point (Syrupd::DispatchBatch in bursts of 32 — the shape
-// RxBurst produces), and reads the hit rate from the
-// flow_cache.{hits,misses} counters. Writes `BENCH_flow_cache.json` so
-// the perf trajectory is tracked across PRs.
+// with a verifier-pure bytecode policy deployed through syrupd, once at the
+// compiled and once at the native tier. Each (scenario, tier) row measures
+// ns/packet with the cache enabled (`cached`: steady state, table warmed)
+// and disabled (`uncached`: every packet executes the policy), plus the
+// batched entry point (`batch`: Syrupd::DispatchBatch in bursts of 32, the
+// shape RxBurst produces), and reads the hit rate from the
+// flow_cache.{hits,misses} counters.
+//
+// The deploy-time gate (policy.cacheable: pure, and priced above
+// flow_cache_probe_ns at the tier) decides whether `cached` engages the
+// cache at all. Each row prints the gate's verdict next to the measured
+// winner — engaged cached dispatch vs uncached — so the checked-in
+// flow_cache_probe_ns (src/bpf/cost_model.cc) can be checked on this host.
+// Where the gate declined the cache, the engaged cost is the other tier's
+// cached row: a hit never runs the policy, so the hit path is the same
+// code at either tier. Writes `BENCH_flow_cache.json` so the perf
+// trajectory is tracked across PRs.
 //
 // Gates (exit 1 on violation) so CI catches the cache silently degrading
 // into a slower path:
-//   - >= 3x improvement at >= 90% hit rate for a map-consulting builtin
-//     (least_loaded_f256; the bar from the PR that introduced the cache).
-//   - cached dispatch never slower than uncached at ANY flow count —
-//     including the oversubscribed 8192- and 100k-flow scenarios, which
-//     adaptive sizing must absorb rather than thrash on.
+//   - least_loaded_f256 (map-consulting; its key collapses to one entry)
+//     is served from the cache at >= 90% hit rate on both tiers. Its speed
+//     bound is the absolute cached-ns ceiling its rows carry in
+//     bench/flow_cache_baseline.json (checked with --baseline), not a ratio
+//     to uncached dispatch, which punished every speedup of the policy.
+//   - at the compiled tier, cached dispatch is never slower than uncached
+//     at any flow count, including the oversubscribed 8192- and 100k-flow
+//     scenarios, which adaptive sizing must absorb rather than thrash on.
+//     Native rows are reported, not gated: the static gate cannot see
+//     table residency (see DESIGN.md, "When the cache engages").
 //
 // Flags:
 //   --quick            ~10x fewer packets per scenario (CI smoke mode)
@@ -34,6 +50,7 @@
 #include <string>
 #include <vector>
 
+#include "src/bpf/cost_model.h"
 #include "src/common/rng.h"
 #include "src/core/syrup_api.h"
 #include "src/core/syrupd.h"
@@ -69,16 +86,29 @@ std::vector<Packet> MakeFlows(uint32_t num_flows) {
 }
 
 struct ScenarioResult {
+  bpf::ExecMode tier = bpf::ExecMode::kCompiled;  // the effective tier
+  bool gate = false;  // policy.cacheable: the deploy-time verdict
+  double priced_ns = 0;  // the verifier's wcet_ns at that tier
   double cached_ns = 0;
   double uncached_ns = 0;
   double batch_ns = 0;  // DispatchBatch bursts of 32, cache enabled
   double hit_rate = 0;  // of the cached measured window
-  uint64_t packets = 0;
+  // Cached dispatch with the cache engaged: cached_ns where the gate
+  // engaged it, else the other tier's cached_ns (0: engaged on neither).
+  double engaged_ns = 0;
+
+  // The measured winner: does engaging the cache beat uncached dispatch?
+  bool CacheWins() const { return engaged_ns < uncached_ns; }
 };
 
 // One syrupd per run so cache tables, counters, and maps start cold.
 struct Harness {
-  Harness() : stack(sim, StackConfig{}), syrupd(sim, &stack) {
+  Harness(bpf::ExecMode mode, bool cache_enabled)
+      : stack(sim, StackConfig{}), syrupd(sim, &stack) {
+    syrupd.set_exec_mode(mode);
+    FlowCacheConfig config;
+    config.enabled = cache_enabled;
+    syrupd.set_flow_cache_config(config);
     app = syrupd.RegisterApp("bench", 1000, kPort).value();
   }
 
@@ -150,14 +180,15 @@ double MeasureBatchNs(Syrupd& syrupd, Hook hook,
   return elapsed / static_cast<double>(iters);
 }
 
-// Which verified policy a scenario deploys. All three are cacheable; they
+// Which verified policy a scenario deploys. All three are pure; they
 // differ in what the cache can save:
-//   kMicaHome        pure packet arithmetic (~tens of ns) — cheap enough
-//                    that re-execution beats a DRAM-resident table, so it
-//                    covers the small/medium flow counts only.
+//   kMicaHome        pure packet arithmetic (~tens of ns compiled, a few
+//                    ns native) — cheap enough that re-execution beats a
+//                    DRAM-resident table, so it covers the small/medium
+//                    flow counts only.
 //   kLeastLoaded     map-consulting but reads no packet bytes: its cache
 //                    key collapses to (port, len), one entry total. The
-//                    headline 3x gate.
+//                    headline gate.
 //   kHashedTwoChoice flow-hash home + deterministic two-choice over the
 //                    load map: packet-keyed (per-flow entries) AND
 //                    map-consulting (real recompute cost). The
@@ -225,71 +256,80 @@ MapHandle PinLoadMap(Harness& h) {
   return load;
 }
 
+// Access order. Uniform scenarios round-robin the flow set. `skewed`
+// scenarios model scale traffic: 90% of packets from a 4096-flow hot set,
+// 10% a one-shot cold tail that sweeps the rest of the universe (each tail
+// flow recurs only once per ~full sweep — far beyond any realistic
+// residency horizon). That is the regime a sketch-guarded adaptive cache
+// targets at 100k flows: uniformly cycling a 100k-flow universe recurs
+// each flow once per 100k packets, a pattern with no temporal locality for
+// ANY cache (the uncached policy wins that one by construction, so it
+// would gate nothing but memory bandwidth).
+std::vector<PacketView> MakeAccess(const std::vector<Packet>& flows,
+                                   bool skewed) {
+  const uint32_t num_flows = static_cast<uint32_t>(flows.size());
+  std::vector<PacketView> access;
+  if (!skewed) {
+    for (const Packet& pkt : flows) {
+      access.push_back(PacketView::Of(pkt));
+    }
+    return access;
+  }
+  Rng rng(0x5eedull);
+  const uint32_t hot = std::min<uint32_t>(4096, num_flows);
+  uint32_t cold_cursor = 0;
+  access.reserve(size_t{1} << 17);
+  for (size_t i = 0; i < (size_t{1} << 17); ++i) {
+    uint32_t flow;
+    if (num_flows <= hot || rng.NextBounded(10) != 0) {
+      flow = static_cast<uint32_t>(rng.NextBounded(hot));
+    } else {
+      flow = hot + cold_cursor;
+      cold_cursor = (cold_cursor + 1) % (num_flows - hot);
+    }
+    access.push_back(PacketView::Of(flows[flow]));
+  }
+  return access;
+}
+
 ScenarioResult RunScenario(Hook hook, const std::string& policy_asm,
                            bool needs_load_map, uint32_t num_flows,
-                           bool skewed, uint64_t iters) {
-  const std::vector<Packet> flows = MakeFlows(num_flows);
-  std::vector<PacketView> views;
-  views.reserve(flows.size());
-  for (const Packet& pkt : flows) {
-    views.push_back(PacketView::Of(pkt));
-  }
-
-  // Access order. Uniform scenarios round-robin the flow set. `skewed`
-  // scenarios model scale traffic: 90% of packets from a 4096-flow hot
-  // set, 10% a one-shot cold tail that sweeps the rest of the universe
-  // (each tail flow recurs only once per ~full sweep — far beyond any
-  // realistic residency horizon). That is the regime a sketch-guarded
-  // adaptive cache targets at 100k flows: uniformly cycling a 100k-flow
-  // universe recurs each flow once per 100k packets, a pattern with no
-  // temporal locality for ANY cache (the uncached policy wins that one by
-  // construction, so it would gate nothing but memory bandwidth).
-  std::vector<PacketView> access;
-  if (skewed) {
-    Rng rng(0x5eedull);
-    const uint32_t hot = std::min<uint32_t>(4096, num_flows);
-    uint32_t cold_cursor = 0;
-    access.reserve(size_t{1} << 17);
-    for (size_t i = 0; i < (size_t{1} << 17); ++i) {
-      uint32_t flow;
-      if (num_flows <= hot || rng.NextBounded(10) != 0) {
-        flow = static_cast<uint32_t>(rng.NextBounded(hot));
-      } else {
-        flow = hot + cold_cursor;
-        cold_cursor = (cold_cursor + 1) % (num_flows - hot);
-      }
-      access.push_back(views[flow]);
-    }
-  } else {
-    access = views;
-  }
-
-  // Noise control on a shared machine: the gates are *ratios*, so the
+                           const std::vector<PacketView>& access,
+                           bpf::ExecMode mode, uint64_t iters) {
+  // Noise control on a shared machine: the gates compare variants, so the
   // cached, uncached, and batched variants are measured in interleaved
   // rounds (an interference burst then inflates all three alike instead of
-  // corrupting one side of the ratio), and each variant keeps the minimum
-  // over kReps rounds — the standard estimator for "the code's cost
-  // without interference".
+  // corrupting one side of a comparison), and each variant keeps the
+  // minimum over kReps rounds — the standard estimator for "the code's
+  // cost without interference".
   constexpr int kReps = 3;
 
-  ScenarioResult r;
-  r.packets = iters;
-  Harness cached_h;
-  Harness uncached_h;
-  uncached_h.syrupd.set_flow_cache_enabled(false);
+  Harness cached_h(mode, /*cache_enabled=*/true);
+  Harness uncached_h(mode, /*cache_enabled=*/false);
   MapHandle cached_load;
   MapHandle uncached_load;
   if (needs_load_map) {
     cached_load = PinLoadMap(cached_h);
     uncached_load = PinLoadMap(uncached_h);
   }
-  if (!cached_h.syrupd.DeployPolicyFile(cached_h.app, policy_asm, hook).ok() ||
+  auto prog_id =
+      cached_h.syrupd.DeployPolicyFile(cached_h.app, policy_asm, hook);
+  if (!prog_id.ok() ||
       !uncached_h.syrupd.DeployPolicyFile(uncached_h.app, policy_asm, hook)
            .ok()) {
     std::fprintf(stderr, "deploy failed for %s\n",
                  std::string(HookName(hook)).c_str());
     std::exit(1);
   }
+  Syrupd& syrupd = cached_h.syrupd;
+  const uint64_t id = static_cast<uint64_t>(*prog_id);
+  ScenarioResult r;
+  r.tier = bpf::EffectiveExecMode(syrupd.CompiledById(id));
+  r.gate = syrupd.StatsSnapshot().GaugeValue("bench", HookName(hook),
+                                             "policy.cacheable") == 1;
+  r.priced_ns = syrupd.FactsById(id)->cost.wcet_ns[static_cast<size_t>(
+      bpf::CostTierOf(r.tier))];
+
   SteerHook& cached_fn = HookFn(cached_h.stack, hook);
   SteerHook& uncached_fn = HookFn(uncached_h.stack, hook);
   // Warm the table. One pass populates every flow that fits a static
@@ -305,15 +345,13 @@ ScenarioResult RunScenario(Hook hook, const std::string& policy_asm,
   }
   const uint64_t hits0 = cached_h.CacheCounter(hook, "hits");
   const uint64_t misses0 = cached_h.CacheCounter(hook, "misses");
+  auto keep_min = [](int rep, double& best, double ns) {
+    best = rep == 0 ? ns : std::min(best, ns);
+  };
   for (int rep = 0; rep < kReps; ++rep) {
-    const double cached_ns = MeasureNs(cached_fn, access, iters);
-    const double uncached_ns = MeasureNs(uncached_fn, access, iters);
-    const double batch_ns = MeasureBatchNs(cached_h.syrupd, hook, access,
-                                           iters);
-    r.cached_ns = rep == 0 ? cached_ns : std::min(r.cached_ns, cached_ns);
-    r.uncached_ns =
-        rep == 0 ? uncached_ns : std::min(r.uncached_ns, uncached_ns);
-    r.batch_ns = rep == 0 ? batch_ns : std::min(r.batch_ns, batch_ns);
+    keep_min(rep, r.cached_ns, MeasureNs(cached_fn, access, iters));
+    keep_min(rep, r.uncached_ns, MeasureNs(uncached_fn, access, iters));
+    keep_min(rep, r.batch_ns, MeasureBatchNs(syrupd, hook, access, iters));
   }
   const uint64_t hits = cached_h.CacheCounter(hook, "hits") - hits0;
   const uint64_t misses = cached_h.CacheCounter(hook, "misses") - misses0;
@@ -347,7 +385,7 @@ ShardedScaleResult RunShardedMillionFlows(uint64_t iters) {
   constexpr Hook kHook = Hook::kSocketSelect;
   const std::vector<Packet> flows = MakeFlows(kFlows);
 
-  Harness h;
+  Harness h(bpf::ExecMode::kCompiled, /*cache_enabled=*/true);
   MapHandle load = PinLoadMap(h);
   if (!h.syrupd.DeployPolicyFile(h.app, HashedTwoChoicePolicyAsm(), kHook)
            .ok()) {
@@ -438,14 +476,17 @@ struct Scenario {
   bool skewed = false;
 };
 
-bool BaselineFor(const std::string& text, const char* name, double* out) {
-  const std::string needle = std::string("\"") + name + "\":";
+bool BaselineFor(const std::string& text, const std::string& name,
+                 double* out) {
+  const std::string needle = "\"" + name + "\":";
   const size_t pos = text.find(needle);
   if (pos == std::string::npos) {
     return false;
   }
   return std::sscanf(text.c_str() + pos + needle.size(), " %lf", out) == 1;
 }
+
+const char* Verdict(bool cache) { return cache ? "cache" : "exec"; }
 
 int Run(bool quick, const char* out_path, const char* baseline_path) {
   // Flow counts pick the cache's regimes: 16 and 256 sit comfortably in
@@ -473,13 +514,21 @@ int Run(bool quick, const char* out_path, const char* baseline_path) {
       {"least_loaded_f256", Hook::kSocketSelect, BenchPolicy::kLeastLoaded,
        256},
   };
+  constexpr bpf::ExecMode kTiers[] = {bpf::ExecMode::kCompiled,
+                                      bpf::ExecMode::kNative};
   const uint64_t iters = quick ? 400'000 : 4'000'000;
+  const double probe_ns = bpf::DefaultCostModel().flow_cache_probe_ns;
 
+  // Keyed "<scenario>@<requested tier>".
   std::map<std::string, ScenarioResult> results;
-  std::printf("# flow_cache: cached vs uncached dispatch (%s mode)\n",
-              quick ? "quick" : "full");
-  std::printf("%-22s %11s %11s %11s %9s %9s\n", "scenario", "cached",
-              "uncached", "batch", "speedup", "hit_rate");
+  std::printf("# flow_cache x tier: cached vs uncached dispatch (%s mode); "
+              "gate = deploy-time verdict at flow_cache_probe_ns %.1f\n",
+              quick ? "quick" : "full", probe_ns);
+  std::printf("%-30s %-9s %11s %11s %11s %8s %8s | %11s %11s %6s %6s\n",
+              "scenario@tier", "ran", "cached", "uncached", "batch",
+              "speedup", "hit_rate", "engaged", "priced", "winner", "gate");
+  int agree = 0;
+  int compared = 0;
   for (const Scenario& s : scenarios) {
     const std::string policy_asm =
         s.policy == BenchPolicy::kLeastLoaded
@@ -487,18 +536,42 @@ int Run(bool quick, const char* out_path, const char* baseline_path) {
             : (s.policy == BenchPolicy::kHashedTwoChoice
                    ? HashedTwoChoicePolicyAsm()
                    : MicaHomePolicyAsm(6));
-    const ScenarioResult r =
-        RunScenario(s.hook, policy_asm, s.policy != BenchPolicy::kMicaHome,
-                    s.num_flows, s.skewed, iters);
-    results[s.name] = r;
-    std::printf("%-22s %8.1f ns %8.1f ns %8.1f ns %8.2fx %8.1f%%\n", s.name,
-                r.cached_ns, r.uncached_ns, r.batch_ns,
-                r.uncached_ns / r.cached_ns, r.hit_rate * 100.0);
+    const std::vector<Packet> flows = MakeFlows(s.num_flows);
+    const std::vector<PacketView> access = MakeAccess(flows, s.skewed);
+    ScenarioResult rows[std::size(kTiers)];
+    for (size_t t = 0; t < std::size(kTiers); ++t) {
+      rows[t] =
+          RunScenario(s.hook, policy_asm, s.policy != BenchPolicy::kMicaHome,
+                      s.num_flows, access, kTiers[t], iters);
+    }
+    for (size_t t = 0; t < std::size(kTiers); ++t) {
+      ScenarioResult& r = rows[t];
+      const ScenarioResult& other = rows[1 - t];
+      r.engaged_ns = r.gate ? r.cached_ns : other.gate ? other.cached_ns : 0;
+      const bool measured = r.engaged_ns > 0;
+      const bool differs = measured && r.CacheWins() != r.gate;
+      compared += measured ? 1 : 0;
+      agree += measured && !differs ? 1 : 0;
+      const std::string key = std::string(s.name) + "@" +
+                              std::string(bpf::ExecModeName(kTiers[t]));
+      std::printf(
+          "%-30s %-9s %8.1f ns %8.1f ns %8.1f ns %7.2fx %7.1f%% | %8.1f ns "
+          "%8.1f ns %6s %6s%s\n",
+          key.c_str(), std::string(bpf::ExecModeName(r.tier)).c_str(),
+          r.cached_ns, r.uncached_ns, r.batch_ns, r.uncached_ns / r.cached_ns,
+          r.hit_rate * 100.0, r.engaged_ns, r.priced_ns,
+          measured ? Verdict(r.CacheWins()) : "-", Verdict(r.gate),
+          differs ? "  (differs)" : "");
+      results[key] = r;
+    }
   }
+  std::printf("# gate agrees with the measured winner on %d of %d rows\n",
+              agree, compared);
 
   const ShardedScaleResult sharded = RunShardedMillionFlows(iters);
-  std::printf("%-22s %8.1f ns %11s %11s %9s %8.1f%%  (1M flows, 4 lanes)\n",
-              "sharded_f1m", sharded.ns_per_packet, "-", "-", "-",
+  std::printf("%-30s %-9s %8.1f ns %11s %11s %8s %7.1f%%  (1M flows, 4 "
+              "lanes)\n",
+              "sharded_f1m", "compiled", sharded.ns_per_packet, "-", "-", "-",
               sharded.hit_rate * 100.0);
 
   std::FILE* out = std::fopen(out_path, "w");
@@ -509,18 +582,23 @@ int Run(bool quick, const char* out_path, const char* baseline_path) {
   std::fprintf(out,
                "{\n  \"bench\": \"flow_cache\",\n"
                "  \"unit\": \"ns_per_packet\",\n"
-               "  \"mode\": \"%s\",\n  \"scenarios\": {\n",
-               quick ? "quick" : "full");
+               "  \"mode\": \"%s\",\n  \"flow_cache_probe_ns\": %.1f,\n"
+               "  \"scenarios\": {\n",
+               quick ? "quick" : "full", probe_ns);
   size_t index = 0;
   for (const auto& [name, r] : results) {
     std::fprintf(out,
                  "    \"%s\": {\"cached\": %.2f, \"uncached\": %.2f, "
                  "\"batch\": %.2f, \"speedup\": %.3f, "
-                 "\"batch_speedup\": %.3f, \"hit_rate\": %.4f}%s\n",
+                 "\"batch_speedup\": %.3f, \"hit_rate\": %.4f, "
+                 "\"tier\": \"%s\", \"engaged\": %.2f, \"priced\": %.1f, "
+                 "\"winner\": \"%s\", \"gate\": \"%s\"}%s\n",
                  name.c_str(), r.cached_ns, r.uncached_ns, r.batch_ns,
-                 r.uncached_ns / r.cached_ns,
-                 r.uncached_ns / r.batch_ns, r.hit_rate,
-                 ++index == results.size() ? "" : ",");
+                 r.uncached_ns / r.cached_ns, r.uncached_ns / r.batch_ns,
+                 r.hit_rate, std::string(bpf::ExecModeName(r.tier)).c_str(),
+                 r.engaged_ns, r.priced_ns,
+                 r.engaged_ns > 0 ? Verdict(r.CacheWins()) : "-",
+                 Verdict(r.gate), ++index == results.size() ? "" : ",");
   }
   std::fprintf(out,
                "  },\n  \"sharded_f1m\": {\"ns_per_packet\": %.2f, "
@@ -533,44 +611,41 @@ int Run(bool quick, const char* out_path, const char* baseline_path) {
 
   int failures = 0;
 
-  // Acceptance bar: at >= 90% hit rate a cacheable builtin must dispatch
-  // >= 3x faster than uncached execution. least_loaded is the gate: map-
-  // consulting policies are what memoization is for (MicaHome's straight-
-  // line arithmetic is nearly as cheap as the cache probe itself; its
-  // speedup is reported above but not gated).
-  const ScenarioResult& gate = results["least_loaded_f256"];
-  if (gate.hit_rate < 0.90) {
-    std::fprintf(stderr, "GATE: hit rate %.1f%% < 90%% at 256 flows\n",
-                 gate.hit_rate * 100.0);
-    ++failures;
-  } else if (gate.uncached_ns < gate.cached_ns * 3.0) {
-    std::fprintf(stderr,
-                 "GATE: cached %.1f ns vs uncached %.1f ns — speedup "
-                 "%.2fx < 3x at %.1f%% hit rate\n",
-                 gate.cached_ns, gate.uncached_ns,
-                 gate.uncached_ns / gate.cached_ns, gate.hit_rate * 100.0);
-    ++failures;
-  } else {
-    std::printf("# gate ok: %.2fx speedup at %.1f%% hit rate\n",
-                gate.uncached_ns / gate.cached_ns, gate.hit_rate * 100.0);
+  // Map-consulting policies are what memoization is for: least_loaded must
+  // be served from the cache on both tiers (its cached-ns ceilings in the
+  // baseline bound the hit path's speed).
+  for (const char* name :
+       {"least_loaded_f256@compiled", "least_loaded_f256@native"}) {
+    const ScenarioResult& r = results[name];
+    if (!r.gate || r.hit_rate < 0.90) {
+      std::fprintf(stderr, "GATE: %s hit rate %.1f%% < 90%% (gate %s)\n",
+                   name, r.hit_rate * 100.0, Verdict(r.gate));
+      ++failures;
+    } else {
+      std::printf("# gate ok: %s served from the cache at %.1f%% hit rate\n",
+                  name, r.hit_rate * 100.0);
+    }
   }
 
-  // No-regression gate: with adaptive sizing the cache must never lose to
-  // uncached dispatch at ANY flow count — the oversubscribed scenarios
-  // (f8192, f100k) are exactly where the fixed-size table used to thrash.
+  // No-regression gate on the compiled tier: cached dispatch must never
+  // lose to uncached dispatch — the oversubscribed scenarios (f8192, f100k)
+  // are exactly where the fixed-size table used to thrash.
+  bool never_slower = true;
   for (const auto& [name, r] : results) {
     const double speedup = r.uncached_ns / r.cached_ns;
-    if (speedup < 1.0) {
+    if (r.tier == bpf::ExecMode::kCompiled && speedup < 1.0) {
       std::fprintf(stderr,
                    "GATE: %s regresses under the cache — cached %.1f ns vs "
                    "uncached %.1f ns (%.2fx, hit rate %.1f%%)\n",
                    name.c_str(), r.cached_ns, r.uncached_ns, speedup,
                    r.hit_rate * 100.0);
+      never_slower = false;
       ++failures;
     }
   }
-  if (failures == 0) {
-    std::printf("# gate ok: cached >= uncached at every flow count\n");
+  if (never_slower) {
+    std::printf("# gate ok: compiled tier cached >= uncached at every flow "
+                "count\n");
   }
 
   if (baseline_path == nullptr) {
@@ -591,8 +666,14 @@ int Run(bool quick, const char* out_path, const char* baseline_path) {
 
   constexpr double kTolerance = 1.25;  // fail on >25% regression
   for (const auto& [name, r] : results) {
+    if (name.ends_with("@native") && r.tier != bpf::ExecMode::kNative) {
+      // JIT unavailable: the row repeats its compiled twin.
+      std::printf("# baseline skipped %s: ran on the %s tier\n", name.c_str(),
+                  std::string(bpf::ExecModeName(r.tier)).c_str());
+      continue;
+    }
     double baseline_ns;
-    if (!BaselineFor(text, name.c_str(), &baseline_ns)) {
+    if (!BaselineFor(text, name, &baseline_ns)) {
       std::fprintf(stderr, "baseline missing scenario %s\n", name.c_str());
       ++failures;
       continue;

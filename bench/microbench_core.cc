@@ -326,7 +326,9 @@ void BM_SyrupdDispatchCacheable(benchmark::State& state) {
   Simulator sim;
   HostStack stack(sim, StackConfig{});
   Syrupd syrupd(sim, &stack);
-  syrupd.set_flow_cache_enabled(state.range(0) != 0);
+  FlowCacheConfig cache_config;
+  cache_config.enabled = state.range(0) != 0;
+  syrupd.set_flow_cache_config(cache_config);
   const AppId app = syrupd.RegisterApp("bench", /*uid=*/1000, 9000).value();
   (void)syrupd.DeployPolicyFile(app, MicaHomePolicyAsm(6), Hook::kSocketSelect)
       .value();

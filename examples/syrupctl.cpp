@@ -179,6 +179,28 @@ int CostPolicyFile(const char* path) {
                 std::string(HookName(hook)).c_str(), budget,
                 100.0 * wcet / budget, wcet <= budget ? "OK" : "OVER");
   }
+  // The deploy-time flow-cache gate per tier: a pure packet program is
+  // memoized only where its worst case costs more than the warm probe that
+  // would replace it.
+  if (packet) {
+    const double probe = bpf::DefaultCostModel().flow_cache_probe_ns;
+    std::printf("flow cache (warm probe %.1f ns):\n", probe);
+    if (!facts.cacheable) {
+      std::printf("  never cached, not pure:\n");
+      for (const bpf::CacheBlocker& blocker : facts.cache_blockers) {
+        std::printf("    insn %u: %s\n", blocker.pc, blocker.reason.c_str());
+      }
+    } else {
+      for (size_t t = 0; t < bpf::kNumCostTiers; ++t) {
+        const auto tier = static_cast<bpf::CostTier>(t);
+        const bool pays = bpf::FlowCachePays(cost, tier);
+        std::printf("  %-10s %8.1f ns %s %.1f ns  %s\n",
+                    std::string(bpf::CostTierName(tier)).c_str(),
+                    cost.wcet_ns[t], pays ? "> " : "<=", probe,
+                    pays ? "cached" : "not cached");
+      }
+    }
+  }
   return 0;
 }
 
@@ -235,7 +257,9 @@ int main(int argc, char** argv) {
 
   // A multi-tenant deployment to inspect: "rocksdb" runs SCAN Avoid at
   // socket-select plus a token policy file at XDP_SKB; "analytics" shares
-  // the host with round robin on its own port. The typed handles own the
+  // the host with round robin on its own port and pins its protocol
+  // processing to one core with const_index at CPU redirect (pure, but too
+  // cheap for the flow cache to pay). The typed handles own the
   // deployments; holding them in main keeps the policies attached for the
   // whole run.
   const AppId rocksdb = syrupd.RegisterApp("rocksdb", 1000, 9000).value();
@@ -255,6 +279,9 @@ int main(int argc, char** argv) {
   PolicyHandle analytics_rr =
       analytics_client.DeployPolicy(RoundRobinPolicyAsm(4),
                                     Hook::kSocketSelect)
+          .value();
+  PolicyHandle analytics_pin =
+      analytics_client.DeployPolicy(ConstIndexPolicyAsm(1), Hook::kCpuRedirect)
           .value();
 
   Machine machine(sim, 4);

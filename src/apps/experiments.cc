@@ -76,10 +76,7 @@ std::unique_ptr<RocksDbHost> BuildRocksDbHost(
   host->syrupd = std::make_unique<Syrupd>(sim, host->stack.get(), seed);
   Syrupd& syrupd = *host->syrupd;
   syrupd.set_exec_mode(config.exec_mode);
-  // The deprecated bool still gates the cache: both knobs must say on.
-  FlowCacheConfig cache_config = config.flow_cache_config;
-  cache_config.enabled = cache_config.enabled && config.flow_cache;
-  syrupd.set_flow_cache_config(cache_config);
+  syrupd.set_flow_cache_config(config.flow_cache_config);
   const AppId app =
       syrupd.RegisterApp("rocksdb", kAppUid, kRocksDbPort).value();
 
@@ -519,9 +516,7 @@ std::unique_ptr<MicaHost> BuildMicaHost(Simulator& sim,
   host->syrupd = std::make_unique<Syrupd>(sim, host->stack.get(), seed);
   Syrupd& syrupd = *host->syrupd;
   syrupd.set_exec_mode(config.exec_mode);
-  FlowCacheConfig cache_config = config.flow_cache_config;
-  cache_config.enabled = cache_config.enabled && config.flow_cache;
-  syrupd.set_flow_cache_config(cache_config);
+  syrupd.set_flow_cache_config(config.flow_cache_config);
   const AppId app = syrupd.RegisterApp("mica", kAppUid, kMicaPort).value();
 
   host->machine = std::make_unique<Machine>(sim, config.num_threads);

@@ -64,12 +64,9 @@ struct RocksDbExperimentConfig {
   bpf::ExecMode exec_mode = bpf::ExecMode::kCompiled;
   // Flow-decision cache (src/core/flow_cache.h). Cacheable policies are
   // pure, so results are bit-identical either way (asserted by
-  // tests/flow_cache_differential_test.cc); disabling is the ablation.
-  // The full knob set (capacity, admission, adaptive sizing) lives here;
-  // `flow_cache` below is the deprecated enabled-only toggle, still
-  // honored by AND-ing into flow_cache_config.enabled.
+  // tests/flow_cache_differential_test.cc); disabling
+  // (flow_cache_config.enabled = false) is the ablation.
   FlowCacheConfig flow_cache_config;
-  bool flow_cache = true;  // deprecated: use flow_cache_config.enabled
   // Late binding at the socket layer (paper §6.3 extension): buffer
   // datagrams centrally and match them to sockets whose worker is idle.
   bool late_binding = false;
@@ -146,7 +143,6 @@ struct MicaExperimentConfig {
   bpf::ExecMode exec_mode = bpf::ExecMode::kCompiled;
   // Flow-decision cache knobs (see RocksDbExperimentConfig).
   FlowCacheConfig flow_cache_config;
-  bool flow_cache = true;  // deprecated: use flow_cache_config.enabled
   Duration warmup = 100 * kMillisecond;
   Duration measure = 500 * kMillisecond;
   uint64_t seed = 1;

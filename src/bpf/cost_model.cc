@@ -179,6 +179,7 @@ CostModel MakeDefaultCostModel() {
   m.random_ns = 12.0;
   m.ktime_ns = 10.0;
   m.tail_call_ns = 25.0;
+  m.flow_cache_probe_ns = 50.0;
   return m;
 }
 
@@ -388,7 +389,13 @@ CostModel CalibratedCostModel() {
   m.random_ns *= helper_scale;
   m.ktime_ns *= helper_scale;
   m.tail_call_ns *= helper_scale;
+  m.flow_cache_probe_ns *= helper_scale;
   return m;
+}
+
+bool FlowCachePays(const CostFacts& cost, CostTier tier) {
+  return cost.bounded && cost.wcet_ns[static_cast<size_t>(tier)] >
+                             DefaultCostModel().flow_cache_probe_ns;
 }
 
 std::string FormatPath(const std::vector<uint32_t>& path) {

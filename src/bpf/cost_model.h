@@ -65,6 +65,12 @@ struct CostModel {
   double ktime_ns = 0;
   double tail_call_ns = 0;
 
+  // One flow-cache hit on a warm table: flow-key build from the masked
+  // packet bytes plus one probe window. Host C++ at every tier, like the
+  // helper bodies. Syrupd memoizes a pure program only where its worst case
+  // at the deployed tier costs more than this (FlowCachePays).
+  double flow_cache_probe_ns = 0;
+
   // Body cost of `helper` against a map of kind `map_type` (ignored for
   // non-map helpers). `batch_count` scales the batched lookup helper: the
   // batch is priced as n independent probes, a sound upper bound since the
@@ -115,6 +121,12 @@ struct CostFacts {
   // highest native-tier cost (ties broken toward more instructions).
   std::vector<uint32_t> hottest_path;
 };
+
+// The flow cache's cost gate: memoizing a program's decisions can pay at
+// `tier` only when its bounded worst case costs more than a warm probe
+// (DefaultCostModel().flow_cache_probe_ns). Unbounded programs never pass.
+// Purity (AnalysisFacts::cacheable) is the other, independent half.
+bool FlowCachePays(const CostFacts& cost, CostTier tier);
 
 // Renders "pc0 -> pc1 -> ... -> pcN" for diagnostics.
 std::string FormatPath(const std::vector<uint32_t>& path);

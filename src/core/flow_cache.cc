@@ -180,7 +180,20 @@ size_t FlowDecisionCache::RoundCapacity(size_t requested) {
 
 void FlowDecisionCache::Configure(const FlowCacheConfig& config) {
   config_ = config;
-  const size_t slots = RoundCapacity(config.capacity);
+  // Move-assigning empty vectors frees the storage (clear() would keep it).
+  slots_ = {};
+  keys_ = {};
+  sketch_ = {};
+  mask_ = 0;
+  occupied_ = 0;
+  counters_.capacity->Set(0);
+}
+
+void FlowDecisionCache::Allocate() {
+  if (allocated()) {
+    return;
+  }
+  const size_t slots = RoundCapacity(config_.capacity);
   // Adaptive shrink may go below the configured capacity (the config is a
   // starting point) but never below kShrinkFloor — unless the operator
   // asked for a smaller table to begin with (tiny test configs).
@@ -210,18 +223,24 @@ FlowDecisionCache::Key FlowDecisionCache::MakeKey(const PacketView& pkt,
   const uint16_t len = static_cast<uint16_t>(pkt.size());
   std::memcpy(key.bytes, &port, sizeof(port));
   std::memcpy(key.bytes + 2, &len, sizeof(len));
+  // The prefix is assembled in a register as the bytes are gathered:
+  // reloading it from the byte stores just made would stall on store
+  // forwarding, which cost more than the rest of the key build.
+  uint64_t prefix = uint64_t{port} | uint64_t{len} << 16;
   uint32_t pos = 4;
   uint64_t m = mask;
   while (m != 0) {
     const unsigned i = static_cast<unsigned>(__builtin_ctzll(m));
     m &= m - 1;
     if (i < pkt.size()) {
-      key.bytes[pos++] = pkt.start[i];
+      const uint8_t byte = pkt.start[i];
+      if (pos < 8) {
+        prefix |= uint64_t{byte} << (8 * pos);
+      }
+      key.bytes[pos++] = byte;
     }
   }
   key.len = pos;
-  uint64_t prefix = 0;
-  std::memcpy(&prefix, key.bytes, pos < 8 ? pos : 8);
   key.prefix = prefix;
   // FNV-1a over the key bytes, finished with Mix64 for slot spread. The
   // mask itself needn't be hashed: one cache serves one hook, and every

@@ -39,6 +39,12 @@
 //     2x (live flows + eviction pressure) or shrinks when it is >4x
 //     oversized; the boundary work is O(1), no table sweep.
 //
+// Engagement (see DESIGN.md, "When the cache engages"): Syrupd binds a
+// deployment to the cache only when the program is pure *and* its priced
+// worst case at the deployed tier exceeds one warm probe
+// (bpf::FlowCachePays). A table holds no slot, key or sketch memory until
+// the first such deployment attaches to its hook (Allocate).
+//
 // The cache is deliberately not internally synchronized: in the simulator
 // each hook's dispatch runs serialized (softirq model), and this mirrors a
 // real per-core megaflow cache which is also core-private. Map versions
@@ -64,7 +70,7 @@ namespace syrup {
 
 // The one knob surface for the flow cache (Syrupd::set_flow_cache_config,
 // SyrupClient, syrupctl, and the experiment configs all traffic in this
-// struct; the old set_flow_cache_enabled(bool) is a deprecated shim).
+// struct).
 struct FlowCacheConfig {
   bool enabled = true;
   // Initial table size in slots (rounded up to a power of two). With
@@ -97,7 +103,9 @@ struct FlowCacheBinding {
   }
 
   // Builds the binding for a verified program. Cacheable only when the
-  // facts say so; read-set indices resolve against the program's map table.
+  // purity facts say so; read-set indices resolve against the program's map
+  // table. Whether caching pays at the deployed tier is the caller's
+  // separate gate (bpf::FlowCachePays).
   static FlowCacheBinding ForProgram(const bpf::AnalysisFacts& facts,
                                      const bpf::Program& program);
 };
@@ -137,10 +145,11 @@ class FrequencySketch {
  public:
   static constexpr uint32_t kMaxEstimate = 15;
 
-  FrequencySketch() { Resize(0); }
+  // Holds no memory until the first Resize.
+  FrequencySketch() = default;
 
   // Sizes the sketch to ~`counters` 4-bit cells (power of two, min 64) and
-  // clears all frequency state.
+  // clears all frequency state. Required before Touch/Estimate.
   void Resize(size_t counters);
 
   // Records one occurrence of `hash` and ages the sketch when the sample
@@ -186,17 +195,24 @@ class FlowDecisionCache {
   static constexpr size_t kShrinkFloor = 1024;   // adaptive shrink stops here
   static constexpr size_t kProbeWindow = 4;
 
-  explicit FlowDecisionCache(FlowCacheConfig config = {}) {
-    Configure(config);
-  }
+  // Holds no slot, key or sketch memory until Allocate.
+  explicit FlowDecisionCache(FlowCacheConfig config = {}) : config_(config) {}
 
-  // Applies a new configuration: resets the table to config.capacity and
-  // clears the sketch. Dropping entries is always safe — the cache is
-  // semantically transparent.
+  // Applies a new configuration and releases the table and sketch; the
+  // next Allocate builds them at config.capacity. Dropping entries is
+  // always safe — the cache is semantically transparent.
   void Configure(const FlowCacheConfig& config);
   const FlowCacheConfig& config() const { return config_; }
 
-  // Current table size in slots (moves under `adaptive`).
+  // Builds an empty table at config().capacity plus its sketch; a no-op
+  // when already allocated. Lookup, Insert and PrefetchSlot require an
+  // allocated table — Syrupd allocates a hook's tables when a cacheable
+  // deployment attaches, so the hit path carries no allocation check.
+  void Allocate();
+  bool allocated() const { return !slots_.empty(); }
+
+  // Current table size in slots: 0 until allocated, then moves under
+  // `adaptive`.
   size_t capacity() const { return slots_.size(); }
 
   // Re-homes eviction/admission/resize accounting (Syrupd binds its

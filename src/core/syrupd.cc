@@ -413,10 +413,16 @@ StatusOr<int> Syrupd::DeployPolicyFile(AppId app,
       program, MakeExecEnv(),
       PolicyMetrics::InRegistry(metrics_, app_name, HookName(hook)),
       compiled);
-  // The verifier's purity summary decides whether this deployment may be
-  // memoized per flow; the binding resolves its read-set map observers.
-  FlowCacheBinding cache_binding =
-      FlowCacheBinding::ForProgram(vfacts, *program);
+  // Memoized per flow only when the verifier's purity summary allows it and
+  // the worst case at the tier the program really runs on costs more than
+  // the probe that would replace it; the binding resolves the read-set map
+  // observers.
+  const bpf::CostTier tier =
+      bpf::CostTierOf(bpf::EffectiveExecMode(compiled.get()));
+  FlowCacheBinding cache_binding;
+  if (bpf::FlowCachePays(vfacts.cost, tier)) {
+    cache_binding = FlowCacheBinding::ForProgram(vfacts, *program);
+  }
   metrics_.GetGauge(app_name, HookName(hook), "policy.cacheable")
       ->Set(cache_binding.cacheable ? 1 : 0);
   SYRUP_RETURN_IF_ERROR(AttachPolicy(app, std::move(policy), hook,
@@ -467,8 +473,23 @@ Status Syrupd::AttachPolicy(AppId app, std::shared_ptr<PacketPolicy> policy,
   // New deployment epoch: cached decisions from the replaced policy (and
   // raw policy observers readers may have derived) are dead from here on.
   ++hook_epoch_[HookIndex(hook)];
+  AllocateFlowCache(HookIndex(hook));
   SYRUP_RETURN_IF_ERROR(InstallStackHook(hook));
   return OkStatus();
+}
+
+void Syrupd::AllocateFlowCache(size_t hook_index) {
+  const auto& table = dispatch_[hook_index];
+  if (!flow_cache_config_.enabled ||
+      std::none_of(table.begin(), table.end(), [](const auto& port_entry) {
+        return port_entry.second.cache.cacheable;
+      })) {
+    return;
+  }
+  flow_cache_[hook_index].Allocate();
+  for (auto& lanes : shard_lanes_) {
+    (*lanes)[hook_index].cache.Allocate();
+  }
 }
 
 Status Syrupd::RemovePolicy(AppId app, Hook hook, int only_prog_id) {
@@ -693,6 +714,9 @@ void Syrupd::ConfigureSharding(int shards) {
     }
     shard_lanes_.push_back(std::move(lanes));
   }
+  for (size_t i = 0; i < kNumHooks; ++i) {
+    AllocateFlowCache(i);
+  }
 }
 
 void Syrupd::DispatchBatch(Hook hook, std::span<const PacketView> pkts,
@@ -859,11 +883,10 @@ void Syrupd::set_flow_cache_config(const FlowCacheConfig& config) {
   flow_cache_config_ = config;
   for (size_t i = 0; i < kNumHooks; ++i) {
     flow_cache_[i].Configure(config);
-  }
-  for (auto& lanes : shard_lanes_) {
-    for (HookLane& lane : *lanes) {
-      lane.cache.Configure(config);
+    for (auto& lanes : shard_lanes_) {
+      (*lanes)[i].cache.Configure(config);
     }
+    AllocateFlowCache(i);
   }
 }
 
@@ -909,6 +932,7 @@ DeploymentAnalysis Syrupd::AnalyzeDeployments() const {
     std::string label;  // app/hook/policy
     const bpf::Program* prog = nullptr;
     const bpf::AnalysisFacts* facts = nullptr;
+    bool packet = true;  // false for the thread-hook program
   };
   std::map<uint64_t, ProgRec> recs;
   for (size_t hook_index = 0; hook_index < kNumHooks; ++hook_index) {
@@ -953,6 +977,7 @@ DeploymentAnalysis Syrupd::AnalyzeDeployments() const {
                   pit->second->name;
       rec.prog = pit->second.get();
       rec.facts = &fit->second;
+      rec.packet = false;
       recs.emplace(id, std::move(rec));
     }
   }
@@ -1056,16 +1081,34 @@ DeploymentAnalysis Syrupd::AnalyzeDeployments() const {
     }
   }
   for (const auto& [id, rec] : recs) {
-    if (rec.facts->cache_blockers.empty()) {
+    std::string reasons;
+    auto add_reason = [&reasons](const std::string& reason) {
+      reasons += (reasons.empty() ? "" : "; ") + reason;
+    };
+    for (const bpf::CacheBlocker& blocker : rec.facts->cache_blockers) {
+      add_reason("insn " + std::to_string(blocker.pc) + ": " +
+                 blocker.reason);
+    }
+    // The cost half of the deploy gate, at the tier the program runs on.
+    // Thread programs never reach the cache, so only purity applies there.
+    const bpf::CostFacts& cost = rec.facts->cost;
+    const bpf::CostTier tier =
+        bpf::CostTierOf(bpf::EffectiveExecMode(CompiledById(id)));
+    if (rec.packet && !bpf::FlowCachePays(cost, tier)) {
+      add_reason(
+          !cost.bounded
+              ? "the cost analysis could not bound its worst case"
+              : "worst case " +
+                    FormatNs(cost.wcet_ns[static_cast<size_t>(tier)]) +
+                    " ns at the " + std::string(bpf::CostTierName(tier)) +
+                    " tier does not exceed the " +
+                    FormatNs(bpf::DefaultCostModel().flow_cache_probe_ns) +
+                    " ns flow-cache probe");
+    }
+    if (reasons.empty()) {
       continue;
     }
-    std::string detail = rec.label + " is not flow-cacheable: ";
-    for (size_t i = 0; i < rec.facts->cache_blockers.size(); ++i) {
-      const bpf::CacheBlocker& blocker = rec.facts->cache_blockers[i];
-      if (i > 0) detail += "; ";
-      detail +=
-          "insn " + std::to_string(blocker.pc) + ": " + blocker.reason;
-    }
+    std::string detail = rec.label + " is not flow-cacheable: " + reasons;
     out.findings.push_back(
         InterferenceFinding{InterferenceFinding::Level::kInfo,
                             "uncacheable", "", std::move(detail)});

@@ -98,7 +98,7 @@ struct MapInterferenceRow {
 // is an error (unsynchronized last-writer-wins across trust domains);
 // dead-telemetry / stale-input are warnings (userspace readers and writers
 // are invisible to this analysis, so either may be intentional);
-// per-program cacheability blockers are informational.
+// per-program flow-cache blockers (purity or cost) are informational.
 struct InterferenceFinding {
   enum class Level { kError, kWarning, kInfo };
   Level level = Level::kInfo;
@@ -230,23 +230,16 @@ class Syrupd {
 
   // --- Flow-decision cache -------------------------------------------------
 
-  // Per-hook memoization of verifier-proven-cacheable policies (see
+  // Per-hook memoization of bytecode policies that are verifier-proven
+  // pure and priced above a warm probe at their deployed tier (see
   // src/core/flow_cache.h). On by default; disabling is an ablation knob —
   // cacheable programs are pure, so results are bit-identical either way.
-  // Reconfiguring flushes every hook's cached decisions (always safe).
+  // Reconfiguring flushes every hook's cached decisions (always safe); the
+  // hooks that have a cacheable deployment get fresh tables right away.
   void set_flow_cache_config(const FlowCacheConfig& config);
   const FlowCacheConfig& flow_cache_config() const {
     return flow_cache_config_;
   }
-
-  // Deprecated: the enabled bit of set_flow_cache_config. Kept as a
-  // delegating shim for callers predating FlowCacheConfig.
-  void set_flow_cache_enabled(bool enabled) {
-    FlowCacheConfig config = flow_cache_config_;
-    config.enabled = enabled;
-    set_flow_cache_config(config);
-  }
-  bool flow_cache_enabled() const { return flow_cache_config_.enabled; }
 
   // The hook's deployment epoch: bumped on every attach/remove, which
   // flushes that hook's cached decisions in O(1).
@@ -331,8 +324,9 @@ class Syrupd {
   // Deployment-wide map-interference report across every attached bytecode
   // policy (packet hooks and the thread hook): who reads/writes each map,
   // cross-application write-write sharing, dead telemetry (written but
-  // never read), stale inputs (read but never written), and per-program
-  // flow-cache cacheability blockers. Userspace map users (syr_map_* fds)
+  // never read), stale inputs (read but never written), and why a program
+  // is not flow-cached: purity blockers, or a worst case at the deployed
+  // tier too cheap to beat a probe. Userspace map users (syr_map_* fds)
   // are outside the verifier's view and are not counted.
   DeploymentAnalysis AnalyzeDeployments() const;
 
@@ -414,6 +408,11 @@ class Syrupd {
     FlowDecisionCache cache;
   };
 
+  // Allocates the hook's flow-cache table on every dispatch shard when the
+  // cache is enabled and a cacheable deployment is attached there; a no-op
+  // otherwise. Runs after each attach, ConfigureSharding and
+  // set_flow_cache_config, so whichever comes last allocates.
+  void AllocateFlowCache(size_t hook_index);
   Status InstallStackHook(Hook hook);
   void MaybeUninstallStackHook(Hook hook);
   // Batch-of-1 wrapper around DispatchBatch (the single-packet hooks).
@@ -460,9 +459,10 @@ class Syrupd {
   HookCells hook_cells_[kNumHooks];
 
   // Flow-decision caches, one per hook (the simulator serializes each
-  // hook's dispatch, mirroring a per-core megaflow table). The epoch is
-  // bumped on every attach/remove at the hook: stale-epoch entries never
-  // hit, so redeploys flush without touching the table.
+  // hook's dispatch, mirroring a per-core megaflow table). Tables stay
+  // unallocated until AllocateFlowCache finds a cacheable deployment. The
+  // epoch is bumped on every attach/remove at the hook: stale-epoch entries
+  // never hit, so redeploys flush without touching the table.
   FlowDecisionCache flow_cache_[kNumHooks];
   uint64_t hook_epoch_[kNumHooks] = {};
   FlowCacheConfig flow_cache_config_;

@@ -114,6 +114,8 @@ TEST(CostModelTest, CalibratedModelNeverCheaperThanDefault) {
   }
   EXPECT_GE(cal.random_ns, def.random_ns);
   EXPECT_GE(cal.ktime_ns, def.ktime_ns);
+  EXPECT_GT(def.flow_cache_probe_ns, 0.0);
+  EXPECT_GE(cal.flow_cache_probe_ns, def.flow_cache_probe_ns);
 }
 
 // --- boundedness over the builtin catalog ------------------------------------

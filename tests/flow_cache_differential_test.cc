@@ -4,10 +4,15 @@
 // (flow key, read-set map versions), so memoizing them may change only
 // *when* a policy executes, never what the packet's decision is.
 // `stats_json` is deliberately excluded: flow_cache.{hits,misses} and
-// policy.invocations legitimately differ between the two runs.
+// policy.invocations legitimately differ between the two runs (the
+// native-tier test reads it only to confirm the deploy gate disengaged).
 #include <gtest/gtest.h>
 
+#include <regex>
+#include <string>
+
 #include "src/apps/experiments.h"
+#include "src/bpf/jit.h"
 #include "src/sim/simulator.h"
 
 namespace syrup {
@@ -49,9 +54,9 @@ void ExpectBitIdentical(const MicaResult& on, const MicaResult& off) {
 TEST(FlowCacheDifferential, Fig2RocksDbBitExact) {
   RocksDbExperimentConfig config = SmallRocksDbConfig();
   config.use_bytecode = true;
-  config.flow_cache = true;
+  config.flow_cache_config.enabled = true;
   const RocksDbResult on = RunRocksDbExperiment(config);
-  config.flow_cache = false;
+  config.flow_cache_config.enabled = false;
   const RocksDbResult off = RunRocksDbExperiment(config);
   ExpectBitIdentical(on, off);
 }
@@ -66,9 +71,9 @@ TEST(FlowCacheDifferential, Fig8ThreadSchedBitExact) {
   config.thread_sched = ThreadSchedKind::kGhostGetPriority;
   config.num_threads = 4;
   config.num_cores = 2;
-  config.flow_cache = true;
+  config.flow_cache_config.enabled = true;
   const RocksDbResult on = RunRocksDbExperiment(config);
-  config.flow_cache = false;
+  config.flow_cache_config.enabled = false;
   const RocksDbResult off = RunRocksDbExperiment(config);
   ExpectBitIdentical(on, off);
 }
@@ -86,9 +91,9 @@ TEST(FlowCacheDifferential, Fig9MicaCacheableBytecodeBitExact) {
   config.warmup = 50 * kMillisecond;
   config.measure = 200 * kMillisecond;
   config.seed = 7;
-  config.flow_cache = true;
+  config.flow_cache_config.enabled = true;
   const MicaResult on = RunMicaExperiment(config);
-  config.flow_cache = false;
+  config.flow_cache_config.enabled = false;
   const MicaResult off = RunMicaExperiment(config);
   ExpectBitIdentical(on, off);
 }
@@ -102,11 +107,41 @@ TEST(FlowCacheDifferential, Fig9MicaSyrupSwBitExact) {
   config.warmup = 50 * kMillisecond;
   config.measure = 200 * kMillisecond;
   config.seed = 7;
-  config.flow_cache = true;
+  config.flow_cache_config.enabled = true;
   const MicaResult on = RunMicaExperiment(config);
-  config.flow_cache = false;
+  config.flow_cache_config.enabled = false;
   const MicaResult off = RunMicaExperiment(config);
   ExpectBitIdentical(on, off);
+}
+
+// The benchmark's Fig. 9 Syrup SW config: MicaHome on the native tier,
+// where its priced worst case does not beat a warm probe, so the deploy
+// gate leaves it uncached — bit-identical either way, with no hit, no miss
+// and no table.
+TEST(FlowCacheDifferential, Fig9MicaNativeTierGateDisengagesBitExact) {
+  MicaExperimentConfig config;
+  config.variant = MicaVariant::kSyrupSw;
+  config.use_bytecode = true;
+  config.exec_mode = bpf::ExecMode::kNative;
+  config.load_rps = 400'000;
+  config.warmup = 50 * kMillisecond;
+  config.measure = 200 * kMillisecond;
+  config.seed = 2;
+  config.flow_cache_config.enabled = true;
+  const MicaResult on = RunMicaExperiment(config);
+  config.flow_cache_config.enabled = false;
+  const MicaResult off = RunMicaExperiment(config);
+  ExpectBitIdentical(on, off);
+  if (!bpf::JitAvailable()) {
+    GTEST_SKIP() << "JIT unavailable: the deployment ran compiled, cached";
+  }
+  const std::string value = R"(":\{"type":"\w+","value":)";
+  EXPECT_TRUE(std::regex_search(
+      on.stats_json, std::regex(R"("policy\.cacheable)" + value + "0")));
+  const std::regex engaged(
+      R"re("(policy\.cacheable|flow_cache\.(hits|misses|capacity)))re" + value +
+      "[1-9]");
+  EXPECT_FALSE(std::regex_search(on.stats_json, engaged)) << on.stats_json;
 }
 
 // Config variants must be equally invisible: a deliberately undersized
@@ -125,9 +160,9 @@ TEST(FlowCacheDifferential, Fig9MicaTinyAdaptiveAdmissionBitExact) {
   config.flow_cache_config.capacity = 64;
   config.flow_cache_config.admission = true;
   config.flow_cache_config.adaptive = true;
-  config.flow_cache = true;
+  config.flow_cache_config.enabled = true;
   const MicaResult churn = RunMicaExperiment(config);
-  config.flow_cache = false;
+  config.flow_cache_config.enabled = false;
   const MicaResult off = RunMicaExperiment(config);
   ExpectBitIdentical(churn, off);
 }
@@ -140,9 +175,9 @@ TEST(FlowCacheDifferential, Fig2RocksDbTinyFixedAdmissionBitExact) {
   config.flow_cache_config.capacity = 16;
   config.flow_cache_config.admission = true;
   config.flow_cache_config.adaptive = false;
-  config.flow_cache = true;
+  config.flow_cache_config.enabled = true;
   const RocksDbResult churn = RunRocksDbExperiment(config);
-  config.flow_cache = false;
+  config.flow_cache_config.enabled = false;
   const RocksDbResult off = RunRocksDbExperiment(config);
   ExpectBitIdentical(churn, off);
 }

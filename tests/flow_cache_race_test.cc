@@ -68,6 +68,7 @@ TEST(FlowCacheRace, NoStaleDecisionUnderUpdateStorm) {
       // Per-dispatcher cache, as per-hook in syrupd. The map underneath
       // is shared and hot.
       FlowDecisionCache cache;
+      cache.Allocate();
       ready.fetch_add(1);
       while (!stop.load(std::memory_order_relaxed)) {
         for (uint32_t flow = 0; flow < 8; ++flow) {
@@ -132,6 +133,7 @@ TEST(FlowCacheRace, NoStaleDecisionUnderUpdateStorm) {
   // Once quiet, the cache converges: insert-then-hit returns the final
   // generation under the final version sum.
   FlowDecisionCache cache;
+  cache.Allocate();
   const Packet pkt = MakePacket(0);
   const auto key =
       FlowDecisionCache::MakeKey(PacketView::Of(pkt), binding.pkt_read_mask);

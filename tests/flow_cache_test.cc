@@ -1,9 +1,14 @@
 // Flow-decision cache tests: the verifier's purity/read-set facts, the
 // cache table itself, and the syrupd dispatch integration (hits, misses,
-// map-version invalidation, epoch flush on redeploy, transparency).
+// map-version invalidation, epoch flush on redeploy, transparency, the
+// tier-priced gate, and lazily allocated tables).
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "src/bpf/assembler.h"
+#include "src/bpf/cost_model.h"
+#include "src/bpf/jit.h"
 #include "src/bpf/verifier.h"
 #include "src/core/flow_cache.h"
 #include "src/core/syrup_api.h"
@@ -133,6 +138,7 @@ TEST(FlowDecisionCache, MaskedBytesBeyondPacketEndAreAbsent) {
 
 TEST(FlowDecisionCache, HitRequiresExactKeyEpochAndVersion) {
   FlowDecisionCache cache;
+  cache.Allocate();
   const Packet pkt = MakePacket(9000, 42);
   const FlowDecisionCache::Key key =
       FlowDecisionCache::MakeKey(PacketView::Of(pkt), 0xF00000u);
@@ -158,6 +164,7 @@ TEST(FlowDecisionCache, HitRequiresExactKeyEpochAndVersion) {
 
 TEST(FlowDecisionCache, DistinctFlowsDoNotFalselyHit) {
   FlowDecisionCache cache;
+  cache.Allocate();
   for (uint32_t flow = 0; flow < 512; ++flow) {
     const Packet pkt = MakePacket(9000, flow);
     const auto key =
@@ -183,6 +190,7 @@ TEST(FlowDecisionCache, DistinctFlowsDoNotFalselyHit) {
 
 TEST(FlowDecisionCache, ClearDropsEverything) {
   FlowDecisionCache cache;
+  cache.Allocate();
   const Packet pkt = MakePacket(9000, 1);
   const auto key =
       FlowDecisionCache::MakeKey(PacketView::Of(pkt), 0xF00000u);
@@ -259,6 +267,7 @@ TEST(FlowCacheAdmission, HotFlowsSurviveOneShotStorm) {
   config.admission = true;
   config.adaptive = false;
   FlowDecisionCache cache(config);
+  cache.Allocate();
   FlowCacheCounters counters = FlowCacheCounters::Detached();
   cache.BindCounters(counters);
 
@@ -290,6 +299,7 @@ TEST(FlowCacheAdmission, DisabledAdmissionLetsTheStormEvict) {
   config.admission = false;
   config.adaptive = false;
   FlowDecisionCache cache(config);
+  cache.Allocate();
   FlowCacheCounters counters = FlowCacheCounters::Detached();
   cache.BindCounters(counters);
 
@@ -321,6 +331,7 @@ TEST(FlowCacheAdmission, StaleEpochResidentsAreFreeRealEstate) {
   config.admission = true;
   config.adaptive = false;
   FlowDecisionCache cache(config);
+  cache.Allocate();
   // Fill the table under epoch 1 with well-known flows.
   for (int round = 0; round < 5; ++round) {
     for (uint32_t flow = 0; flow < 16; ++flow) {
@@ -349,6 +360,7 @@ TEST(FlowCacheAdaptive, GrowsToTheLiveFlowPopulation) {
   config.admission = true;
   config.adaptive = true;
   FlowDecisionCache cache(config);
+  cache.Allocate();
   FlowCacheCounters counters = FlowCacheCounters::Detached();
   cache.BindCounters(counters);
   ASSERT_EQ(cache.capacity(), FlowDecisionCache::kMinSlots);
@@ -384,6 +396,7 @@ TEST(FlowCacheAdaptive, ShrinksWhenThePopulationCollapses) {
   config.capacity = 4096;
   config.adaptive = true;
   FlowDecisionCache cache(config);
+  cache.Allocate();
   FlowCacheCounters counters = FlowCacheCounters::Detached();
   cache.BindCounters(counters);
   cache.Insert(KeyFor(1), Decision{3}, 1, 0);
@@ -412,6 +425,7 @@ TEST(FlowCacheAdaptive, FixedSizeWhenDisabled) {
   config.capacity = FlowDecisionCache::kMinSlots;
   config.adaptive = false;
   FlowDecisionCache cache(config);
+  cache.Allocate();
   for (int pass = 0; pass < 10; ++pass) {
     for (uint32_t flow = 0; flow < 512; ++flow) {
       Decision d = 0;
@@ -428,13 +442,21 @@ TEST(FlowCacheConfig_, ConfigureRoundsAndResets) {
   FlowCacheConfig config;
   config.capacity = 100;
   FlowDecisionCache cache(config);
+  EXPECT_FALSE(cache.allocated());  // no table until asked for one
+  EXPECT_EQ(cache.capacity(), 0u);
+  cache.Allocate();
   EXPECT_EQ(cache.capacity(), 128u);  // rounded to a power of two
   cache.Insert(KeyFor(1), Decision{2}, 1, 0);
   EXPECT_EQ(cache.OccupiedSlots(), 1u);
+  cache.Allocate();  // idempotent: the live table survives
+  EXPECT_EQ(cache.OccupiedSlots(), 1u);
   config.capacity = 64;
   cache.Configure(config);
+  EXPECT_FALSE(cache.allocated());  // reconfigure releases the table
+  EXPECT_EQ(cache.OccupiedSlots(), 0u);
+  cache.Allocate();
   EXPECT_EQ(cache.capacity(), 64u);
-  EXPECT_EQ(cache.OccupiedSlots(), 0u);  // reconfigure drops entries
+  EXPECT_EQ(cache.OccupiedSlots(), 0u);  // reconfigure dropped the entries
 }
 
 // --- syrupd dispatch integration --------------------------------------------
@@ -447,6 +469,17 @@ class FlowCacheDispatchTest : public testing::Test {
   uint64_t CacheCounter(std::string_view name) {
     return syrupd_.StatsSnapshot().CounterValue(
         "syrupd", "socket_select", std::string("flow_cache.") + name.data());
+  }
+
+  // The hook's table size summed over every dispatch shard's lane.
+  int64_t Capacity(Hook hook) {
+    return syrupd_.StatsSnapshot().GaugeValue("syrupd", HookName(hook),
+                                              "flow_cache.capacity");
+  }
+
+  int64_t Cacheable(std::string_view app) {
+    return syrupd_.StatsSnapshot().GaugeValue(app, "socket_select",
+                                              "policy.cacheable");
   }
 
   Simulator sim_;
@@ -578,7 +611,9 @@ TEST_F(FlowCacheDispatchTest, NativePoliciesAreNeverCached) {
 }
 
 TEST_F(FlowCacheDispatchTest, DisabledCacheExecutesEveryPacket) {
-  syrupd_.set_flow_cache_enabled(false);
+  FlowCacheConfig config;
+  config.enabled = false;
+  syrupd_.set_flow_cache_config(config);
   const AppId app = syrupd_.RegisterApp("a", 1000, 9000).value();
   ASSERT_TRUE(syrupd_.DeployPolicyFile(app, MicaHomePolicyAsm(6),
                                        Hook::kSocketSelect)
@@ -593,6 +628,8 @@ TEST_F(FlowCacheDispatchTest, DisabledCacheExecutesEveryPacket) {
   EXPECT_EQ(syrupd_.StatsSnapshot().CounterValue("a", "socket_select",
                                                  "policy.invocations"),
             2u);
+  // A disabled cache allocates nothing, cacheable deployment or not.
+  EXPECT_EQ(Capacity(Hook::kSocketSelect), 0);
 }
 
 TEST_F(FlowCacheDispatchTest, ShortPacketKeyedByLength) {
@@ -666,20 +703,122 @@ TEST_F(FlowCacheDispatchTest, AdmissionRejectCounterReachesSnapshot) {
   EXPECT_GT(CacheCounter("admission_rejects"), 0u);
 }
 
-TEST_F(FlowCacheDispatchTest, DeprecatedEnabledShimPreservesOtherKnobs) {
+// --- tier-priced cacheability -----------------------------------------------
+
+TEST(FlowCacheGate, PricedWorstCaseMustExceedTheProbe) {
+  // mica_home is pure at every tier; only the price decides. The default
+  // model puts it above the probe on the compiled tier and below it on the
+  // native tier.
+  const bpf::CostFacts cost = FactsFor(MicaHomePolicyAsm(6)).cost;
+  const double probe = bpf::DefaultCostModel().flow_cache_probe_ns;
+  ASSERT_TRUE(cost.bounded);
+  EXPECT_GT(cost.wcet_ns[static_cast<size_t>(bpf::CostTier::kCompiled)],
+            probe);
+  EXPECT_LE(cost.wcet_ns[static_cast<size_t>(bpf::CostTier::kNative)], probe);
+  EXPECT_TRUE(bpf::FlowCachePays(cost, bpf::CostTier::kInterpret));
+  EXPECT_TRUE(bpf::FlowCachePays(cost, bpf::CostTier::kCompiled));
+  EXPECT_FALSE(bpf::FlowCachePays(cost, bpf::CostTier::kNative));
+  // The map-consulting builtins pay even as machine code.
+  EXPECT_TRUE(bpf::FlowCachePays(
+      FactsFor(LeastLoadedPolicyAsm(6, "/syrup/t/load")).cost,
+      bpf::CostTier::kNative));
+  // No bound, no cache.
+  EXPECT_FALSE(bpf::FlowCachePays(bpf::CostFacts{}, bpf::CostTier::kInterpret));
+}
+
+TEST_F(FlowCacheDispatchTest, NativeTierMicaHomeIsNotCached) {
+  if (!bpf::JitAvailable()) {
+    GTEST_SKIP() << "JIT unavailable: native deployments run compiled";
+  }
+  syrupd_.set_exec_mode(bpf::ExecMode::kNative);
+  const AppId app = syrupd_.RegisterApp("a", 1000, 9000).value();
+  ASSERT_TRUE(syrupd_.DeployPolicyFile(app, MicaHomePolicyAsm(6),
+                                       Hook::kSocketSelect)
+                  .ok());
+  EXPECT_EQ(Cacheable("a"), 0);
+  const Packet pkt = MakePacket(9000, 123);
+  const PacketView view = PacketView::Of(pkt);
+  EXPECT_EQ(stack_.hooks().socket_select(view), 3u);
+  EXPECT_EQ(stack_.hooks().socket_select(view), 3u);
+  EXPECT_EQ(CacheCounter("hits"), 0u);
+  EXPECT_EQ(CacheCounter("misses"), 0u);
+  EXPECT_EQ(CacheCounter("uncacheable"), 2u);
+  EXPECT_EQ(Capacity(Hook::kSocketSelect), 0);
+  EXPECT_EQ(syrupd_.StatsSnapshot().CounterValue("a", "socket_select",
+                                                 "policy.invocations"),
+            2u);
+}
+
+TEST_F(FlowCacheDispatchTest, CompiledTierMicaHomeIsCached) {
+  const AppId app = syrupd_.RegisterApp("a", 1000, 9000).value();
+  ASSERT_TRUE(syrupd_.DeployPolicyFile(app, MicaHomePolicyAsm(6),
+                                       Hook::kSocketSelect)
+                  .ok());
+  EXPECT_EQ(Cacheable("a"), 1);
+  EXPECT_EQ(Capacity(Hook::kSocketSelect), 4096);
+}
+
+// --- tables allocated on first cacheable attach -----------------------------
+
+TEST_F(FlowCacheDispatchTest, NoTableBeforeCacheableAttach) {
+  for (size_t i = 0; i < kNumHooks; ++i) {
+    EXPECT_EQ(Capacity(HookFromIndex(i)), 0) << HookName(HookFromIndex(i));
+  }
+  // An uncacheable deployment never needs a table.
+  const AppId rr = syrupd_.RegisterApp("rr", 1000, 9000).value();
+  ASSERT_TRUE(syrupd_.DeployPolicyFile(rr, RoundRobinPolicyAsm(4),
+                                       Hook::kSocketSelect)
+                  .ok());
+  EXPECT_EQ(Capacity(Hook::kSocketSelect), 0);
+  // A cacheable one allocates its own hook only.
+  const AppId mica = syrupd_.RegisterApp("mica", 1000, 9100).value();
+  ASSERT_TRUE(
+      syrupd_.DeployPolicyFile(mica, MicaHomePolicyAsm(6), Hook::kXdpSkb)
+          .ok());
+  EXPECT_EQ(Capacity(Hook::kXdpSkb), 4096);
+  EXPECT_EQ(Capacity(Hook::kSocketSelect), 0);
+  EXPECT_EQ(Capacity(Hook::kXdpDrv), 0);
+}
+
+TEST_F(FlowCacheDispatchTest, CacheableAttachAfterShardingAllocatesEveryLane) {
+  syrupd_.ConfigureSharding(4);
+  EXPECT_EQ(Capacity(Hook::kXdpSkb), 0);
+  const AppId app = syrupd_.RegisterApp("mica", 1000, 9100).value();
+  ASSERT_TRUE(
+      syrupd_.DeployPolicyFile(app, MicaHomePolicyAsm(6), Hook::kXdpSkb)
+          .ok());
+  EXPECT_EQ(Capacity(Hook::kXdpSkb), 4 * 4096);
+  // Every lane serves from its own, now allocated, table.
+  const Packet pkt = MakePacket(9100, 7);
+  const PacketView view = PacketView::Of(pkt);
+  for (int shard = 0; shard < 4; ++shard) {
+    Decision d = kPass;
+    syrupd_.DispatchBatch(Hook::kXdpSkb, std::span<const PacketView>(&view, 1),
+                          std::span<Decision>(&d, 1), shard);
+    EXPECT_EQ(d, 1u) << "shard " << shard;
+  }
+}
+
+TEST_F(FlowCacheDispatchTest, ReconfigureAfterCacheableAttachKeepsTables) {
+  const AppId app = syrupd_.RegisterApp("mica", 1000, 9100).value();
+  ASSERT_TRUE(
+      syrupd_.DeployPolicyFile(app, MicaHomePolicyAsm(6), Hook::kXdpSkb)
+          .ok());
+  EXPECT_EQ(Capacity(Hook::kXdpSkb), 4096);
+  syrupd_.ConfigureSharding(4);
+  EXPECT_EQ(Capacity(Hook::kXdpSkb), 4 * 4096);
   FlowCacheConfig config;
-  config.capacity = 512;
-  config.admission = false;
+  config.capacity = 1024;
   syrupd_.set_flow_cache_config(config);
-  // The old bool toggle must only flip `enabled`, keeping the typed knobs.
-  syrupd_.set_flow_cache_enabled(false);
-  EXPECT_FALSE(syrupd_.flow_cache_config().enabled);
-  EXPECT_FALSE(syrupd_.flow_cache_enabled());
-  EXPECT_EQ(syrupd_.flow_cache_config().capacity, 512u);
-  EXPECT_FALSE(syrupd_.flow_cache_config().admission);
-  syrupd_.set_flow_cache_enabled(true);
-  EXPECT_TRUE(syrupd_.flow_cache_config().enabled);
-  EXPECT_EQ(syrupd_.flow_cache_config().capacity, 512u);
+  EXPECT_EQ(Capacity(Hook::kXdpSkb), 4 * 1024);
+  // Disabling releases the tables; re-enabling rebuilds them.
+  config.enabled = false;
+  syrupd_.set_flow_cache_config(config);
+  EXPECT_EQ(Capacity(Hook::kXdpSkb), 0);
+  config.enabled = true;
+  syrupd_.set_flow_cache_config(config);
+  EXPECT_EQ(Capacity(Hook::kXdpSkb), 4 * 1024);
+  EXPECT_EQ(Capacity(Hook::kSocketSelect), 0);
 }
 
 TEST_F(FlowCacheDispatchTest, ClientConfiguresTheDaemonCache) {

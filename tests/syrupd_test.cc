@@ -907,5 +907,38 @@ TEST_F(SyrupdTest, AnalyzeDeploymentsSingleAppIsErrorFree) {
   EXPECT_TRUE(uncacheable);
 }
 
+TEST_F(SyrupdTest, AnalyzeDeploymentsExplainsTheCostGate) {
+  // mica_home is pure, so only the price can keep it out of the cache: a
+  // finding at the tier it runs on, none where it is memoized.
+  auto app = syrupd_.RegisterApp("a", 1000, 9000).value();
+  auto uncacheable_findings = [this] {
+    std::vector<std::string> details;
+    for (const InterferenceFinding& f :
+         syrupd_.AnalyzeDeployments().findings) {
+      if (f.category == "uncacheable") {
+        details.push_back(f.detail);
+      }
+    }
+    return details;
+  };
+  ASSERT_TRUE(
+      syrupd_.DeployPolicyFile(app, MicaHomePolicyAsm(4), Hook::kXdpSkb).ok());
+  EXPECT_TRUE(uncacheable_findings().empty());  // compiled: cached
+
+  if (!bpf::JitAvailable()) {
+    GTEST_SKIP() << "JIT unavailable: native deployments run compiled";
+  }
+  syrupd_.set_exec_mode(bpf::ExecMode::kNative);
+  ASSERT_TRUE(
+      syrupd_.DeployPolicyFile(app, MicaHomePolicyAsm(4), Hook::kXdpSkb).ok());
+  const std::vector<std::string> details = uncacheable_findings();
+  ASSERT_EQ(details.size(), 1u);
+  EXPECT_NE(details[0].find("a/xdp_skb/mica_home is not flow-cacheable: "
+                            "worst case 44.5 ns at the native tier does not "
+                            "exceed the 50.0 ns flow-cache probe"),
+            std::string::npos)
+      << details[0];
+}
+
 }  // namespace
 }  // namespace syrup
