@@ -6,17 +6,21 @@
 // scaling doubles aggregate events/sec per doubling of shards. Two
 // scenarios bracket the sync cost:
 //
-//   steady       no cross-shard traffic — pure window/barrier overhead
+//   steady       no cross-shard traffic — pure window-sync overhead
 //   cross_heavy  30% of continuations hop to the neighbor shard through
 //                the SPSC channels (the rack east-west shape)
+//
+// Each row is the fastest of three reps, and the reps run the shard counts
+// interleaved (1, 2, 4, 1, 2, 4, ...), so a speedup compares runs that saw
+// the same machine load.
 //
 // Writes `BENCH_sim_parallel.json` (shards -> events/sec per scenario plus
 // the N-shard:1-shard speedups). `--baseline <file>` gates the 4-shard
 // speedup against the checked-in floor (steady >= 1.8x); the gate needs at
 // least 4 hardware threads and reports itself as skipped otherwise, and
 // shard counts beyond hardware_concurrency are skipped rather than
-// measured oversubscribed (a spinning barrier on a timeshared core
-// benchmarks the OS scheduler, not the engine).
+// measured oversubscribed (a shard spinning for its peers on a timeshared
+// core benchmarks the OS scheduler, not the engine).
 //
 // Flags:
 //   --quick            ~8x fewer events per shard (CI smoke mode)
@@ -40,6 +44,7 @@ namespace syrup {
 namespace {
 
 constexpr int kShardCounts[] = {1, 2, 4, 8};
+constexpr int kReps = 3;  // each row reports its fastest rep
 constexpr uint64_t kChainsPerShard = 512;
 constexpr Duration kLookahead = 2 * kMicrosecond;
 
@@ -150,22 +155,32 @@ int Run(bool quick, const char* out_path, const char* baseline_path) {
   std::printf("%-12s %7s %14s %9s %10s %10s\n", "scenario", "shards",
               "events/sec", "speedup", "rounds", "messages");
 
-  // results[scenario][shards] = events/sec; speedups vs the 1-shard row.
+  // results[scenario][shards] = best-of-kReps run; speedups vs the 1-shard
+  // row. The shard counts are interleaved within each rep, so a noisy
+  // neighbour slows numerator and denominator alike rather than one of them.
   std::map<std::string, std::map<int, RunResult>> results;
   for (const Scenario& sc : scenarios) {
-    double base = 0;
+    std::map<int, RunResult>& rows = results[sc.name];
+    for (int rep = 0; rep < kReps; ++rep) {
+      for (int shards : kShardCounts) {
+        if (cores != 0 && static_cast<unsigned>(shards) > cores) {
+          continue;
+        }
+        const RunResult r = RunScaling(shards, events_per_shard,
+                                       sc.cross_mille);
+        if (r.events_per_sec > rows[shards].events_per_sec) {
+          rows[shards] = r;
+        }
+      }
+    }
+    const double base = rows.count(1) ? rows.at(1).events_per_sec : 0;
     for (int shards : kShardCounts) {
-      if (cores != 0 && static_cast<unsigned>(shards) > cores) {
+      if (!rows.count(shards)) {
         std::printf("%-12s %7d %14s (skipped: > %u hw threads)\n", sc.name,
                     shards, "-", cores);
         continue;
       }
-      const RunResult r = RunScaling(shards, events_per_shard,
-                                     sc.cross_mille);
-      results[sc.name][shards] = r;
-      if (shards == 1) {
-        base = r.events_per_sec;
-      }
+      const RunResult& r = rows.at(shards);
       std::printf("%-12s %7d %14.0f %8.2fx %10llu %10llu\n", sc.name, shards,
                   r.events_per_sec,
                   base > 0 ? r.events_per_sec / base : 0.0,

@@ -13,11 +13,11 @@
 // (Syrupd::StatsSnapshot(), docs/OBSERVABILITY.md schema) after the run.
 //
 // --shards N runs the experiment on the sharded parallel engine
-// (src/sim/sharded.h): N replicated hosts, one per worker thread, with
+// (src/sim/sharded.h): N replicated hosts, one per thread, with
 // --cross-traffic of each shard's load served east-west by the next shard.
 // --shards 1 is bit-identical to the default single-engine run.
-// --lookahead-us sets the conservative sync window; --pin pins worker
-// threads to CPUs.
+// --lookahead-us sets the conservative sync window; --pin pins the worker
+// threads to CPUs (shard 0 runs on the calling thread, left unpinned).
 //
 // Examples:
 //   experiment_cli --policy sita --load 250000 --get-fraction 0.995

@@ -11,24 +11,29 @@
 namespace syrup {
 
 ShardChannel::ShardChannel(size_t capacity)
-    : ring_(std::bit_ceil(std::max<size_t>(capacity, 2))),
-      mask_(ring_.size() - 1) {}
+    : capacity_(std::bit_ceil(std::max<size_t>(capacity, 2))),
+      mask_(capacity_ - 1) {}
 
 bool ShardChannel::TryPush(ShardMessage&& msg) {
   const uint64_t tail = tail_.load(std::memory_order_relaxed);
   const uint64_t head = head_.load(std::memory_order_acquire);
-  if (tail - head >= ring_.size()) {
+  if (tail - head >= capacity_) {
     return false;  // full — msg is left intact for the caller to retry
+  }
+  if (ring_.empty()) {
+    // The consumer touches ring_ only after acquiring a tail this push
+    // releases, so the allocation is ordered before any read of it.
+    ring_.resize(capacity_);
   }
   ring_[tail & mask_] = std::move(msg);
   tail_.store(tail + 1, std::memory_order_release);
   return true;
 }
 
-bool ShardChannel::TryPop(ShardMessage& out) {
+bool ShardChannel::TryPop(ShardMessage& out, uint64_t limit) {
   const uint64_t head = head_.load(std::memory_order_relaxed);
   const uint64_t tail = tail_.load(std::memory_order_acquire);
-  if (head == tail) {
+  if (head == tail || ring_[head & mask_].epoch >= limit) {
     return false;
   }
   out = std::move(ring_[head & mask_]);
@@ -37,8 +42,7 @@ bool ShardChannel::TryPop(ShardMessage& out) {
   return true;
 }
 
-ShardedSim::ShardedSim(ShardedSimConfig config)
-    : config_(config), barrier_(config.shards) {
+ShardedSim::ShardedSim(ShardedSimConfig config) : config_(config) {
   SYRUP_CHECK_GE(config_.shards, 1);
   SYRUP_CHECK_GE(config_.lookahead, 1u) << "lookahead must be positive";
   const SimEngine engine = Simulator::DefaultEngine();
@@ -62,7 +66,7 @@ ShardedSim::ShardedSim(ShardedSimConfig config)
 
 ShardedSim::~ShardedSim() = default;
 
-void ShardedSim::DrainInbound(int i) {
+void ShardedSim::DrainInbound(int i, uint64_t limit) {
   ShardState& st = *shards_[static_cast<size_t>(i)];
   ShardMessage msg;
   for (int src = 0; src < config_.shards; ++src) {
@@ -70,7 +74,7 @@ void ShardedSim::DrainInbound(int i) {
       continue;
     }
     ShardChannel& ch = channel(src, i);
-    while (ch.TryPop(msg)) {
+    while (ch.TryPop(msg, limit)) {
       st.staging.push_back(std::move(msg));
     }
   }
@@ -97,24 +101,33 @@ void ShardedSim::ScheduleStaged(int i) {
 void ShardedSim::WorkerLoop(int i, Time horizon, bool advance_clock_on_idle) {
   ShardState& st = *shards_[static_cast<size_t>(i)];
   for (;;) {
-    // Barrier A: drain while waiting so senders blocked on a full channel
-    // always find their consumer making progress.
-    barrier_.ArriveAndWait([&] { DrainInbound(i); });
-    // All sends from the previous window happened before their sender's
-    // barrier-A arrival, which happens before our return from the barrier:
-    // this drain is authoritative.
-    DrainInbound(i);
-    Time ne = st.sim.NextEventTime();
-    for (const ShardMessage& msg : st.staging) {
-      ne = std::min(ne, msg.when);
+    // Announce the earliest time this shard can affect: its next local
+    // event or the earliest arrival it sent during the last window.
+    const uint64_t k = st.epoch.load(std::memory_order_relaxed) + 1;
+    st.announced[k & 1] = std::min(st.sim.NextEventTime(), st.outbound_min);
+    st.outbound_min = Simulator::kNoEventTime;
+    st.epoch.store(k, std::memory_order_release);
+    // Wait for every peer's announcement k; drain while waiting so senders
+    // blocked on a full channel always find their consumer making progress.
+    for (const auto& peer : shards_) {
+      uint32_t spins = 0;
+      while (peer->epoch.load(std::memory_order_acquire) < k) {
+        DrainInbound(i, k);
+        CpuRelax();
+        if ((++spins & 0xfffu) == 0) {
+          std::this_thread::yield();
+        }
+      }
     }
-    st.announced.store(ne, std::memory_order_release);
-    barrier_.ArriveAndWait([] {});
+    // Every send from the last window happened before its sender's epoch-k
+    // release, which the acquire above saw: this drain is authoritative.
+    // The fence leaves posts from peers already running window k queued.
+    DrainInbound(i, k);
     // Every thread computes the same T from the same announcements, so all
     // shards take the same continue/exit decision each round.
     Time t = Simulator::kNoEventTime;
-    for (const auto& other : shards_) {
-      t = std::min(t, other->announced.load(std::memory_order_acquire));
+    for (const auto& peer : shards_) {
+      t = std::min(t, peer->announced[k & 1]);
     }
     if (t == Simulator::kNoEventTime || t > horizon) {
       break;
@@ -149,10 +162,11 @@ uint64_t ShardedSim::Run(Time horizon, bool advance_clock_on_idle) {
                                            : st.sim.RunToCompletion();
     st.rounds += 1;
   } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(config_.shards));
-    for (int i = 0; i < config_.shards; ++i) {
-      threads.emplace_back(
+    // Shard 0 runs on the calling thread; only the others get a worker.
+    std::vector<std::thread> workers;
+    workers.reserve(static_cast<size_t>(config_.shards - 1));
+    for (int i = 1; i < config_.shards; ++i) {
+      workers.emplace_back(
           [this, i, horizon, advance_clock_on_idle] {
 #if defined(__linux__)
             if (config_.pinning) {
@@ -167,7 +181,8 @@ uint64_t ShardedSim::Run(Time horizon, bool advance_clock_on_idle) {
             WorkerLoop(i, horizon, advance_clock_on_idle);
           });
     }
-    for (std::thread& th : threads) {
+    WorkerLoop(0, horizon, advance_clock_on_idle);
+    for (std::thread& th : workers) {
       th.join();  // join orders all shard writes before our reads below
     }
   }
@@ -193,6 +208,7 @@ ShardedSim::Stats ShardedSim::stats() const {
   for (const auto& st : shards_) {
     s.messages += st->messages_posted;
     s.dispatched += st->dispatched;
+    s.channel_full_waits += st->channel_full_waits;
   }
   return s;
 }

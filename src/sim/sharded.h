@@ -10,24 +10,40 @@
 // clock. The lookahead models the link/PCIe latency that any cross-shard
 // interaction already pays, so the constraint costs no fidelity.
 //
-// Synchronization protocol (conservative / YAWNS-style windows). Each round:
+// Synchronization protocol (conservative / YAWNS-style windows). Each shard
+// counts its announcements in `epoch`; round k of shard i is:
 //
-//   1. Barrier A. While waiting, a shard keeps draining its inbound
-//      channels into a staging buffer so a neighbor blocked on a full
-//      channel always makes progress (no deadlock).
-//   2. Authoritative drain: after barrier A every send from the previous
-//      window is complete and visible, so the staging buffer now holds
-//      exactly the messages sent last window.
-//   3. Each shard announces ne_i = min(next local event, staged arrivals).
-//   4. Barrier B. Every thread then computes the same T = min_i(ne_i) and
-//      runs its engine through the window [T, min(horizon, T+lookahead-1)].
-//      Staged messages are first sorted by (when, src_shard, seq) and
-//      scheduled, so the dispatch order is independent of thread timing.
+//   1. Announce. Publish ne_i = min(next local event, outbound_min) into
+//      slot [k & 1] of its own cache line, then release-store epoch = k.
+//      outbound_min is the earliest `when` shard i Post()ed since its
+//      previous announcement, i.e. during window k-1.
+//   2. Wait until every peer's epoch >= k (acquire). While waiting, drain
+//      inbound channels into a staging buffer so a neighbor blocked on a
+//      full channel always makes progress (no deadlock).
+//   3. Epoch fence: drain every inbound message stamped with a sender epoch
+//      < k. Each message carries its sender's epoch at post time, and a
+//      sender's window-(k-1) posts happen before its epoch-k release, so
+//      the staging buffer now holds exactly the messages sent last window.
+//      A peer already past its own wait may be posting into window k
+//      (stamp k); those stay queued until round k+1.
+//   4. Compute T = min_j(slot_j[k & 1]), the same value on every thread
+//      (the slots are double-buffered by epoch parity, so a peer announcing
+//      k+1 never overwrites a value still being read), and run the window
+//      [T, min(horizon, T+lookahead-1)]. Staged messages are first sorted
+//      by (when, src_shard, seq) and scheduled, so the dispatch order is
+//      independent of thread timing.
 //
-// Every arrival is >= send_time + lookahead > window end, so no message can
-// target the window currently executing: shards never see a message "from
-// the past". Within a round at least one shard dispatches (or pops a
-// cancelled) event at T, so the protocol always makes progress.
+// T is min(every local next event, every arrival sent last window), and
+// every round stages exactly last window's messages at the same point, so
+// window boundaries and insertion order depend only on the simulation,
+// never on which thread got where first. Every arrival is
+// >= send_time + lookahead > window end, so no message can target the
+// window currently executing: shards never see a message "from the past".
+// Within a round at least one shard dispatches (or pops a cancelled) event
+// at T, so the protocol always makes progress.
+//
+// Threads: shard 0 runs on the calling thread; each Run* call spawns and
+// joins the other N-1 workers.
 //
 // Determinism: for a fixed shard count and seed, runs are bit-identical
 // across repeats regardless of thread scheduling — channel drain order is
@@ -39,10 +55,12 @@
 #ifndef SYRUP_SRC_SIM_SHARDED_H_
 #define SYRUP_SRC_SIM_SHARDED_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -60,7 +78,8 @@ struct ShardedSimConfig {
   // Minimum sender-clock-to-delivery latency for Post(); also the window
   // width. Model it on the smallest cross-shard link/PCIe latency.
   Duration lookahead = 2 * kMicrosecond;
-  // Pin worker thread i to CPU (i mod hardware_concurrency).
+  // Pin worker thread i to CPU (i mod hardware_concurrency). Shard 0 runs
+  // on the calling thread, whose affinity is left alone.
   bool pinning = false;
   // Per-channel message capacity (rounded up to a power of two).
   size_t channel_capacity = 4096;
@@ -80,16 +99,23 @@ inline void CpuRelax() {
 // A timestamped cross-shard message: run `fn` on the destination shard at
 // simulated time `when`. `seq` is the per-channel sequence number assigned
 // by the producer; (when, src, seq) totally orders any staging buffer.
+// `epoch` is the sender's announcement count at post time.
 struct ShardMessage {
   Time when = 0;
   uint32_t src = 0;
   uint64_t seq = 0;
+  uint64_t epoch = 0;
   std::function<void()> fn;
 };
 
+// Drain limit that admits every message.
+inline constexpr uint64_t kNoEpochLimit = std::numeric_limits<uint64_t>::max();
+
 // Bounded single-producer single-consumer ring. The producer is the source
 // shard's thread, the consumer the destination shard's thread; head_/tail_
-// are the only shared state and are touched with acquire/release pairs.
+// are the only shared state and are touched with acquire/release pairs. The
+// first push allocates the ring, so a channel nobody posts on costs neither
+// set-up time nor memory.
 class ShardChannel {
  public:
   explicit ShardChannel(size_t capacity);
@@ -101,47 +127,19 @@ class ShardChannel {
   // inbound channels and retry, never just spin — see ShardedSim::Post).
   bool TryPush(ShardMessage&& msg);
 
-  // Consumer side. False when the ring is empty.
-  bool TryPop(ShardMessage& out);
+  // Consumer side. False when the ring is empty or its oldest message has
+  // epoch >= `limit` (producer epochs never decrease, so it stops there).
+  bool TryPop(ShardMessage& out, uint64_t limit = kNoEpochLimit);
 
   uint64_t next_seq() { return seq_++; }
 
  private:
-  std::vector<ShardMessage> ring_;
+  std::vector<ShardMessage> ring_;  // producer-allocated on first push
+  size_t capacity_;
   size_t mask_;
   uint64_t seq_ = 0;  // producer-side per-channel sequence
   alignas(64) std::atomic<uint64_t> head_{0};  // consumer position
   alignas(64) std::atomic<uint64_t> tail_{0};  // producer position
-};
-
-// Sense-reversing spin barrier. The waiter loop invokes `idle` so a shard
-// parked at the barrier keeps servicing its inbound channels.
-class SpinBarrier {
- public:
-  explicit SpinBarrier(int parties) : parties_(parties) {}
-
-  template <typename Idle>
-  void ArriveAndWait(Idle&& idle) {
-    const uint64_t gen = generation_.load(std::memory_order_acquire);
-    if (count_.fetch_add(1, std::memory_order_acq_rel) == parties_ - 1) {
-      count_.store(0, std::memory_order_relaxed);
-      generation_.store(gen + 1, std::memory_order_release);
-      return;
-    }
-    uint32_t spins = 0;
-    while (generation_.load(std::memory_order_acquire) == gen) {
-      idle();
-      CpuRelax();
-      if ((++spins & 0xfffu) == 0) {
-        std::this_thread::yield();
-      }
-    }
-  }
-
- private:
-  const int parties_;
-  std::atomic<int> count_{0};
-  alignas(64) std::atomic<uint64_t> generation_{0};
 };
 
 class ShardedSim {
@@ -173,21 +171,28 @@ class ShardedSim {
     }
     SYRUP_CHECK_GE(when, shard(src).Now() + config_.lookahead)
         << "cross-shard delivery inside the lookahead window";
+    ShardState& st = *shards_[static_cast<size_t>(src)];
     ShardChannel& ch = channel(src, dst);
     ShardMessage msg{when, static_cast<uint32_t>(src), ch.next_seq(),
+                     st.epoch.load(std::memory_order_relaxed),
                      std::function<void()>(std::forward<F>(fn))};
+    st.outbound_min = std::min(st.outbound_min, when);
     // A full channel means dst is behind on draining; keep our own inbound
     // channels moving while we wait so two mutually-posting shards can
-    // never deadlock on a pair of full rings.
-    uint32_t spins = 0;
+    // never deadlock on a pair of full rings. No inbound message can belong
+    // to a window past the next one, so this drain needs no epoch limit.
+    uint64_t spins = 0;
     while (!ch.TryPush(std::move(msg))) {
-      DrainInbound(src);
+      if (spins == 0) {
+        st.channel_full_waits += 1;
+      }
+      DrainInbound(src, kNoEpochLimit);
       CpuRelax();
       if ((++spins & 0xfffu) == 0) {
         std::this_thread::yield();
       }
     }
-    shards_[static_cast<size_t>(src)]->messages_posted += 1;
+    st.messages_posted += 1;
   }
 
   // Runs all shards (in parallel for shards > 1) until each has no event at
@@ -204,6 +209,9 @@ class ShardedSim {
     uint64_t rounds = 0;            // synchronization windows executed
     uint64_t messages = 0;          // cross-shard messages posted
     uint64_t dispatched = 0;        // events dispatched across all shards
+    // Post() calls that found their channel full and had to drain-and-retry
+    // (back-pressure; no message is ever dropped).
+    uint64_t channel_full_waits = 0;
   };
   Stats stats() const;
 
@@ -212,10 +220,15 @@ class ShardedSim {
     explicit ShardState(SimEngine engine) : sim(engine) {}
     Simulator sim;
     std::vector<ShardMessage> staging;  // drained, not yet scheduled
-    alignas(64) std::atomic<Time> announced{0};
+    Time outbound_min = Simulator::kNoEventTime;  // since last announcement
     uint64_t messages_posted = 0;
     uint64_t rounds = 0;
     uint64_t dispatched = 0;
+    uint64_t channel_full_waits = 0;
+    // The only state peers read, alone on its cache line: announcement k
+    // goes to announced[k & 1] before epoch is release-stored to k.
+    alignas(64) std::atomic<uint64_t> epoch{0};
+    Time announced[2] = {0, 0};
   };
 
   ShardChannel& channel(int src, int dst) {
@@ -224,9 +237,10 @@ class ShardedSim {
                       static_cast<size_t>(dst)];
   }
 
-  // Moves every currently-visible inbound message of shard i into its
-  // staging buffer. Only ever called from shard i's thread.
-  void DrainInbound(int i);
+  // Moves every currently-visible inbound message of shard i stamped with
+  // a sender epoch < `limit` into its staging buffer. Only ever called from
+  // shard i's thread.
+  void DrainInbound(int i, uint64_t limit);
 
   // Sorts shard i's staging buffer by (when, src, seq) and schedules it.
   void ScheduleStaged(int i);
@@ -239,7 +253,6 @@ class ShardedSim {
   ShardedSimConfig config_;
   std::vector<std::unique_ptr<ShardState>> shards_;
   std::vector<std::unique_ptr<ShardChannel>> channels_;  // [src * N + dst]
-  SpinBarrier barrier_;
   uint64_t rounds_ = 0;
 };
 

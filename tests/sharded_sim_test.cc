@@ -1,4 +1,4 @@
-// Sharded-simulation tests: the SPSC channel and barrier primitives, the
+// Sharded-simulation tests: the SPSC channel and its epoch fence, the
 // conservative-window protocol's delivery/ordering guarantees, and the
 // multi-thread counter discipline (registry shard cells, Syrupd's
 // shard-qualified dispatch). The determinism tests run the same workload
@@ -8,11 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <span>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 #include "src/core/syrup_api.h"
 #include "src/core/syrupd.h"
@@ -30,14 +36,14 @@ namespace {
 TEST(ShardChannel, FifoFullAndRetryAfterPop) {
   ShardChannel ch(4);
   auto push = [&ch](Time when) {
-    ShardMessage msg{when, 0, ch.next_seq(), [] {}};
+    ShardMessage msg{when, 0, ch.next_seq(), 0, [] {}};
     return ch.TryPush(std::move(msg));
   };
   for (Time t = 0; t < 4; ++t) {
     EXPECT_TRUE(push(t));
   }
   // A failed push must leave the message intact so Post() can retry it.
-  ShardMessage overflow{Time{99}, 0, ch.next_seq(), [] {}};
+  ShardMessage overflow{Time{99}, 0, ch.next_seq(), 0, [] {}};
   EXPECT_FALSE(ch.TryPush(std::move(overflow)));
   EXPECT_EQ(overflow.when, Time{99});
   EXPECT_TRUE(overflow.fn != nullptr);
@@ -53,28 +59,25 @@ TEST(ShardChannel, FifoFullAndRetryAfterPop) {
   EXPECT_FALSE(ch.TryPop(out));
 }
 
-TEST(SpinBarrier, ReleasesAllPartiesEveryRound) {
-  constexpr int kParties = 4;
-  constexpr int kRounds = 200;
-  SpinBarrier barrier(kParties);
-  std::atomic<uint64_t> arrived{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kParties);
-  for (int p = 0; p < kParties; ++p) {
-    threads.emplace_back([&arrived, &barrier] {
-      for (int r = 0; r < kRounds; ++r) {
-        arrived.fetch_add(1, std::memory_order_acq_rel);
-        barrier.ArriveAndWait([] {});
-        // Past the barrier, every party's arrival for round r is visible.
-        EXPECT_GE(arrived.load(std::memory_order_acquire),
-                  uint64_t{static_cast<unsigned>(r + 1)} * kParties);
-      }
-    });
+TEST(ShardChannel, EpochLimitStopsAtFirstLaterMessage) {
+  ShardChannel ch(8);
+  // Producer epochs never decrease: two messages from epoch 3, two from 4.
+  for (uint64_t epoch : {3u, 3u, 4u, 4u}) {
+    ShardMessage msg{Time{epoch}, 0, ch.next_seq(), epoch, [] {}};
+    ASSERT_TRUE(ch.TryPush(std::move(msg)));
   }
-  for (std::thread& t : threads) {
-    t.join();
+  ShardMessage out;
+  for (int n = 0; n < 2; ++n) {
+    ASSERT_TRUE(ch.TryPop(out, /*limit=*/4));
+    EXPECT_EQ(out.epoch, 3u);
   }
-  EXPECT_EQ(arrived.load(), uint64_t{kParties} * kRounds);
+  // The epoch-4 messages stay queued for the next round.
+  EXPECT_FALSE(ch.TryPop(out, /*limit=*/4));
+  for (int n = 0; n < 2; ++n) {
+    ASSERT_TRUE(ch.TryPop(out, /*limit=*/5));
+    EXPECT_EQ(out.epoch, 4u);
+  }
+  EXPECT_FALSE(ch.TryPop(out));
 }
 
 // --- ShardedSim protocol ----------------------------------------------------
@@ -93,6 +96,37 @@ TEST(ShardedSim, SingleShardRunsInline) {
   // Like Simulator::RunUntil, an idle shard's clock advances to the horizon.
   EXPECT_EQ(sim.Now(), Time{1000});
   EXPECT_EQ(sharded.stats().messages, 0u);
+}
+
+TEST(ShardedSim, ShardZeroRunsOnTheCallingThread) {
+  constexpr int kShards = 3;
+  ShardedSimConfig config;
+  config.shards = kShards;
+  config.pinning = true;  // pins the workers, never the caller
+#if defined(__linux__)
+  cpu_set_t before;
+  ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(before), &before),
+            0);
+#endif
+  ShardedSim sharded(config);
+  // Each entry is written by its shard's thread only; the joins inside
+  // RunUntil order the writes before the reads below.
+  std::vector<std::thread::id> ran_on(kShards);
+  for (int s = 0; s < kShards; ++s) {
+    sharded.shard(s).ScheduleAt(10, [&ran_on, s] {
+      ran_on[static_cast<size_t>(s)] = std::this_thread::get_id();
+    });
+  }
+  sharded.RunUntil(100);
+  EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+  EXPECT_NE(ran_on[1], std::this_thread::get_id());
+  EXPECT_NE(ran_on[2], std::this_thread::get_id());
+  EXPECT_NE(ran_on[1], ran_on[2]);
+#if defined(__linux__)
+  cpu_set_t after;
+  ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(after), &after), 0);
+  EXPECT_TRUE(CPU_EQUAL(&before, &after));
+#endif
 }
 
 TEST(ShardedSim, CrossShardDeliveryHonorsTimestamps) {
@@ -117,72 +151,150 @@ TEST(ShardedSim, CrossShardDeliveryHonorsTimestamps) {
   EXPECT_EQ(sharded.shard(1).Now(), Time{5000});
 }
 
+// --- Ping-pong workload -----------------------------------------------------
+
 // One entry of a shard's deterministic trace: (simulated time, tag).
 using TraceEntry = std::pair<Time, uint64_t>;
 
-struct PingPongState {
-  explicit PingPongState(int shards) : traces(shards) {}
-  std::vector<std::vector<TraceEntry>> traces;  // traces[s]: shard s only
+struct PingPongConfig {
+  int shards = 2;
+  size_t channel_capacity = 4096;
+  // Every event on shard 0 busy-waits this long, so the other shards run
+  // ahead and post into a window while shard 0 is still draining the last.
+  std::chrono::microseconds shard0_busy{0};
 };
+
+struct PingPongState {
+  PingPongState(ShardedSim& sim, const PingPongConfig& pp)
+      : sharded(sim), config(pp), traces(static_cast<size_t>(pp.shards)) {}
+  ShardedSim& sharded;
+  PingPongConfig config;
+  std::vector<std::vector<TraceEntry>> traces;  // traces[s]: shard s only
+  ShardedSim::Stats stats;
+};
+
+constexpr uint64_t kChainsPerShard = 8;
+constexpr uint64_t kStepsPerChain = 200;
 
 uint64_t Lcg(uint64_t x) {
   return x * 6364136223846793005ull + 1442695040888963407ull;
 }
 
-// A self-continuing chain hopping shard -> (shard+1) % N. Each step logs,
-// then posts one continuation plus 0-2 "leaf" messages (log only) with
-// LCG-jittered delivery times, so channels see bursts and the tiny-capacity
-// config exercises the full-channel Post path.
-void PingPongStep(ShardedSim& sharded, PingPongState& state, int s,
-                  uint64_t step, uint64_t limit) {
-  Simulator& sim = sharded.shard(s);
-  state.traces[static_cast<size_t>(s)].push_back({sim.Now(), step});
-  if (step >= limit) {
+// FNV-1a over every shard's trace in shard order.
+uint64_t TraceHash(const PingPongState& state) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h = (h ^ ((v >> (8 * b)) & 0xff)) * 1099511628211ull;
+    }
+  };
+  for (const std::vector<TraceEntry>& trace : state.traces) {
+    mix(trace.size());
+    for (const TraceEntry& e : trace) {
+      mix(e.first);
+      mix(e.second);
+    }
+  }
+  return h;
+}
+
+void Log(PingPongState& state, int s, uint64_t tag) {
+  if (s == 0 && state.config.shard0_busy.count() > 0) {
+    const auto until =
+        std::chrono::steady_clock::now() + state.config.shard0_busy;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  }
+  state.traces[static_cast<size_t>(s)].push_back(
+      {state.sharded.shard(s).Now(), tag});
+}
+
+// One hop of a self-continuing chain moving shard -> (shard+1) % N. Each
+// step logs, then posts its continuation plus 0-3 "leaf" messages (log
+// only) to random shards, its own included. Delivery times sit on an 8 ns
+// grid, so local leaves and arrivals from different senders often tie: a
+// trace then records the order they entered the engine, not just when they
+// ran. Bursts make the tiny-capacity config take Post's full-channel path.
+void PingPongStep(PingPongState& state, int s, uint64_t chain,
+                  uint64_t step) {
+  ShardedSim& sharded = state.sharded;
+  Log(state, s, chain << 32 | step);
+  if (step >= kStepsPerChain) {
     return;
   }
-  const int dst = (s + 1) % sharded.shards();
-  uint64_t x = Lcg(step ^ (static_cast<uint64_t>(s) << 32));
-  const Time base = sim.Now() + sharded.lookahead();
-  const int leaves = static_cast<int>((x >> 33) % 3);  // 0..2 extras
-  for (int m = 0; m < leaves; ++m) {
+  const Time base = sharded.shard(s).Now() + sharded.lookahead();
+  uint64_t x = Lcg(step ^ (static_cast<uint64_t>(s) << 20) ^ (chain << 40));
+  auto next_when = [&x, base] {
     x = Lcg(x);
-    const Time when = base + (x >> 40) % 57;
-    sharded.Post(s, dst, when, [&sharded, &state, dst, step, when] {
-      state.traces[static_cast<size_t>(dst)].push_back(
-          {sharded.shard(dst).Now(), 1'000'000 + step});
-      EXPECT_EQ(sharded.shard(dst).Now(), when);
+    return base + ((x >> 40) % 8) * 8;
+  };
+  const int leaves = static_cast<int>((x >> 33) % 4);
+  for (int m = 0; m < leaves; ++m) {
+    const Time when = next_when();
+    const int dst = static_cast<int>((x >> 20) % sharded.shards());
+    const uint64_t tag = 1ull << 63 | chain << 32 | step << 2 |
+                         static_cast<uint64_t>(m);
+    sharded.Post(s, dst, when, [&state, dst, tag, when] {
+      Log(state, dst, tag);
+      EXPECT_EQ(state.sharded.shard(dst).Now(), when);
     });
   }
-  x = Lcg(x);
-  const Time when = base + (x >> 40) % 57;
-  sharded.Post(s, dst, when, [&sharded, &state, dst, step, limit] {
-    PingPongStep(sharded, state, dst, step + 1, limit);
+  const int dst = (s + 1) % sharded.shards();
+  sharded.Post(s, dst, next_when(), [&state, dst, chain, step] {
+    PingPongStep(state, dst, chain, step + 1);
   });
 }
 
-PingPongState RunPingPong(int shards, size_t channel_capacity) {
+// Runs kChainsPerShard chains from every shard, first to a horizon and then
+// to completion, so the protocol state also carries across Run* calls.
+PingPongState RunPingPong(const PingPongConfig& pp) {
   ShardedSimConfig config;
-  config.shards = shards;
+  config.shards = pp.shards;
   config.lookahead = 100;
-  config.channel_capacity = channel_capacity;
+  config.channel_capacity = pp.channel_capacity;
   ShardedSim sharded(config);
-  PingPongState state(shards);
-  for (int s = 0; s < shards; ++s) {
-    sharded.shard(s).ScheduleAt(static_cast<Time>(s + 1),
-                                [&sharded, &state, s] {
-                                  PingPongStep(sharded, state, s, 0, 200);
-                                });
+  PingPongState state(sharded, pp);
+  for (int s = 0; s < pp.shards; ++s) {
+    for (uint64_t c = 0; c < kChainsPerShard; ++c) {
+      const uint64_t chain = static_cast<uint64_t>(s) * kChainsPerShard + c;
+      sharded.shard(s).ScheduleAt(static_cast<Time>(chain + 1),
+                                  [&state, s, chain] {
+                                    PingPongStep(state, s, chain, 0);
+                                  });
+    }
   }
+  sharded.RunUntil(5000);
   sharded.RunToCompletion();
+  state.stats = sharded.stats();
   return state;
+}
+
+TEST(ShardedSim, WindowsAndTracesMatchTheTwoBarrierProtocol) {
+  // Recorded from the engine that ran every round as barrier, drain,
+  // announce, barrier: the single-announcement rounds must not move a
+  // window (rounds) or change a dispatch or its tie order (trace hash).
+  struct Golden {
+    int shards;
+    uint64_t rounds;
+    uint64_t hash;
+  };
+  for (const Golden& g : {Golden{2, 252, 0xf9de732c77e5cec4ull},
+                          Golden{3, 255, 0xf7d26ec3560bd340ull},
+                          Golden{4, 258, 0x0af01d5468f8ca48ull}}) {
+    SCOPED_TRACE(g.shards);
+    const PingPongState state = RunPingPong({.shards = g.shards});
+    EXPECT_EQ(state.stats.rounds, g.rounds);
+    EXPECT_EQ(TraceHash(state), g.hash);
+  }
 }
 
 TEST(ShardedSim, PingPongIsBitDeterministicAcrossRuns) {
   // Capacity 2 forces Post() through its full-channel drain-and-retry path;
   // determinism must hold anyway because (when, src, seq) ordering erases
   // physical timing.
-  const PingPongState first = RunPingPong(4, /*channel_capacity=*/2);
-  const PingPongState second = RunPingPong(4, /*channel_capacity=*/2);
+  const PingPongConfig config{.shards = 4, .channel_capacity = 2};
+  const PingPongState first = RunPingPong(config);
+  const PingPongState second = RunPingPong(config);
   ASSERT_EQ(first.traces.size(), second.traces.size());
   for (size_t s = 0; s < first.traces.size(); ++s) {
     SCOPED_TRACE(s);
@@ -193,12 +305,36 @@ TEST(ShardedSim, PingPongIsBitDeterministicAcrossRuns) {
 
 TEST(ShardedSim, PingPongChannelCapacityDoesNotChangeResults) {
   // The channel is pure transport: its capacity (hence how often Post
-  // blocks) must not be observable in simulated results.
-  const PingPongState tiny = RunPingPong(3, /*channel_capacity=*/2);
-  const PingPongState large = RunPingPong(3, /*channel_capacity=*/4096);
+  // blocks) must not be observable in simulated results, only in the
+  // back-pressure counter.
+  const PingPongState tiny =
+      RunPingPong({.shards = 3, .channel_capacity = 2});
+  const PingPongState large =
+      RunPingPong({.shards = 3, .channel_capacity = 4096});
+  EXPECT_GT(tiny.stats.channel_full_waits, 0u);
+  EXPECT_EQ(large.stats.channel_full_waits, 0u);
+  EXPECT_EQ(tiny.stats.messages, large.stats.messages);
   for (size_t s = 0; s < tiny.traces.size(); ++s) {
     SCOPED_TRACE(s);
     EXPECT_EQ(tiny.traces[s], large.traces[s]);
+  }
+}
+
+TEST(ShardedSim, SkewedShardTimingDoesNotChangeResults) {
+  // Shard 0 is ~20 us slower per event, so its peers finish each window
+  // first and post into the next one while shard 0 is still draining the
+  // last. A drain that let such a post into the current round would change
+  // the tie order recorded in the traces.
+  for (int shards : {2, 3}) {
+    SCOPED_TRACE(shards);
+    const PingPongState even = RunPingPong({.shards = shards});
+    const PingPongState skewed = RunPingPong(
+        {.shards = shards, .shard0_busy = std::chrono::microseconds(20)});
+    EXPECT_EQ(skewed.stats.rounds, even.stats.rounds);
+    for (size_t s = 0; s < even.traces.size(); ++s) {
+      SCOPED_TRACE(s);
+      EXPECT_EQ(skewed.traces[s], even.traces[s]);
+    }
   }
 }
 
