@@ -39,8 +39,8 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/map/chained_hash_map.h"
 #include "src/map/hash_map.h"
+#include "tests/oracles/chained_hash_map.h"
 
 namespace syrup {
 namespace {

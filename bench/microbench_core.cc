@@ -19,6 +19,7 @@
 #include "src/obs/metrics.h"
 #include "src/policies/builtin.h"
 #include "src/sim/simulator.h"
+#include "tests/oracles/reference_simulator.h"
 
 namespace syrup {
 namespace {
@@ -180,14 +181,14 @@ void BM_HistogramRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramRecord);
 
+// The event-engine benchmarks run on the timing wheel and on the test-only
+// reference heap engine, so the two columns sit side by side in the report.
+template <typename Engine>
 void BM_SimulatorEventDispatch(benchmark::State& state) {
-  // Self-rescheduling event: steady-state queue of depth 1. Arg selects the
-  // engine so the wheel/reference columns sit side by side in the report.
-  const SimEngine engine =
-      state.range(0) == 0 ? SimEngine::kTimingWheel : SimEngine::kReference;
+  // Self-rescheduling event: steady-state queue of depth 1.
   for (auto _ : state) {
     state.PauseTiming();
-    Simulator sim(engine);
+    Engine sim;
     uint64_t count = 0;
     std::function<void()> tick = [&]() {
       if (++count < 10'000) {
@@ -200,19 +201,18 @@ void BM_SimulatorEventDispatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 10'000);
 }
-// engine:0 = timing wheel, engine:1 = reference heap.
-BENCHMARK(BM_SimulatorEventDispatch)->Arg(0)->Arg(1)->ArgName("engine");
+BENCHMARK_TEMPLATE(BM_SimulatorEventDispatch, Simulator);
+BENCHMARK_TEMPLATE(BM_SimulatorEventDispatch, ReferenceSimulator);
 
+template <typename Engine>
 void BM_SimulatorSteadyState(benchmark::State& state) {
   // 1024 events in flight, each rescheduling itself at a varied delay: the
   // wheel's intended steady state (deep pending set, zero allocations).
-  const SimEngine engine =
-      state.range(0) == 0 ? SimEngine::kTimingWheel : SimEngine::kReference;
   constexpr uint64_t kPending = 1024;
   constexpr uint64_t kDispatches = 64 * 1024;
   for (auto _ : state) {
     state.PauseTiming();
-    Simulator sim(engine);
+    Engine sim;
     uint64_t remaining = kDispatches;
     uint64_t lcg = 0x9e3779b97f4a7c15ull;
     std::function<void()> tick = [&]() {
@@ -231,7 +231,8 @@ void BM_SimulatorSteadyState(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kDispatches + kPending));
 }
-BENCHMARK(BM_SimulatorSteadyState)->Arg(0)->Arg(1)->ArgName("engine");
+BENCHMARK_TEMPLATE(BM_SimulatorSteadyState, Simulator);
+BENCHMARK_TEMPLATE(BM_SimulatorSteadyState, ReferenceSimulator);
 
 void BM_ObsCounterInc(benchmark::State& state) {
   // The per-event cost of the always-on metrics layer: a pointer chase and

@@ -3,9 +3,10 @@
 // Exercises the engine's distinct cost regimes — a depth-1 self-ticking
 // chain, a deep steady-state pending set, schedule+cancel churn, and
 // far-future timers that land in higher wheel levels and the overflow heap —
-// under both engines, then writes `BENCH_sim_events.json` (scenario ->
-// ns/event per engine, plus the wheel:reference speedup) so the perf
-// trajectory is tracked across PRs.
+// under both the timing wheel (src/sim/simulator.h) and the test-only
+// reference heap engine (tests/oracles/reference_simulator.h), then writes
+// `BENCH_sim_events.json` (scenario -> ns/event per engine, plus the
+// wheel:reference speedup) so the perf trajectory is tracked across PRs.
 //
 // Flags:
 //   --quick            ~10x fewer events per scenario (CI smoke mode)
@@ -21,10 +22,12 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/time.h"
 #include "src/sim/simulator.h"
+#include "tests/oracles/reference_simulator.h"
 
 namespace syrup {
 namespace {
@@ -41,13 +44,25 @@ double ElapsedNs(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+// The wheel's slab/heap/growth count. The reference engine allocates on
+// every schedule by design and does not count it.
+template <typename Engine>
+uint64_t InternalAllocs(const Engine& sim) {
+  if constexpr (std::is_same_v<Engine, Simulator>) {
+    return sim.engine_stats().internal_allocs();
+  } else {
+    return 0;
+  }
+}
+
 // Depth-1 chain: each dispatch schedules the next event. The minimal
 // schedule+dispatch round trip. The callback is a plain 16-byte functor —
 // what the swept client code schedules — so the pooled engine stores it
 // inline (direct invoke, no destructor) while the reference engine pays its
 // mandatory std::function + shared_ptr<bool> wrapping.
+template <typename Engine>
 struct SelfTick {
-  Simulator* sim;
+  Engine* sim;
   uint64_t* remaining;
   void operator()() const {
     if (--*remaining > 0) {
@@ -56,16 +71,17 @@ struct SelfTick {
   }
 };
 
-ScenarioResult RunSelfTick(SimEngine engine, uint64_t events) {
-  Simulator sim(engine);
+template <typename Engine>
+ScenarioResult RunSelfTick(uint64_t events) {
+  Engine sim;
   uint64_t remaining = events;
-  sim.ScheduleAfter(100, SelfTick{&sim, &remaining});
+  sim.ScheduleAfter(100, SelfTick<Engine>{&sim, &remaining});
   const auto start = std::chrono::steady_clock::now();
   sim.RunToCompletion();
   ScenarioResult r;
   r.events = events;
   r.ns_per_event = ElapsedNs(start) / static_cast<double>(events);
-  r.internal_allocs = sim.engine_stats().internal_allocs();
+  r.internal_allocs = InternalAllocs(sim);
   return r;
 }
 
@@ -73,8 +89,9 @@ ScenarioResult RunSelfTick(SimEngine engine, uint64_t events) {
 // deterministic) delay. This is the wheel's designed-for regime: the pool
 // and wheel reach their high-water marks during warmup and the measured
 // window allocates nothing.
+template <typename Engine>
 struct SteadyTick {
-  Simulator* sim;
+  Engine* sim;
   uint64_t* remaining;
   uint64_t* lcg;
   uint64_t delay_spread;
@@ -88,12 +105,13 @@ struct SteadyTick {
   }
 };
 
-ScenarioResult RunSteady(SimEngine engine, uint64_t events, uint64_t pending,
+template <typename Engine>
+ScenarioResult RunSteady(uint64_t events, uint64_t pending,
                          uint64_t delay_spread) {
-  Simulator sim(engine);
+  Engine sim;
   uint64_t remaining = events;
   uint64_t lcg = 0x9e3779b97f4a7c15ull;
-  const SteadyTick tick{&sim, &remaining, &lcg, delay_spread};
+  const SteadyTick<Engine> tick{&sim, &remaining, &lcg, delay_spread};
   for (uint64_t i = 0; i < pending; ++i) {
     sim.ScheduleAfter(100 + i, tick);
   }
@@ -104,7 +122,7 @@ ScenarioResult RunSteady(SimEngine engine, uint64_t events, uint64_t pending,
          sim.pending_events() > 0) {
     sim.RunUntil(sim.Now() + 1 * kMillisecond);
   }
-  const uint64_t allocs_before = sim.engine_stats().internal_allocs();
+  const uint64_t allocs_before = InternalAllocs(sim);
   const uint64_t dispatched_before = sim.engine_stats().dispatched;
   const auto start = std::chrono::steady_clock::now();
   sim.RunToCompletion();
@@ -112,20 +130,22 @@ ScenarioResult RunSteady(SimEngine engine, uint64_t events, uint64_t pending,
   ScenarioResult r;
   r.events = sim.engine_stats().dispatched - dispatched_before;
   r.ns_per_event = elapsed / static_cast<double>(r.events > 0 ? r.events : 1);
-  r.internal_allocs = sim.engine_stats().internal_allocs() - allocs_before;
+  r.internal_allocs = InternalAllocs(sim) - allocs_before;
   return r;
 }
 
-ScenarioResult RunSteadyState(SimEngine engine, uint64_t events) {
+template <typename Engine>
+ScenarioResult RunSteadyState(uint64_t events) {
   // 1k in flight over a 10us spread: a loaded single host.
-  return RunSteady(engine, events, 1024, 10'000);
+  return RunSteady<Engine>(events, 1024, 10'000);
 }
 
-ScenarioResult RunSteadyDeep(SimEngine engine, uint64_t events) {
+template <typename Engine>
+ScenarioResult RunSteadyDeep(uint64_t events) {
   // 16k in flight over a 1ms spread: rack-scale experiment shape (tens of
   // thousands of packets/timers pending). The reference heap pays O(log n)
   // type-erased moves per operation here; the wheel stays O(1).
-  return RunSteady(engine, events, 16'384, 1'000'000);
+  return RunSteady<Engine>(events, 16'384, 1'000'000);
 }
 
 // The steady-state workload with three more engines running the same thing
@@ -135,19 +155,20 @@ ScenarioResult RunSteadyDeep(SimEngine engine, uint64_t events) {
 // internal_allocs delta must stay zero even while its neighbors warm up
 // and allocate; a nonzero count here means some engine state regressed to
 // process-global.
-ScenarioResult RunSteadyConcurrent(SimEngine engine, uint64_t events) {
+template <typename Engine>
+ScenarioResult RunSteadyConcurrent(uint64_t events) {
   constexpr int kNoise = 3;
   std::atomic<bool> stop{false};
   std::vector<std::thread> noise;
   noise.reserve(kNoise);
   for (int i = 0; i < kNoise; ++i) {
-    noise.emplace_back([engine, events, &stop]() {
+    noise.emplace_back([events, &stop]() {
       while (!stop.load(std::memory_order_relaxed)) {
-        RunSteady(engine, events / 4, 1024, 10'000);
+        RunSteady<Engine>(events / 4, 1024, 10'000);
       }
     });
   }
-  ScenarioResult r = RunSteady(engine, events, 1024, 10'000);
+  ScenarioResult r = RunSteady<Engine>(events, 1024, 10'000);
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : noise) {
     t.join();
@@ -157,10 +178,11 @@ ScenarioResult RunSteadyConcurrent(SimEngine engine, uint64_t events) {
 
 // Schedule batches of timers and cancel half before they fire: the
 // tail-latency-timer pattern (armed per request, cancelled on completion).
-ScenarioResult RunScheduleCancel(SimEngine engine, uint64_t events) {
+template <typename Engine>
+ScenarioResult RunScheduleCancel(uint64_t events) {
   constexpr uint64_t kBatch = 256;
-  Simulator sim(engine);
-  std::vector<EventHandle> handles;
+  Engine sim;
+  std::vector<decltype(sim.ScheduleAfter(0, [] {}))> handles;
   handles.reserve(kBatch);
   uint64_t scheduled = 0;
   volatile uint64_t fired = 0;
@@ -180,17 +202,18 @@ ScenarioResult RunScheduleCancel(SimEngine engine, uint64_t events) {
   ScenarioResult r;
   r.events = scheduled;
   r.ns_per_event = ElapsedNs(start) / static_cast<double>(scheduled);
-  r.internal_allocs = sim.engine_stats().internal_allocs();
+  r.internal_allocs = InternalAllocs(sim);
   return r;
 }
 
 // Timers across every wheel level plus the >4.3s overflow heap: delays are
 // powers of two from 1us up past the wheel span.
-ScenarioResult RunFarTimers(SimEngine engine, uint64_t events) {
+template <typename Engine>
+ScenarioResult RunFarTimers(uint64_t events) {
   constexpr int kMinShift = 10;  // 1 us
   constexpr int kMaxShift = 33;  // ~8.6 s: past the 2^32 ns wheel span
   constexpr uint64_t kBatch = 240;
-  Simulator sim(engine);
+  Engine sim;
   uint64_t scheduled = 0;
   volatile uint64_t fired = 0;
   const auto start = std::chrono::steady_clock::now();
@@ -208,13 +231,14 @@ ScenarioResult RunFarTimers(SimEngine engine, uint64_t events) {
   ScenarioResult r;
   r.events = scheduled;
   r.ns_per_event = ElapsedNs(start) / static_cast<double>(scheduled);
-  r.internal_allocs = sim.engine_stats().internal_allocs();
+  r.internal_allocs = InternalAllocs(sim);
   return r;
 }
 
 struct Scenario {
   const char* name;
-  ScenarioResult (*run)(SimEngine, uint64_t);
+  ScenarioResult (*wheel)(uint64_t);
+  ScenarioResult (*reference)(uint64_t);
   uint64_t events;  // full-mode event count; --quick divides by 10
 };
 
@@ -231,13 +255,18 @@ bool BaselineFor(const std::string& text, const char* name, double* out) {
 }
 
 int Run(bool quick, const char* out_path, const char* baseline_path) {
+  using Ref = ReferenceSimulator;
   const Scenario scenarios[] = {
-      {"self_tick", RunSelfTick, 2'000'000},
-      {"steady_state", RunSteadyState, 2'000'000},
-      {"steady_deep", RunSteadyDeep, 2'000'000},
-      {"schedule_cancel", RunScheduleCancel, 1'000'000},
-      {"far_timers", RunFarTimers, 480'000},
-      {"steady_concurrent", RunSteadyConcurrent, 1'000'000},
+      {"self_tick", RunSelfTick<Simulator>, RunSelfTick<Ref>, 2'000'000},
+      {"steady_state", RunSteadyState<Simulator>, RunSteadyState<Ref>,
+       2'000'000},
+      {"steady_deep", RunSteadyDeep<Simulator>, RunSteadyDeep<Ref>,
+       2'000'000},
+      {"schedule_cancel", RunScheduleCancel<Simulator>,
+       RunScheduleCancel<Ref>, 1'000'000},
+      {"far_timers", RunFarTimers<Simulator>, RunFarTimers<Ref>, 480'000},
+      {"steady_concurrent", RunSteadyConcurrent<Simulator>,
+       RunSteadyConcurrent<Ref>, 1'000'000},
   };
 
   struct Row {
@@ -253,8 +282,8 @@ int Run(bool quick, const char* out_path, const char* baseline_path) {
               "speedup", "wheel_allocs");
   for (const Scenario& s : scenarios) {
     const uint64_t events = quick ? s.events / 10 : s.events;
-    const ScenarioResult wheel = s.run(SimEngine::kTimingWheel, events);
-    const ScenarioResult ref = s.run(SimEngine::kReference, events);
+    const ScenarioResult wheel = s.wheel(events);
+    const ScenarioResult ref = s.reference(events);
     results[s.name] = {wheel.ns_per_event, ref.ns_per_event,
                        wheel.internal_allocs};
     std::printf("%-16s %9.1f ns %9.1f ns %8.2fx %13llu\n", s.name,

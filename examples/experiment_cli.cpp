@@ -12,17 +12,22 @@
 // --stats-json additionally prints the daemon's full metrics snapshot
 // (Syrupd::StatsSnapshot(), docs/OBSERVABILITY.md schema) after the run.
 //
-// --shards N runs the experiment on the sharded parallel engine
+// --shards N runs the experiment on N shards of the parallel engine
 // (src/sim/sharded.h): N replicated hosts, one per thread, with
-// --cross-traffic of each shard's load served east-west by the next shard.
-// --shards 1 is bit-identical to the default single-engine run.
-// --lookahead-us sets the conservative sync window; --pin pins the worker
-// threads to CPUs (shard 0 runs on the calling thread, left unpinned).
+// --cross-traffic (0..1) of each shard's load served east-west by the next
+// shard over a 5 us link. The default, --shards 1, runs the one host inline
+// on the calling thread. --lookahead-us sets the conservative sync window
+// (> 0, and at most the 5 us link while east-west traffic flows); --pin
+// pins the worker threads to CPUs (shard 0 runs on the calling thread,
+// left unpinned). A bad value for any of these exits 2 with a message
+// naming the flag.
 //
 // Examples:
 //   experiment_cli --policy sita --load 250000 --get-fraction 0.995
 //   experiment_cli --policy scan_avoid --sched ghost --threads 36 --cores 6 \
 //                  --get-fraction 0.5 --load 8000
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,6 +51,24 @@ using namespace syrup;
                "[--cross-traffic F]\n",
                argv0);
   std::exit(2);
+}
+
+// Parses a flag's whole value as a number in [lo, hi] (an integer when
+// `integer`); anything else, "2x" and "abc" included, exits 2 with a
+// message naming the flag.
+double FlagValue(const char* argv0, const char* flag, const char* text,
+                 double lo, double hi, bool integer) {
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno != 0 ||
+      !(value >= lo && value <= hi) ||
+      (integer && value != std::floor(value))) {
+    std::fprintf(stderr, "%s: %s must be %s in [%g, %g], got '%s'\n", argv0,
+                 flag, integer ? "an integer" : "a number", lo, hi, text);
+    Usage(argv0);
+  }
+  return value;
 }
 
 }  // namespace
@@ -107,17 +130,36 @@ int main(int argc, char** argv) {
     } else if (arg == "--stats-json") {
       stats_json = true;
     } else if (arg == "--shards") {
-      config.sharding.sim.shards = std::atoi(next());
+      // Every shard runs a complete host on its own thread with a channel
+      // to every other shard; the cap keeps that far from exhausting memory.
+      config.sharding.sim.shards = static_cast<int>(
+          FlagValue(argv[0], "--shards", next(), 1, 256, /*integer=*/true));
     } else if (arg == "--lookahead-us") {
+      // At least 1 ns; the cap keeps the conversion to ns in range.
       config.sharding.sim.lookahead = static_cast<Duration>(
-          std::atof(next()) * static_cast<double>(kMicrosecond));
+          FlagValue(argv[0], "--lookahead-us", next(), 0.001, 1e9,
+                    /*integer=*/false) *
+          static_cast<double>(kMicrosecond));
     } else if (arg == "--pin") {
       config.sharding.sim.pinning = true;
     } else if (arg == "--cross-traffic") {
-      config.sharding.cross_traffic = std::atof(next());
+      config.sharding.cross_traffic = FlagValue(
+          argv[0], "--cross-traffic", next(), 0, 1, /*integer=*/false);
     } else {
       Usage(argv[0]);
     }
+  }
+
+  const ExperimentShardingConfig& sharding = config.sharding;
+  if (sharding.sim.shards > 1 && sharding.cross_traffic > 0.0 &&
+      sharding.sim.lookahead > sharding.cross_link_latency) {
+    std::fprintf(stderr,
+                 "%s: --lookahead-us must not exceed the %g us east-west "
+                 "link latency while --cross-traffic is > 0, got %g\n",
+                 argv[0],
+                 static_cast<double>(sharding.cross_link_latency) / 1000.0,
+                 static_cast<double>(sharding.sim.lookahead) / 1000.0);
+    Usage(argv[0]);
   }
 
   std::printf("policy=%s sched=%s load=%.0f get_fraction=%.3f threads=%d "
@@ -129,12 +171,11 @@ int main(int argc, char** argv) {
               config.load_rps, config.get_fraction, config.num_threads,
               config.num_cores, config.use_bytecode ? " [bytecode]" : "",
               config.late_binding ? " [late-binding]" : "");
-  if (config.sharding.sim.shards >= 1) {
+  if (sharding.sim.shards > 1) {
     std::printf("shards=%d lookahead=%.1fus pin=%d cross_traffic=%.3f\n",
-                config.sharding.sim.shards,
-                static_cast<double>(config.sharding.sim.lookahead) / 1000.0,
-                config.sharding.sim.pinning ? 1 : 0,
-                config.sharding.cross_traffic);
+                sharding.sim.shards,
+                static_cast<double>(sharding.sim.lookahead) / 1000.0,
+                sharding.sim.pinning ? 1 : 0, sharding.cross_traffic);
   }
 
   const RocksDbResult result = RunRocksDbExperiment(config);

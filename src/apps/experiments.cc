@@ -23,6 +23,78 @@ constexpr Duration kDrain = 50 * kMillisecond;
 
 double ToUs(uint64_t ns) { return static_cast<double>(ns) / 1000.0; }
 
+// Runs one experiment on a ShardedSim (see ExperimentShardingConfig): builds
+// a host per shard, runs the warm-up, opens every host's measurement
+// window, runs `snapshot` on each shard when the window closes, drains
+// queued requests so tail latency is not truncated, and folds the hosts into
+// one result with `aggregate`. Hosts must expose `stack`, `server`, `gen`,
+// `sent_before` and `drops_before`; they are destroyed before the engine
+// they run on.
+template <typename Config, typename Host, typename Result>
+Result RunOnShards(
+    const Config& config,
+    std::unique_ptr<Host> (*build)(Simulator&, const Config&, uint64_t,
+                                   LoadGenerator::SinkFn),
+    void (*snapshot)(Host&),
+    Result (*aggregate)(const Config&,
+                        const std::vector<std::unique_ptr<Host>>&)) {
+  const ExperimentShardingConfig& sharding = config.sharding;
+  const int num_shards = sharding.sim.shards;
+  ShardedSim sharded(sharding.sim);
+  const bool cross = num_shards > 1 && sharding.cross_traffic > 0.0;
+  if (cross) {
+    SYRUP_CHECK_GE(sharding.cross_link_latency, sharded.lookahead())
+        << "east-west link latency below the sharded lookahead";
+  }
+  const uint32_t cross_mille =
+      static_cast<uint32_t>(sharding.cross_traffic * 1000.0 + 0.5);
+
+  std::vector<std::unique_ptr<Host>> hosts(static_cast<size_t>(num_shards));
+  for (int s = 0; s < num_shards; ++s) {
+    // Shard 0 keeps the configured seed; replicas draw deterministically
+    // distinct streams.
+    const uint64_t seed =
+        config.seed + static_cast<uint64_t>(s) * uint64_t{1000003};
+    LoadGenerator::SinkFn sink;
+    if (cross) {
+      // East-west traffic: a fixed, flow-deterministic slice of each
+      // shard's requests is served by the next shard over an inter-shard
+      // link (ring topology), entering through its stack's channel port.
+      sink = [&sharded, &hosts, s, num_shards, cross_mille,
+              link = sharding.cross_link_latency](Packet pkt) {
+        if (pkt.tuple.Hash() % 1000 < cross_mille) {
+          const int dst = (s + 1) % num_shards;
+          hosts[static_cast<size_t>(dst)]->stack->PostRx(
+              s, sharded.shard(s).Now() + link, std::move(pkt));
+        } else {
+          hosts[static_cast<size_t>(s)]->stack->Rx(std::move(pkt));
+        }
+      };
+    }
+    hosts[static_cast<size_t>(s)] =
+        build(sharded.shard(s), config, seed, std::move(sink));
+    if (cross) {
+      hosts[static_cast<size_t>(s)]->stack->BindShard(&sharded, s);
+    }
+  }
+
+  sharded.RunUntil(config.warmup);
+  for (auto& host : hosts) {
+    host->server->ResetStats();
+    host->sent_before = host->gen->sent();
+    host->drops_before = host->stack->stats().TotalDrops();
+  }
+  const Time end = config.warmup + config.measure;
+  for (int s = 0; s < num_shards; ++s) {
+    sharded.shard(s).ScheduleAt(
+        end, [snapshot, host = hosts[static_cast<size_t>(s)].get()]() {
+          snapshot(*host);
+        });
+  }
+  sharded.RunUntil(end + kDrain);
+  return aggregate(config, hosts);
+}
+
 }  // namespace
 
 std::string_view SocketPolicyName(SocketPolicyKind kind) {
@@ -61,10 +133,8 @@ struct RocksDbHost {
   uint64_t completed_scan_in_window = 0;
 };
 
-// Builds one host on `sim` with all seeds derived from `seed` (the
-// construction and scheduling order matches the historical single-engine
-// body exactly, so seed == config.seed reproduces it bit for bit). A null
-// `sink` delivers generated packets straight into the host's own stack.
+// Builds one host on `sim` with all seeds derived from `seed`. A null `sink`
+// delivers generated packets straight into the host's own stack.
 std::unique_ptr<RocksDbHost> BuildRocksDbHost(
     Simulator& sim, const RocksDbExperimentConfig& config, uint64_t seed,
     LoadGenerator::SinkFn sink) {
@@ -228,12 +298,6 @@ std::unique_ptr<RocksDbHost> BuildRocksDbHost(
   return host;
 }
 
-void MarkRocksDbWindowStart(RocksDbHost& host) {
-  host.server->ResetStats();
-  host.sent_before = host.gen->sent();
-  host.drops_before = host.stack->stats().TotalDrops();
-}
-
 void SnapshotRocksDbWindow(RocksDbHost& host) {
   host.completed_in_window = host.server->completed();
   host.completed_get_in_window = host.server->completed(ReqType::kGet);
@@ -241,8 +305,7 @@ void SnapshotRocksDbWindow(RocksDbHost& host) {
 }
 
 // Folds per-host windows into one result (histograms merged in shard order,
-// counts summed). With one host this reproduces the historical single-host
-// arithmetic exactly.
+// counts summed).
 RocksDbResult AggregateRocksDb(
     const RocksDbExperimentConfig& config,
     const std::vector<std::unique_ptr<RocksDbHost>>& hosts) {
@@ -279,89 +342,16 @@ RocksDbResult AggregateRocksDb(
   result.drop_fraction =
       sent == 0 ? 0.0
                 : static_cast<double>(drops) / static_cast<double>(sent);
-  // Shard 0's daemon (the one an unsharded run would have).
+  // Shard 0's daemon.
   result.stats_json = hosts.front()->syrupd->StatsSnapshot().ToJson();
   return result;
-}
-
-RocksDbResult RunRocksDbShardedExperiment(
-    const RocksDbExperimentConfig& config) {
-  const ExperimentShardingConfig& sharding = config.sharding;
-  const int num_shards = sharding.sim.shards;
-  ShardedSim sharded(sharding.sim);
-  const bool cross = num_shards > 1 && sharding.cross_traffic > 0.0;
-  if (cross) {
-    SYRUP_CHECK_GE(sharding.cross_link_latency, sharded.lookahead())
-        << "east-west link latency below the sharded lookahead";
-  }
-  const uint32_t cross_mille =
-      static_cast<uint32_t>(sharding.cross_traffic * 1000.0 + 0.5);
-
-  std::vector<std::unique_ptr<RocksDbHost>> hosts(
-      static_cast<size_t>(num_shards));
-  for (int s = 0; s < num_shards; ++s) {
-    // Shard 0 reproduces the unsharded seeds exactly; replicas draw
-    // deterministically distinct streams.
-    const uint64_t seed =
-        config.seed + static_cast<uint64_t>(s) * uint64_t{1000003};
-    LoadGenerator::SinkFn sink;
-    if (cross) {
-      // East-west traffic: a fixed, flow-deterministic slice of each
-      // shard's requests is served by the next shard over an inter-shard
-      // link (ring topology), entering through its stack's channel port.
-      sink = [&sharded, &hosts, s, num_shards, cross_mille,
-              link = sharding.cross_link_latency](Packet pkt) {
-        if (pkt.tuple.Hash() % 1000 < cross_mille) {
-          const int dst = (s + 1) % num_shards;
-          hosts[static_cast<size_t>(dst)]->stack->PostRx(
-              s, sharded.shard(s).Now() + link, std::move(pkt));
-        } else {
-          hosts[static_cast<size_t>(s)]->stack->Rx(std::move(pkt));
-        }
-      };
-    }
-    hosts[static_cast<size_t>(s)] =
-        BuildRocksDbHost(sharded.shard(s), config, seed, std::move(sink));
-    if (cross) {
-      hosts[static_cast<size_t>(s)]->stack->BindShard(&sharded, s);
-    }
-  }
-
-  sharded.RunUntil(config.warmup);
-  for (auto& host : hosts) {
-    MarkRocksDbWindowStart(*host);
-  }
-  const Time end = config.warmup + config.measure;
-  for (int s = 0; s < num_shards; ++s) {
-    RocksDbHost* host = hosts[static_cast<size_t>(s)].get();
-    sharded.shard(s).ScheduleAt(end,
-                                [host]() { SnapshotRocksDbWindow(*host); });
-  }
-  sharded.RunUntil(end + kDrain);
-  return AggregateRocksDb(config, hosts);
 }
 
 }  // namespace
 
 RocksDbResult RunRocksDbExperiment(const RocksDbExperimentConfig& config) {
-  if (config.sharding.sim.shards >= 1) {
-    return RunRocksDbShardedExperiment(config);
-  }
-  Simulator sim;
-  std::vector<std::unique_ptr<RocksDbHost>> hosts;
-  hosts.push_back(BuildRocksDbHost(sim, config, config.seed, nullptr));
-  RocksDbHost& host = *hosts.front();
-
-  sim.RunUntil(config.warmup);
-  MarkRocksDbWindowStart(host);
-
-  // Snapshot completion counts at the end of the measurement window; the
-  // drain period afterwards lets queued requests finish so tail latency is
-  // not truncated.
-  sim.ScheduleAt(config.warmup + config.measure,
-                 [&host]() { SnapshotRocksDbWindow(host); });
-  sim.RunUntil(config.warmup + config.measure + kDrain);
-  return AggregateRocksDb(config, hosts);
+  return RunOnShards(config, BuildRocksDbHost, SnapshotRocksDbWindow,
+                     AggregateRocksDb);
 }
 
 TokenQosResult RunTokenQosExperiment(const TokenQosConfig& config) {
@@ -604,10 +594,8 @@ std::unique_ptr<MicaHost> BuildMicaHost(Simulator& sim,
   return host;
 }
 
-void MarkMicaWindowStart(MicaHost& host) {
-  host.server->ResetStats();
-  host.sent_before = host.gen->sent();
-  host.drops_before = host.stack->stats().TotalDrops();
+void SnapshotMicaWindow(MicaHost& host) {
+  host.completed_in_window = host.server->completed();
 }
 
 MicaResult AggregateMica(const MicaExperimentConfig& config,
@@ -639,75 +627,10 @@ MicaResult AggregateMica(const MicaExperimentConfig& config,
   return result;
 }
 
-MicaResult RunMicaShardedExperiment(const MicaExperimentConfig& config) {
-  const ExperimentShardingConfig& sharding = config.sharding;
-  const int num_shards = sharding.sim.shards;
-  ShardedSim sharded(sharding.sim);
-  const bool cross = num_shards > 1 && sharding.cross_traffic > 0.0;
-  if (cross) {
-    SYRUP_CHECK_GE(sharding.cross_link_latency, sharded.lookahead())
-        << "east-west link latency below the sharded lookahead";
-  }
-  const uint32_t cross_mille =
-      static_cast<uint32_t>(sharding.cross_traffic * 1000.0 + 0.5);
-
-  std::vector<std::unique_ptr<MicaHost>> hosts(
-      static_cast<size_t>(num_shards));
-  for (int s = 0; s < num_shards; ++s) {
-    const uint64_t seed =
-        config.seed + static_cast<uint64_t>(s) * uint64_t{1000003};
-    LoadGenerator::SinkFn sink;
-    if (cross) {
-      sink = [&sharded, &hosts, s, num_shards, cross_mille,
-              link = sharding.cross_link_latency](Packet pkt) {
-        if (pkt.tuple.Hash() % 1000 < cross_mille) {
-          const int dst = (s + 1) % num_shards;
-          hosts[static_cast<size_t>(dst)]->stack->PostRx(
-              s, sharded.shard(s).Now() + link, std::move(pkt));
-        } else {
-          hosts[static_cast<size_t>(s)]->stack->Rx(std::move(pkt));
-        }
-      };
-    }
-    hosts[static_cast<size_t>(s)] =
-        BuildMicaHost(sharded.shard(s), config, seed, std::move(sink));
-    if (cross) {
-      hosts[static_cast<size_t>(s)]->stack->BindShard(&sharded, s);
-    }
-  }
-
-  sharded.RunUntil(config.warmup);
-  for (auto& host : hosts) {
-    MarkMicaWindowStart(*host);
-  }
-  const Time end = config.warmup + config.measure;
-  for (int s = 0; s < num_shards; ++s) {
-    MicaHost* host = hosts[static_cast<size_t>(s)].get();
-    sharded.shard(s).ScheduleAt(
-        end, [host]() { host->completed_in_window = host->server->completed(); });
-  }
-  sharded.RunUntil(end + kDrain);
-  return AggregateMica(config, hosts);
-}
-
 }  // namespace
 
 MicaResult RunMicaExperiment(const MicaExperimentConfig& config) {
-  if (config.sharding.sim.shards >= 1) {
-    return RunMicaShardedExperiment(config);
-  }
-  Simulator sim;
-  std::vector<std::unique_ptr<MicaHost>> hosts;
-  hosts.push_back(BuildMicaHost(sim, config, config.seed, nullptr));
-  MicaHost& host = *hosts.front();
-
-  const Time end = config.warmup + config.measure;
-  sim.RunUntil(config.warmup);
-  MarkMicaWindowStart(host);
-  sim.ScheduleAt(
-      end, [&host]() { host.completed_in_window = host.server->completed(); });
-  sim.RunUntil(end + kDrain);
-  return AggregateMica(config, hosts);
+  return RunOnShards(config, BuildMicaHost, SnapshotMicaWindow, AggregateMica);
 }
 
 }  // namespace syrup

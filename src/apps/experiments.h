@@ -20,19 +20,18 @@ namespace syrup {
 
 // --- Sharded parallel runs ---------------------------------------------------
 //
-// sim.shards == 0 (the default) keeps the pre-existing single-engine path,
-// byte for byte. sim.shards >= 1 executes the experiment on a ShardedSim:
-// shard 0 hosts the original topology and shards 1..N-1 host replicas
-// (weak scaling — each shard runs the configured load against its own
-// complete host), with per-shard seeds derived so shard 0 reproduces the
-// unsharded run exactly; shards == 1 is therefore bit-identical to the
-// single-engine path. With shards > 1, `cross_traffic` of each shard's
-// requests is generated east-west: the packet enters the next shard's
-// stack through the inter-shard channels after `cross_link_latency` (which
-// must be >= sim.lookahead). Reported results aggregate all shards
-// deterministically (histograms merged in shard order).
+// Every experiment runs on a ShardedSim: shard 0 hosts the original
+// topology and shards 1..N-1 host replicas (weak scaling — each shard runs
+// the configured load against its own complete host), with per-shard seeds
+// derived so shard 0 keeps the configured seed. The default, sim.shards == 1,
+// runs that one host inline on the calling thread. With shards > 1,
+// `cross_traffic` of each shard's requests is generated east-west: the
+// packet enters the next shard's stack through the inter-shard channels
+// after `cross_link_latency` (which must be >= sim.lookahead). Reported
+// results aggregate all shards deterministically (histograms merged in
+// shard order).
 struct ExperimentShardingConfig {
-  ShardedSimConfig sim{.shards = 0};
+  ShardedSimConfig sim;
   double cross_traffic = 0.05;  // east-west fraction, shards > 1 only
   Duration cross_link_latency = 5 * kMicrosecond;
 };
@@ -79,7 +78,7 @@ struct RocksDbExperimentConfig {
 
   int num_threads = 6;
   int num_cores = 6;
-  double load_rps = 100'000;   // per shard when sharding.sim.shards >= 1
+  double load_rps = 100'000;   // per shard
   double get_fraction = 1.0;   // remainder are SCANs
   uint32_t num_flows = 50;
   Duration warmup = 200 * kMillisecond;

@@ -50,8 +50,8 @@
 // erased by the (when, src_shard, seq) sort, and per-channel seqs are
 // assigned in each sender's (deterministic) program order. At shards=1 the
 // engine degenerates to the wrapped Simulator run inline on the calling
-// thread, so results are bit-identical to the single-engine path by
-// construction.
+// thread, with no announcement, channel or extra thread: the one-host
+// experiments (src/apps/experiments.h) run that way by default.
 #ifndef SYRUP_SRC_SIM_SHARDED_H_
 #define SYRUP_SRC_SIM_SHARDED_H_
 
@@ -217,7 +217,6 @@ class ShardedSim {
 
  private:
   struct ShardState {
-    explicit ShardState(SimEngine engine) : sim(engine) {}
     Simulator sim;
     std::vector<ShardMessage> staging;  // drained, not yet scheduled
     Time outbound_min = Simulator::kNoEventTime;  // since last announcement

@@ -9,12 +9,12 @@
 #include <vector>
 
 #include "src/map/array_map.h"
-#include "src/map/chained_hash_map.h"
 #include "src/map/hash_map.h"
 #include "src/map/map.h"
 #include "src/map/offload_proxy.h"
 #include "src/map/prog_array.h"
 #include "src/map/registry.h"
+#include "tests/oracles/chained_hash_map.h"
 
 namespace syrup {
 namespace {
@@ -653,7 +653,7 @@ TEST(MapVisit, VisitCanMutateValuesInPlace) {
 }
 
 // --- swiss-table vs chained differential -------------------------------------
-// The retained ChainedHashMap is the oracle (SimEngine::kReference
+// The retained ChainedHashMap is the oracle (the ReferenceSimulator
 // pattern): a long randomized op stream — insert/overwrite/flagged
 // update/delete/lookup — must produce byte-identical results on both
 // implementations at every step, across key sizes, value sizes (inline

@@ -4,9 +4,12 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/sim/simulator.h"
+#include "tests/oracles/reference_simulator.h"
 
 // Global allocation counter for the zero-allocation assertions. Sanitizer
 // builds interpose their own allocator, so counting is compiled out there.
@@ -180,8 +183,13 @@ TEST(SimulatorDeathTest, SchedulingInThePastAborts) {
 
 // --- pooled-engine specifics ------------------------------------------------
 
+// A handle is a (simulator, slot, generation) value: returning one from
+// every ScheduleAt costs no reference count and no destructor.
+static_assert(sizeof(EventHandle) == 16 &&
+              std::is_trivially_destructible_v<EventHandle>);
+
 TEST(SimulatorPool, StaleHandleCannotTouchRecycledSlot) {
-  Simulator sim(SimEngine::kTimingWheel);
+  Simulator sim;
   bool a_fired = false;
   bool b_fired = false;
   EventHandle a = sim.ScheduleAt(10, [&]() { a_fired = true; });
@@ -198,7 +206,7 @@ TEST(SimulatorPool, StaleHandleCannotTouchRecycledSlot) {
 }
 
 TEST(SimulatorPool, SelfCancelDuringDispatchIsInert) {
-  Simulator sim(SimEngine::kTimingWheel);
+  Simulator sim;
   EventHandle handle;
   bool chained_fired = false;
   handle = sim.ScheduleAt(10, [&]() {
@@ -214,7 +222,7 @@ TEST(SimulatorPool, SelfCancelDuringDispatchIsInert) {
 }
 
 TEST(SimulatorPool, StopMidDispatchPreservesWheelState) {
-  Simulator sim(SimEngine::kTimingWheel);
+  Simulator sim;
   std::vector<int> order;
   // Spread across many level-0 ticks and into level 1.
   for (int i = 0; i < 50; ++i) {
@@ -233,7 +241,7 @@ TEST(SimulatorPool, StopMidDispatchPreservesWheelState) {
 }
 
 TEST(SimulatorPool, FarFutureTimersCrossWheelLevelsAndOverflow) {
-  Simulator sim(SimEngine::kTimingWheel);
+  Simulator sim;
   // Exponentially spread timers: levels 0..3 and, beyond ~4.3 s, the
   // overflow heap (2^32 ns exceeds the wheel span of 2^24 ticks * 256 ns).
   std::vector<Time> times;
@@ -257,7 +265,7 @@ TEST(SimulatorPool, FullLevelRevolutionDistanceIsNotLost) {
   // (dispatch at tick 63, then +4095 ticks => level-1 window delta of
   // exactly 64) used to be filed into the bucket covering cur_tick_, which
   // NextOccupiedTick treats as always empty — the event never fired.
-  Simulator sim(SimEngine::kTimingWheel);
+  Simulator sim;
   bool fired = false;
   sim.ScheduleAt(63 * 256, [&]() {
     sim.ScheduleAfter(4095 * 256, [&]() { fired = true; });
@@ -280,7 +288,7 @@ TEST(SimulatorPool, RevolutionBoundariesFireFromEveryAnchor) {
     for (int level = 1; level <= 4; ++level) {
       const uint64_t revolution = uint64_t{1} << (6 * level);
       for (const uint64_t delta : {revolution - 1, revolution, revolution + 1}) {
-        Simulator sim(SimEngine::kTimingWheel);
+        Simulator sim;
         Time fired = 0;
         sim.ScheduleAt(anchor, [&sim, &fired, delta]() {
           sim.ScheduleAfter(delta * 256, [&sim, &fired]() { fired = sim.Now(); });
@@ -300,7 +308,7 @@ TEST(SimulatorPool, EarlierEventScheduledAfterPartialRunDispatchesFirst) {
   // then scheduled into the skipped gap underflowed the insertion distance,
   // landed in overflow, and dispatched after the later event — with Now()
   // running backward.
-  Simulator sim(SimEngine::kTimingWheel);
+  Simulator sim;
   std::vector<Time> fired;
   auto record = [&fired, &sim]() { fired.push_back(sim.Now()); };
   sim.ScheduleAt(1124, record);
@@ -310,17 +318,23 @@ TEST(SimulatorPool, EarlierEventScheduledAfterPartialRunDispatchesFirst) {
   EXPECT_EQ(fired, (std::vector<Time>{500, 1124}));
 }
 
+template <typename Engine>
+void ExpectFiredHandleIsInert(Engine& sim) {
+  auto handle = sim.ScheduleAt(10, []() {});
+  EXPECT_TRUE(handle.valid());
+  sim.RunToCompletion();
+  EXPECT_FALSE(handle.valid());
+  handle.Cancel();  // inert on a fired event
+  EXPECT_FALSE(handle.valid());
+  EXPECT_EQ(sim.engine_stats().dispatched, 1u);
+}
+
 TEST(Simulator, FiredHandleIsInvalidOnBothEngines) {
-  for (const SimEngine engine :
-       {SimEngine::kTimingWheel, SimEngine::kReference}) {
-    Simulator sim(engine);
-    EventHandle handle = sim.ScheduleAt(10, []() {});
-    EXPECT_TRUE(handle.valid());
-    sim.RunToCompletion();
-    EXPECT_FALSE(handle.valid());
-    handle.Cancel();  // inert on a fired event
-    EXPECT_EQ(sim.engine_stats().cancelled, 0u);
-  }
+  Simulator wheel;
+  ExpectFiredHandleIsInert(wheel);
+  EXPECT_EQ(wheel.engine_stats().cancelled, 0u);
+  ReferenceSimulator reference;
+  ExpectFiredHandleIsInert(reference);
 }
 
 struct SteadyTick {
@@ -338,7 +352,7 @@ struct SteadyTick {
 };
 
 TEST(SimulatorPool, SteadyStateDispatchDoesNotAllocate) {
-  Simulator sim(SimEngine::kTimingWheel);
+  Simulator sim;
   uint64_t remaining = 20'000;
   uint64_t lcg = 999;
   for (uint64_t i = 0; i < 64; ++i) {
@@ -360,7 +374,7 @@ TEST(SimulatorPool, SteadyStateDispatchDoesNotAllocate) {
 }
 
 TEST(SimulatorPool, LargeCallbacksSpillToHeapAndStillRun) {
-  Simulator sim(SimEngine::kTimingWheel);
+  Simulator sim;
   // 64 bytes of captured payload: over the inline budget, so the engine
   // heap-boxes the callback and counts it.
   uint64_t payload[8] = {1, 2, 3, 4, 5, 6, 7, 8};
@@ -375,56 +389,107 @@ TEST(SimulatorPool, LargeCallbacksSpillToHeapAndStillRun) {
   EXPECT_EQ(sim.engine_stats().large_callbacks, 1u);
 }
 
-// Randomized schedule/cancel program dispatched on both engines: traces
-// (event identity and final clock) must match exactly. The program mixes
-// same-time ties, nested scheduling from callbacks, cancellations, a
-// partial RunUntil, and far-future times that exercise the overflow heap.
-std::vector<uint64_t> DifferentialTrace(SimEngine engine) {
-  Simulator sim(engine);
+// --- wheel vs reference differential ----------------------------------------
+
+template <typename Engine>
+using HandleOf = decltype(std::declval<Engine&>().ScheduleAt(
+    Time{0}, std::declval<void (*)()>()));
+
+// Randomized schedule/cancel/run program; the wheel's trace must equal the
+// reference engine's exactly. Each seed mixes far-future times (the
+// overflow heap), same-timestamp bursts, nested scheduling, cancels and
+// Stop() from inside callbacks, partial RunUntil horizons, an event
+// scheduled into the gap each partial run leaves, and NextEventTime()
+// sampled between horizons (the sharded engine's per-round announcement).
+template <typename Engine>
+std::vector<uint64_t> DifferentialTrace(uint64_t seed) {
+  Engine sim;
   std::vector<uint64_t> trace;
-  uint64_t lcg = 0xabcdef12345ull;
+  uint64_t lcg = 0xabcdef12345ull ^ (seed * 0x9e3779b97f4a7c15ull);
   auto rnd = [&lcg]() {
     lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
     return lcg >> 33;
   };
-  std::vector<EventHandle> handles;
-  for (uint64_t id = 0; id < 400; ++id) {
-    const Time when = (rnd() % 64) == 0
-                          ? 4'500'000'000ull + rnd() % 1'000'000'000ull
-                          : rnd() % 50'000'000ull;
-    handles.push_back(sim.ScheduleAt(when, [&trace, &sim, id]() {
-      trace.push_back(id);
-      if (id % 3 == 0) {
-        sim.ScheduleAfter(1 + id % 1'000, [&trace, id]() {
-          trace.push_back(10'000 + id);
-        });
-      }
-    }));
+  std::vector<HandleOf<Engine>> handles;
+  std::vector<Time> times;
+  auto schedule = [&](Time when) {
+    const uint64_t id = handles.size();
+    times.push_back(when);
+    handles.push_back(
+        sim.ScheduleAt(when, [&trace, &sim, &handles, id]() {
+          trace.push_back(id);
+          trace.push_back(sim.Now());
+          if (id % 3 == 0) {
+            sim.ScheduleAfter(1 + id % 1'000, [&trace, &sim, id]() {
+              trace.push_back(10'000 + id);
+              trace.push_back(sim.Now());
+            });
+          }
+          if (id % 5 == 1) {
+            // The target may be pending, fired, cancelled or this event.
+            handles[(id * 7 + 3) % handles.size()].Cancel();
+          }
+          if (id % 37 == 0) {
+            sim.Stop();
+          }
+        }));
+  };
+
+  const Time bursts[4] = {rnd() % 50'000'000, rnd() % 50'000'000,
+                          rnd() % 50'000'000, rnd() % 50'000'000};
+  for (int i = 0; i < 400; ++i) {
+    const uint64_t kind = rnd() % 64;
+    schedule(kind == 0 ? 4'500'000'000ull + rnd() % 1'000'000'000ull
+             : kind < 8 ? bursts[rnd() % 4]
+                        : rnd() % 50'000'000ull);
   }
   for (size_t i = 0; i < handles.size(); i += 7) {
     handles[i].Cancel();
   }
-  sim.RunUntil(20'000'000);
+
+  // Horizons walk the initial event times. Half stop just short of one,
+  // inside its 256 ns wheel tick, so the wheel advances past time it does
+  // not dispatch.
+  std::vector<Time> stops = times;
+  std::sort(stops.begin(), stops.end());
+  Time horizon = 0;
+  for (size_t k = 0; k < stops.size(); k += 1 + rnd() % 16) {
+    const Time stop =
+        rnd() % 2 == 0 ? stops[k] - std::min<Time>(stops[k], 1 + rnd() % 64)
+                       : stops[k] + rnd() % 100'000;
+    if (stop <= horizon) {
+      continue;
+    }
+    horizon = stop;
+    trace.push_back(sim.RunUntil(horizon));
+    trace.push_back(sim.Now());
+    trace.push_back(sim.pending_events());
+    schedule(sim.Now() + rnd() % (horizon + 1 - sim.Now()));
+    if (rnd() % 2 == 0) {
+      const Time next = sim.NextEventTime();
+      trace.push_back(next);
+      if (next != Engine::kNoEventTime && next > horizon + 1) {
+        schedule(horizon + 1 + rnd() % (next - horizon - 1));
+      }
+    }
+  }
   trace.push_back(sim.engine_stats().dispatched);
-  sim.RunToCompletion();
+  while (sim.pending_events() > 0) {  // Stop() may end a run early
+    trace.push_back(sim.RunToCompletion());
+  }
   trace.push_back(sim.Now());
   trace.push_back(sim.engine_stats().dispatched);
+  trace.push_back(sim.engine_stats().scheduled);
   return trace;
 }
 
-TEST(SimulatorDifferential, WheelMatchesReferenceOnRandomProgram) {
-  EXPECT_EQ(DifferentialTrace(SimEngine::kTimingWheel),
-            DifferentialTrace(SimEngine::kReference));
-}
-
-TEST(Simulator, DefaultEngineOverrideIsHonored) {
-  Simulator::SetDefaultEngine(SimEngine::kReference);
-  Simulator ref_sim;
-  EXPECT_EQ(ref_sim.engine(), SimEngine::kReference);
-  Simulator::SetDefaultEngine(SimEngine::kTimingWheel);
-  Simulator wheel_sim;
-  EXPECT_EQ(wheel_sim.engine(), SimEngine::kTimingWheel);
-  Simulator::ResetDefaultEngine();
+TEST(SimulatorDifferential, WheelMatchesReferenceOnRandomPrograms) {
+  for (uint64_t seed = 0; seed < 16; ++seed) {
+    SCOPED_TRACE(seed);
+    const std::vector<uint64_t> wheel = DifferentialTrace<Simulator>(seed);
+    EXPECT_GT(wheel.size(), 1'000u);
+    EXPECT_EQ(wheel, DifferentialTrace<ReferenceSimulator>(seed));
+  }
 }
 
 }  // namespace
