@@ -16,11 +16,14 @@
 // (src/sim/sharded.h): N replicated hosts, one per thread, with
 // --cross-traffic (0..1) of each shard's load served east-west by the next
 // shard over a 5 us link. The default, --shards 1, runs the one host inline
-// on the calling thread. --lookahead-us sets the conservative sync window
-// (> 0, and at most the 5 us link while east-west traffic flows); --pin
-// pins the worker threads to CPUs (shard 0 runs on the calling thread,
-// left unpinned). A bad value for any of these exits 2 with a message
-// naming the flag.
+// on the calling thread. Each shard promises the engine when its next
+// east-west packet leaves, so sync windows span the gaps between those
+// packets; --lookahead-us only sets the Post floor of a sender without such
+// a promise (> 0, and at most the 5 us link while east-west traffic flows).
+// --pin pins the worker threads to CPUs (shard 0 runs on the calling
+// thread, left unpinned). A bad value for any of these exits 2 with a
+// message naming the flag. With --shards > 1 the run also prints its sync
+// rounds and cross-shard messages per offered request.
 //
 // Examples:
 //   experiment_cli --policy sita --load 250000 --get-fraction 0.995
@@ -171,14 +174,19 @@ int main(int argc, char** argv) {
               config.load_rps, config.get_fraction, config.num_threads,
               config.num_cores, config.use_bytecode ? " [bytecode]" : "",
               config.late_binding ? " [late-binding]" : "");
-  if (sharding.sim.shards > 1) {
-    std::printf("shards=%d lookahead=%.1fus pin=%d cross_traffic=%.3f\n",
-                sharding.sim.shards,
-                static_cast<double>(sharding.sim.lookahead) / 1000.0,
-                sharding.sim.pinning ? 1 : 0, sharding.cross_traffic);
-  }
 
   const RocksDbResult result = RunRocksDbExperiment(config);
+  if (sharding.sim.shards > 1) {
+    // Sync cost of the parallel engine, per request offered over the run.
+    const double offered =
+        result.load_rps * ToSeconds(config.warmup + config.measure);
+    std::printf("shards=%d pin=%d cross_traffic=%.3f rounds/req=%.4f "
+                "msgs/req=%.4f\n",
+                sharding.sim.shards, sharding.sim.pinning ? 1 : 0,
+                sharding.cross_traffic,
+                static_cast<double>(result.sim_stats.rounds) / offered,
+                static_cast<double>(result.sim_stats.messages) / offered);
+  }
   std::printf("throughput : %10.0f rps\n", result.throughput_rps);
   std::printf("p50        : %10.1f us\n", result.p50_us);
   std::printf("p99        : %10.1f us\n", result.p99_us);

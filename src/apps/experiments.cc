@@ -23,13 +23,24 @@ constexpr Duration kDrain = 50 * kMillisecond;
 
 double ToUs(uint64_t ns) { return static_cast<double>(ns) / 1000.0; }
 
+// East-west traffic is a fixed, flow-deterministic slice of each shard's
+// requests; the sink and the shard's output bound both decide with this.
+bool IsCrossBound(const Packet& pkt, uint32_t cross_mille) {
+  return pkt.tuple.Hash() % 1000 < cross_mille;
+}
+
 // Runs one experiment on a ShardedSim (see ExperimentShardingConfig): builds
 // a host per shard, runs the warm-up, opens every host's measurement
 // window, runs `snapshot` on each shard when the window closes, drains
 // queued requests so tail latency is not truncated, and folds the hosts into
-// one result with `aggregate`. Hosts must expose `stack`, `server`, `gen`,
-// `sent_before` and `drops_before`; they are destroyed before the engine
-// they run on.
+// one result with `aggregate`, adding the engine's counters. Hosts must
+// expose `stack`, `server`, `gen`, `sent_before` and `drops_before`;
+// they are destroyed before the engine they run on.
+//
+// The load generator's sink is the only cross-shard sender, so with
+// shards > 1 every shard's output bound is its next cross-bound arrival plus
+// the link latency (never, without east-west traffic). The windows then
+// stretch from one east-west packet to the next instead of one lookahead.
 template <typename Config, typename Host, typename Result>
 Result RunOnShards(
     const Config& config,
@@ -57,12 +68,11 @@ Result RunOnShards(
         config.seed + static_cast<uint64_t>(s) * uint64_t{1000003};
     LoadGenerator::SinkFn sink;
     if (cross) {
-      // East-west traffic: a fixed, flow-deterministic slice of each
-      // shard's requests is served by the next shard over an inter-shard
+      // East-west traffic is served by the next shard over an inter-shard
       // link (ring topology), entering through its stack's channel port.
       sink = [&sharded, &hosts, s, num_shards, cross_mille,
               link = sharding.cross_link_latency](Packet pkt) {
-        if (pkt.tuple.Hash() % 1000 < cross_mille) {
+        if (IsCrossBound(pkt, cross_mille)) {
           const int dst = (s + 1) % num_shards;
           hosts[static_cast<size_t>(dst)]->stack->PostRx(
               s, sharded.shard(s).Now() + link, std::move(pkt));
@@ -75,6 +85,20 @@ Result RunOnShards(
         build(sharded.shard(s), config, seed, std::move(sink));
     if (cross) {
       hosts[static_cast<size_t>(s)]->stack->BindShard(&sharded, s);
+    }
+    if (num_shards > 1) {
+      sharded.SetOutputBound(
+          s, [&gen = *hosts[static_cast<size_t>(s)]->gen, cross, cross_mille,
+              link = sharding.cross_link_latency]() {
+            if (!cross) {
+              return Simulator::kNoEventTime;
+            }
+            const Time next =
+                gen.NextArrivalWhere([cross_mille](const Packet& pkt) {
+                  return IsCrossBound(pkt, cross_mille);
+                });
+            return next == Simulator::kNoEventTime ? next : next + link;
+          });
     }
   }
 
@@ -92,7 +116,9 @@ Result RunOnShards(
         });
   }
   sharded.RunUntil(end + kDrain);
-  return aggregate(config, hosts);
+  Result result = aggregate(config, hosts);
+  result.sim_stats = sharded.stats();
+  return result;
 }
 
 }  // namespace

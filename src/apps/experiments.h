@@ -27,9 +27,11 @@ namespace syrup {
 // runs that one host inline on the calling thread. With shards > 1,
 // `cross_traffic` of each shard's requests is generated east-west: the
 // packet enters the next shard's stack through the inter-shard channels
-// after `cross_link_latency` (which must be >= sim.lookahead). Reported
-// results aggregate all shards deterministically (histograms merged in
-// shard order).
+// after `cross_link_latency` (which must be >= sim.lookahead). Each shard
+// promises the engine when its next east-west packet can leave, so a sync
+// window spans the gap between two such packets; sim.lookahead only floors
+// the sends of a sender without that promise. Reported results aggregate
+// all shards deterministically (histograms merged in shard order).
 struct ExperimentShardingConfig {
   ShardedSimConfig sim;
   double cross_traffic = 0.05;  // east-west fraction, shards > 1 only
@@ -97,6 +99,9 @@ struct RocksDbResult {
   double drop_fraction = 0;  // of generated requests
   double get_throughput_rps = 0;
   double scan_throughput_rps = 0;
+  // The engine's counters over the whole run (warm-up and drain included):
+  // sync rounds, cross-shard messages, events, full-channel waits.
+  ShardedSim::Stats sim_stats;
   // Full Syrupd::StatsSnapshot() of the run, rendered to JSON
   // (docs/OBSERVABILITY.md schema). `experiment_cli --stats-json` prints it.
   std::string stats_json;
@@ -155,6 +160,7 @@ struct MicaResult {
   double p50_us = 0;
   double drop_fraction = 0;
   uint64_t redirected = 0;
+  ShardedSim::Stats sim_stats;  // see RocksDbResult::sim_stats
   std::string stats_json;  // Syrupd::StatsSnapshot() of the run, as JSON
 };
 

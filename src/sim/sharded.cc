@@ -97,14 +97,27 @@ void ShardedSim::ScheduleStaged(int i) {
   st.staging.clear();
 }
 
+void ShardedSim::SetOutputBound(int shard, std::function<Time()> bound) {
+  SYRUP_CHECK_GE(shard, 0);
+  SYRUP_CHECK_LT(shard, config_.shards);
+  ShardState& st = *shards_[static_cast<size_t>(shard)];
+  st.bounded = bound != nullptr;
+  st.output_bound = std::move(bound);
+}
+
 void ShardedSim::WorkerLoop(int i, Time horizon, bool advance_clock_on_idle) {
   ShardState& st = *shards_[static_cast<size_t>(i)];
   for (;;) {
-    // Announce the earliest time this shard can affect: its next local
-    // event or the earliest arrival it sent during the last window.
+    // Announce the earliest time this shard can affect (its next local
+    // event or the earliest arrival it sent during the last window) and
+    // the earliest send it promises for the coming window.
     const uint64_t k = st.epoch.load(std::memory_order_relaxed) + 1;
     st.announced[k & 1] = std::min(st.sim.NextEventTime(), st.outbound_min);
     st.outbound_min = Simulator::kNoEventTime;
+    if (st.bounded) {
+      st.post_floor = st.output_bound();
+      st.announced_bound[k & 1] = *st.post_floor;
+    }
     st.epoch.store(k, std::memory_order_release);
     // Wait for every peer's announcement k; drain while waiting so senders
     // blocked on a full channel always find their consumer making progress.
@@ -122,8 +135,8 @@ void ShardedSim::WorkerLoop(int i, Time horizon, bool advance_clock_on_idle) {
     // release, which the acquire above saw: this drain is authoritative.
     // The fence leaves posts from peers already running window k queued.
     DrainInbound(i, k);
-    // Every thread computes the same T from the same announcements, so all
-    // shards take the same continue/exit decision each round.
+    // Every thread computes the same T and window end from the same
+    // announcements, so all shards take the same decisions each round.
     Time t = Simulator::kNoEventTime;
     for (const auto& peer : shards_) {
       t = std::min(t, peer->announced[k & 1]);
@@ -131,14 +144,30 @@ void ShardedSim::WorkerLoop(int i, Time horizon, bool advance_clock_on_idle) {
     if (t == Simulator::kNoEventTime || t > horizon) {
       break;
     }
-    // Window [t, w]: every cross-shard arrival is >= sender_now + lookahead
-    // > w, so nothing sent this round can target it.
+    // A shard without a bound may post at its clock + lookahead, and an
+    // arrival at T can reach it this window.
+    const Time lookahead_bound =
+        Simulator::kNoEventTime - t > config_.lookahead
+            ? t + config_.lookahead
+            : Simulator::kNoEventTime;
+    Time eot = Simulator::kNoEventTime;
+    for (const auto& peer : shards_) {
+      eot = std::min(eot, peer->bounded ? peer->announced_bound[k & 1]
+                                        : lookahead_bound);
+    }
+    SYRUP_CHECK_GT(eot, t) << "an announced output bound does not exceed "
+                              "the window start";
+    // Window [t, w]: every cross-shard arrival sent in it is >= eot > w.
+    // With no send ever again (eot == kNoEventTime) it reaches the horizon.
     const Time w =
-        horizon - t >= config_.lookahead ? t + config_.lookahead - 1 : horizon;
+        eot == Simulator::kNoEventTime || eot > horizon ? horizon : eot - 1;
     ScheduleStaged(i);
-    st.dispatched += st.sim.RunUntil(w);
+    // An unbounded RunToCompletion window must not advance an idle clock.
+    st.dispatched += w == Simulator::kNoEventTime ? st.sim.RunToCompletion()
+                                                  : st.sim.RunUntil(w);
     st.rounds += 1;
   }
+  st.post_floor.reset();
   // Staged arrivals past the horizon belong to a later Run* call: file them
   // into the engine now (they are all > horizon, so nothing runs).
   ScheduleStaged(i);

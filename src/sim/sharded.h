@@ -6,15 +6,17 @@
 // Cross-shard interactions — packet handoff through the ToR switch or a
 // remote host stack, map traffic, ghOSt messages — flow through timestamped
 // bounded SPSC channels (one per ordered shard pair) via Post(), which
-// requires the delivery time to be at least `lookahead` past the sender's
-// clock. The lookahead models the link/PCIe latency that any cross-shard
+// requires the delivery time to be at least the sender's announced output
+// bound, or `lookahead` past the sender's clock for a sender without one.
+// The lookahead models the link/PCIe latency that any cross-shard
 // interaction already pays, so the constraint costs no fidelity.
 //
 // Synchronization protocol (conservative / YAWNS-style windows). Each shard
 // counts its announcements in `epoch`; round k of shard i is:
 //
-//   1. Announce. Publish ne_i = min(next local event, outbound_min) into
-//      slot [k & 1] of its own cache line, then release-store epoch = k.
+//   1. Announce. Publish ne_i = min(next local event, outbound_min) and,
+//      for a shard with an output bound (below), eot_i = bound() into slot
+//      [k & 1] of its own cache line, then release-store epoch = k.
 //      outbound_min is the earliest `when` shard i Post()ed since its
 //      previous announcement, i.e. during window k-1.
 //   2. Wait until every peer's epoch >= k (acquire). While waiting, drain
@@ -26,21 +28,36 @@
 //      the staging buffer now holds exactly the messages sent last window.
 //      A peer already past its own wait may be posting into window k
 //      (stamp k); those stay queued until round k+1.
-//   4. Compute T = min_j(slot_j[k & 1]), the same value on every thread
-//      (the slots are double-buffered by epoch parity, so a peer announcing
-//      k+1 never overwrites a value still being read), and run the window
-//      [T, min(horizon, T+lookahead-1)]. Staged messages are first sorted
+//   4. Compute T = min_j(ne_j) and E = min_j(eot_j), where a shard without
+//      an output bound counts as eot_j = T + lookahead. Every thread gets
+//      the same values (the slots are double-buffered by epoch parity, so a
+//      peer announcing k+1 never overwrites a value still being read). Run
+//      the window [T, min(horizon, E-1)]. Staged messages are first sorted
 //      by (when, src_shard, seq) and scheduled, so the dispatch order is
 //      independent of thread timing.
+//
+// Output bounds (SetOutputBound) are Chandy–Misra–Bryant earliest-output
+// times: a shard that knows when its next cross-shard send can leave (the
+// experiments know it from the load generator's pre-drawn arrivals)
+// promises it, and the window stretches to just before the earliest
+// promise instead of stopping at T + lookahead. Without bounds the window
+// is exactly [T, min(horizon, T+lookahead-1)]. All shards run one common
+// window, never one window each bounded by its peers' promises: under the
+// per-round wait the shard that ran furthest would stop at its peer's
+// pending send, so the shards would leapfrog with one of them idle every
+// round. (A prototype with per-shard windows cut rounds 34x on fig2 at 2
+// shards but left wall time unchanged.)
 //
 // T is min(every local next event, every arrival sent last window), and
 // every round stages exactly last window's messages at the same point, so
 // window boundaries and insertion order depend only on the simulation,
-// never on which thread got where first. Every arrival is
-// >= send_time + lookahead > window end, so no message can target the
+// never on which thread got where first. Every arrival sent in a window is
+// >= its sender's announced bound (or >= send_time + lookahead without
+// one), and both exceed the window end, so no message can target the
 // window currently executing: shards never see a message "from the past".
-// Within a round at least one shard dispatches (or pops a cancelled) event
-// at T, so the protocol always makes progress.
+// Every bound exceeds T (checked), so within a round at least one shard
+// dispatches (or pops a cancelled) event at T: the protocol always makes
+// progress.
 //
 // Threads: shard 0 runs on the calling thread; each Run* call spawns and
 // joins the other N-1 workers.
@@ -48,7 +65,11 @@
 // Determinism: for a fixed shard count and seed, runs are bit-identical
 // across repeats regardless of thread scheduling — channel drain order is
 // erased by the (when, src_shard, seq) sort, and per-channel seqs are
-// assigned in each sender's (deterministic) program order. At shards=1 the
+// assigned in each sender's (deterministic) program order. Where a window
+// ends is part of the run: a message enters its destination's engine when
+// the window it was sent in closes, so moving a window's end (a different
+// lookahead or output bound) can reorder events that tie on the same
+// nanosecond, though every event still runs at its own time. At shards=1 the
 // engine degenerates to the wrapped Simulator run inline on the calling
 // thread, with no announcement, channel or extra thread: the one-host
 // experiments (src/apps/experiments.h) run that way by default.
@@ -62,6 +83,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -75,8 +97,9 @@ namespace syrup {
 struct ShardedSimConfig {
   // Number of shards (engines/threads). 1 = inline single-engine execution.
   int shards = 1;
-  // Minimum sender-clock-to-delivery latency for Post(); also the window
-  // width. Model it on the smallest cross-shard link/PCIe latency.
+  // Minimum sender-clock-to-delivery latency for Post() from a shard without
+  // an output bound (SetOutputBound), and the window width such a shard
+  // allows. Model it on the smallest cross-shard link/PCIe latency.
   Duration lookahead = 2 * kMicrosecond;
   // Pin worker thread i to CPU (i mod hardware_concurrency). Shard 0 runs
   // on the calling thread, whose affinity is left alone.
@@ -154,11 +177,21 @@ class ShardedSim {
   Duration lookahead() const { return config_.lookahead; }
   Simulator& shard(int i) { return shards_[static_cast<size_t>(i)]->sim; }
 
+  // Registers shard `shard`'s output bound. `bound()` returns the earliest
+  // `when` that any later Post from that shard can carry, whatever arrives
+  // at the shard; Simulator::kNoEventTime means it never posts again. It is
+  // called on the shard's own thread once per round, just before the shard
+  // announces, and must exceed the window start T (checked). Register
+  // before or between Run* calls; an empty function removes the bound.
+  void SetOutputBound(int shard, std::function<Time()> bound);
+
   // Schedules `fn` on shard `dst` at absolute time `when`, from shard `src`.
   // Must be called on src's worker thread (i.e. from inside an event running
   // on shard src) or before/between Run* calls from the driving thread.
-  // `when` must be >= shard(src).Now() + lookahead; deliveries to the owning
-  // shard (src == dst) are exempt and schedule directly.
+  // Inside a window, `when` must be >= the output bound src announced for
+  // it; otherwise (no bound, or between Run* calls) >= shard(src).Now() +
+  // lookahead. Deliveries to the owning shard (src == dst) are exempt and
+  // schedule directly.
   template <typename F>
   void Post(int src, int dst, Time when, F&& fn) {
     SYRUP_CHECK_GE(src, 0);
@@ -169,9 +202,14 @@ class ShardedSim {
       shard(src).ScheduleAt(when, std::forward<F>(fn));
       return;
     }
-    SYRUP_CHECK_GE(when, shard(src).Now() + config_.lookahead)
-        << "cross-shard delivery inside the lookahead window";
     ShardState& st = *shards_[static_cast<size_t>(src)];
+    if (st.post_floor.has_value()) {
+      SYRUP_CHECK_GE(when, *st.post_floor)
+          << "cross-shard delivery before the sender's announced output bound";
+    } else {
+      SYRUP_CHECK_GE(when, shard(src).Now() + config_.lookahead)
+          << "cross-shard delivery inside the lookahead window";
+    }
     ShardChannel& ch = channel(src, dst);
     ShardMessage msg{when, static_cast<uint32_t>(src), ch.next_seq(),
                      st.epoch.load(std::memory_order_relaxed),
@@ -220,14 +258,21 @@ class ShardedSim {
     Simulator sim;
     std::vector<ShardMessage> staging;  // drained, not yet scheduled
     Time outbound_min = Simulator::kNoEventTime;  // since last announcement
+    std::function<Time()> output_bound;  // SetOutputBound; empty = none
+    // The bound announced for the window this shard is running; Post checks
+    // sends against it. Empty between Run* calls and without a bound.
+    std::optional<Time> post_floor;
     uint64_t messages_posted = 0;
     uint64_t rounds = 0;
     uint64_t dispatched = 0;
     uint64_t channel_full_waits = 0;
     // The only state peers read, alone on its cache line: announcement k
-    // goes to announced[k & 1] before epoch is release-stored to k.
+    // goes to announced[k & 1] and announced_bound[k & 1] before epoch is
+    // release-stored to k. `bounded` is fixed for the length of a Run* call.
     alignas(64) std::atomic<uint64_t> epoch{0};
     Time announced[2] = {0, 0};
+    Time announced_bound[2] = {0, 0};
+    bool bounded = false;
   };
 
   ShardChannel& channel(int src, int dst) {

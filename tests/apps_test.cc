@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "src/apps/loadgen.h"
 #include "src/apps/mica_server.h"
@@ -110,6 +114,88 @@ TEST_F(LoadGenTest, DeterministicAcrossRuns) {
     counts[run] = gen.sent();
   }
   EXPECT_EQ(counts[0], counts[1]);
+}
+
+// One emitted request: when it left the generator, its flow and its bytes.
+struct Emission {
+  Time when;
+  FiveTuple tuple;
+  std::array<uint8_t, kWireSize> wire;
+  bool operator==(const Emission&) const = default;
+};
+
+TEST(LoadGenLookAhead, LookingAheadLeavesTheStreamUnchanged) {
+  LoadGenConfig config;
+  config.rate_rps = 100'000;
+  config.seed = 7;
+  constexpr Time kUntil = 20 * kMillisecond;
+  const std::vector<std::function<bool(const Packet&)>> preds = {
+      [](const Packet&) { return true; },
+      [](const Packet& pkt) { return pkt.tuple.Hash() % 1000 < 50; },
+      [](const Packet&) { return false; },  // always runs into the depth cap
+  };
+
+  Simulator plain_sim;
+  std::vector<Emission> plain;
+  LoadGenerator plain_gen(
+      plain_sim,
+      [&](Packet pkt) {
+        plain.push_back({plain_sim.Now(), pkt.tuple, pkt.wire});
+      },
+      config);
+  plain_gen.Start(kUntil);
+  plain_sim.RunToCompletion();
+
+  // The same stream, asked at every emission for its next arrival under a
+  // rotating predicate: query i is made right after emission i.
+  Simulator sim;
+  std::vector<Emission> emitted;
+  std::vector<Time> bounds;
+  LoadGenerator* gen_ptr = nullptr;
+  LoadGenerator gen(
+      sim,
+      [&](Packet pkt) {
+        emitted.push_back({sim.Now(), pkt.tuple, pkt.wire});
+        bounds.push_back(gen_ptr->NextArrivalWhere(
+            preds[(emitted.size() - 1) % preds.size()]));
+      },
+      config);
+  gen_ptr = &gen;
+  gen.Start(kUntil);
+  sim.RunToCompletion();
+
+  ASSERT_GT(plain.size(), 1000u);
+  EXPECT_EQ(emitted, plain);
+
+  // Each answer is exact: the first later match within the depth cap, the
+  // last arrival drawn when the cap runs out first, none past the end.
+  const size_t n = emitted.size();
+  std::vector<Time> last(preds.size(), 0);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t p = i % preds.size();
+    Packet probe;
+    Time expected = emitted[std::min(i + LoadGenerator::kMaxLookAhead,
+                                     n - 1)].when;
+    for (size_t k = 1; k <= LoadGenerator::kMaxLookAhead; ++k) {
+      if (i + k >= n) {
+        expected = Simulator::kNoEventTime;
+        break;
+      }
+      probe.tuple = emitted[i + k].tuple;
+      if (preds[p](probe)) {
+        expected = emitted[i + k].when;
+        break;
+      }
+    }
+    SCOPED_TRACE(i);
+    EXPECT_EQ(bounds[i], expected);
+    EXPECT_GE(bounds[i], last[p]);  // a predicate's bound never decreases
+    last[p] = bounds[i];
+  }
+  EXPECT_EQ(bounds.back(), Simulator::kNoEventTime);
+  for (const auto& pred : preds) {
+    EXPECT_EQ(gen.NextArrivalWhere(pred), Simulator::kNoEventTime);
+  }
 }
 
 // --- RocksDbServer -----------------------------------------------------------------

@@ -73,7 +73,103 @@ TEST(EngineDifferential, Fig9MicaSyrupSwMatchesReferenceDigest) {
 //
 // The pinned digests above run at the default shards=1. For a fixed shard
 // count > 1, a run must be bit-deterministic across repeats — the
-// (when, src_shard, seq) drain order erases any physical thread timing.
+// (when, src_shard, seq) drain order erases any physical thread timing —
+// and must not depend on where the sync windows end. The digests below
+// were recorded with every window ending at T + lookahead, before shards
+// announced output bounds; windows now end just before the next promised
+// east-west send, so a staged message and a local event at the same
+// nanosecond would change order if staging were not window-invariant.
+
+RocksDbExperimentConfig ShardedRocksDbConfig(int shards) {
+  RocksDbExperimentConfig config = SmallRocksDbConfig();
+  config.sharding.sim.shards = shards;
+  return config;
+}
+
+MicaExperimentConfig ShardedMicaConfig(int shards) {
+  MicaExperimentConfig config = SmallMicaConfig();
+  config.sharding.sim.shards = shards;
+  return config;
+}
+
+TEST(ShardedDifferential, Fig2TwoShardsMatchesParentDigest) {
+  const RocksDbResult r = RunRocksDbExperiment(ShardedRocksDbConfig(2));
+  EXPECT_EQ(r.load_rps, 0x1.d4cp+16);
+  EXPECT_EQ(r.throughput_rps, 0x1.d74ap+16);
+  EXPECT_EQ(r.p50_us, 0x1.a9f7ced916873p+4);
+  EXPECT_EQ(r.p99_us, 0x1.78d2f1a9fbe77p+5);
+  EXPECT_EQ(r.p99_get_us, 0x1.580e560418937p+5);
+  EXPECT_EQ(r.p99_scan_us, 0x1.6ed0c49ba5e35p+9);
+  EXPECT_EQ(r.drop_fraction, 0.0);
+  EXPECT_EQ(r.get_throughput_rps, 0x1.d4c5p+16);
+  EXPECT_EQ(r.scan_throughput_rps, 0x1.428p+9);
+}
+
+TEST(ShardedDifferential, Fig2FourShardsMatchesParentDigest) {
+  const RocksDbResult r = RunRocksDbExperiment(ShardedRocksDbConfig(4));
+  EXPECT_EQ(r.load_rps, 0x1.d4cp+17);
+  EXPECT_EQ(r.throughput_rps, 0x1.d5178p+17);
+  EXPECT_EQ(r.p50_us, 0x1.a9f7ced916873p+4);
+  EXPECT_EQ(r.p99_us, 0x1.70a1cac083127p+5);
+  EXPECT_EQ(r.p99_get_us, 0x1.580e560418937p+5);
+  EXPECT_EQ(r.p99_scan_us, 0x1.6ebba5e353f7dp+9);
+  EXPECT_EQ(r.drop_fraction, 0.0);
+  EXPECT_EQ(r.get_throughput_rps, 0x1.d29c8p+17);
+  EXPECT_EQ(r.scan_throughput_rps, 0x1.3d8p+10);
+}
+
+TEST(ShardedDifferential, Fig2FourShardsNoCrossTrafficMatchesParentDigest) {
+  // No east-west sends: every shard promises never to post, so each Run*
+  // call is one window.
+  RocksDbExperimentConfig config = ShardedRocksDbConfig(4);
+  config.sharding.cross_traffic = 0;
+  const RocksDbResult r = RunRocksDbExperiment(config);
+  EXPECT_EQ(r.load_rps, 0x1.d4cp+17);
+  EXPECT_EQ(r.throughput_rps, 0x1.d5178p+17);
+  EXPECT_EQ(r.p50_us, 0x1.a9f7ced916873p+4);
+  EXPECT_EQ(r.p99_us, 0x1.70a1cac083127p+5);
+  EXPECT_EQ(r.p99_get_us, 0x1.47ac083126e98p+5);
+  EXPECT_EQ(r.p99_scan_us, 0x1.6e9c8b439581p+9);
+  EXPECT_EQ(r.drop_fraction, 0.0);
+  EXPECT_EQ(r.get_throughput_rps, 0x1.d29c8p+17);
+  EXPECT_EQ(r.scan_throughput_rps, 0x1.3d8p+10);
+  EXPECT_EQ(r.sim_stats.messages, 0u);
+  EXPECT_EQ(r.sim_stats.rounds, 2u);
+}
+
+TEST(ShardedDifferential, Fig9TwoShardsMatchesParentDigest) {
+  const MicaResult r = RunMicaExperiment(ShardedMicaConfig(2));
+  EXPECT_EQ(r.load_rps, 0x1.86ap+19);
+  EXPECT_EQ(r.throughput_rps, 0x1.86578p+19);
+  EXPECT_EQ(r.p50_us, 0x1.0e51eb851eb85p+4);
+  EXPECT_EQ(r.p999_us, 0x1.b228f5c28f5c3p+4);
+  EXPECT_EQ(r.drop_fraction, 0.0);
+  EXPECT_EQ(r.redirected, 139983u);
+}
+
+TEST(ShardedDifferential, Fig9FourShardsMatchesParentDigest) {
+  const MicaResult r = RunMicaExperiment(ShardedMicaConfig(4));
+  EXPECT_EQ(r.load_rps, 0x1.86ap+20);
+  EXPECT_EQ(r.throughput_rps, 0x1.87b67p+20);
+  EXPECT_EQ(r.p50_us, 0x1.0e51eb851eb85p+4);
+  EXPECT_EQ(r.p999_us, 0x1.b228f5c28f5c3p+4);
+  EXPECT_EQ(r.drop_fraction, 0.0);
+  EXPECT_EQ(r.redirected, 280906u);
+}
+
+TEST(ShardedDifferential, Fig2TwoShardsSyncsRarely) {
+  // Only ~4% of requests go east-west, and each shard promises when its
+  // next one leaves, so the shards sync about once per east-west packet.
+  // Windows of one lookahead took 1.83 rounds per offered request here.
+  // Counts repeat exactly, so this bound is immune to host speed.
+  const RocksDbExperimentConfig config = ShardedRocksDbConfig(2);
+  const RocksDbResult r = RunRocksDbExperiment(config);
+  const double offered =
+      r.load_rps * ToSeconds(config.warmup + config.measure);
+  EXPECT_GT(r.sim_stats.messages, 0u);
+  EXPECT_LT(static_cast<double>(r.sim_stats.rounds) / offered, 0.1)
+      << r.sim_stats.rounds << " rounds for " << offered << " requests";
+}
 
 void ExpectSameRocksDb(const RocksDbResult& a, const RocksDbResult& b) {
   EXPECT_EQ(a.load_rps, b.load_rps);

@@ -7,6 +7,7 @@
 // cross-thread access here must be genuinely race-free, not just lucky.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <span>
@@ -162,19 +163,28 @@ struct PingPongConfig {
   // Every event on shard 0 busy-waits this long, so the other shards run
   // ahead and post into a window while shard 0 is still draining the last.
   std::chrono::microseconds shard0_busy{0};
+  // Register each shard's true output bound: its next chain step's time
+  // plus the lookahead (see ChainStepTimes).
+  bool output_bounds = false;
 };
 
 struct PingPongState {
   PingPongState(ShardedSim& sim, const PingPongConfig& pp)
-      : sharded(sim), config(pp), traces(static_cast<size_t>(pp.shards)) {}
+      : sharded(sim),
+        config(pp),
+        traces(static_cast<size_t>(pp.shards)),
+        steps_run(static_cast<size_t>(pp.shards), 0) {}
   ShardedSim& sharded;
   PingPongConfig config;
   std::vector<std::vector<TraceEntry>> traces;  // traces[s]: shard s only
+  // Posting chain steps run so far; steps_run[s] is shard s's only.
+  std::vector<size_t> steps_run;
   ShardedSim::Stats stats;
 };
 
 constexpr uint64_t kChainsPerShard = 8;
 constexpr uint64_t kStepsPerChain = 200;
+constexpr Duration kPingPongLookahead = 100;
 
 uint64_t Lcg(uint64_t x) {
   return x * 6364136223846793005ull + 1442695040888963407ull;
@@ -209,6 +219,34 @@ void Log(PingPongState& state, int s, uint64_t tag) {
       {state.sharded.shard(s).Now(), tag});
 }
 
+// The sends of one chain step on shard s at time `now`: 0-3 leaves, each
+// to a random shard, then the continuation to (s+1) % shards. A pure
+// function of its arguments, so a chain's whole timeline is known upfront.
+struct StepPlan {
+  int leaves = 0;
+  Time leaf_when[3] = {};
+  int leaf_dst[3] = {};
+  Time next_when = 0;
+};
+
+StepPlan PlanStep(int shards, int s, uint64_t chain, uint64_t step,
+                  Time now) {
+  StepPlan plan;
+  const Time base = now + kPingPongLookahead;
+  uint64_t x = Lcg(step ^ (static_cast<uint64_t>(s) << 20) ^ (chain << 40));
+  auto next_when = [&x, base] {
+    x = Lcg(x);
+    return base + ((x >> 40) % 8) * 8;
+  };
+  plan.leaves = static_cast<int>((x >> 33) % 4);
+  for (int m = 0; m < plan.leaves; ++m) {
+    plan.leaf_when[m] = next_when();
+    plan.leaf_dst[m] = static_cast<int>((x >> 20) % shards);
+  }
+  plan.next_when = next_when();
+  return plan;
+}
+
 // One hop of a self-continuing chain moving shard -> (shard+1) % N. Each
 // step logs, then posts its continuation plus 0-3 "leaf" messages (log
 // only) to random shards, its own included. Delivery times sit on an 8 ns
@@ -222,16 +260,12 @@ void PingPongStep(PingPongState& state, int s, uint64_t chain,
   if (step >= kStepsPerChain) {
     return;
   }
-  const Time base = sharded.shard(s).Now() + sharded.lookahead();
-  uint64_t x = Lcg(step ^ (static_cast<uint64_t>(s) << 20) ^ (chain << 40));
-  auto next_when = [&x, base] {
-    x = Lcg(x);
-    return base + ((x >> 40) % 8) * 8;
-  };
-  const int leaves = static_cast<int>((x >> 33) % 4);
-  for (int m = 0; m < leaves; ++m) {
-    const Time when = next_when();
-    const int dst = static_cast<int>((x >> 20) % sharded.shards());
+  state.steps_run[static_cast<size_t>(s)] += 1;
+  const StepPlan plan =
+      PlanStep(sharded.shards(), s, chain, step, sharded.shard(s).Now());
+  for (int m = 0; m < plan.leaves; ++m) {
+    const Time when = plan.leaf_when[m];
+    const int dst = plan.leaf_dst[m];
     const uint64_t tag = 1ull << 63 | chain << 32 | step << 2 |
                          static_cast<uint64_t>(m);
     sharded.Post(s, dst, when, [&state, dst, tag, when] {
@@ -240,9 +274,31 @@ void PingPongStep(PingPongState& state, int s, uint64_t chain,
     });
   }
   const int dst = (s + 1) % sharded.shards();
-  sharded.Post(s, dst, next_when(), [&state, dst, chain, step] {
+  sharded.Post(s, dst, plan.next_when, [&state, dst, chain, step] {
     PingPongStep(state, dst, chain, step + 1);
   });
+}
+
+// Every posting chain step each shard will run, by time: the leaves are
+// the only other events and never post.
+std::vector<std::vector<Time>> ChainStepTimes(int shards) {
+  std::vector<std::vector<Time>> times(static_cast<size_t>(shards));
+  for (int s0 = 0; s0 < shards; ++s0) {
+    for (uint64_t c = 0; c < kChainsPerShard; ++c) {
+      const uint64_t chain = static_cast<uint64_t>(s0) * kChainsPerShard + c;
+      Time now = static_cast<Time>(chain + 1);
+      int s = s0;
+      for (uint64_t step = 0; step < kStepsPerChain; ++step) {
+        times[static_cast<size_t>(s)].push_back(now);
+        now = PlanStep(shards, s, chain, step, now).next_when;
+        s = (s + 1) % shards;
+      }
+    }
+  }
+  for (std::vector<Time>& t : times) {
+    std::sort(t.begin(), t.end());
+  }
+  return times;
 }
 
 // Runs kChainsPerShard chains from every shard, first to a horizon and then
@@ -250,11 +306,24 @@ void PingPongStep(PingPongState& state, int s, uint64_t chain,
 PingPongState RunPingPong(const PingPongConfig& pp) {
   ShardedSimConfig config;
   config.shards = pp.shards;
-  config.lookahead = 100;
+  config.lookahead = kPingPongLookahead;
   config.channel_capacity = pp.channel_capacity;
   ShardedSim sharded(config);
   PingPongState state(sharded, pp);
+  const std::vector<std::vector<Time>> step_times =
+      pp.output_bounds ? ChainStepTimes(pp.shards)
+                       : std::vector<std::vector<Time>>();
   for (int s = 0; s < pp.shards; ++s) {
+    if (pp.output_bounds) {
+      // A shard's steps run in time order, so its next one is the first it
+      // has not run; every send it makes is >= a step time + lookahead.
+      sharded.SetOutputBound(s, [&state, &step_times, s] {
+        const std::vector<Time>& times = step_times[static_cast<size_t>(s)];
+        const size_t next = state.steps_run[static_cast<size_t>(s)];
+        return next < times.size() ? times[next] + kPingPongLookahead
+                                   : Simulator::kNoEventTime;
+      });
+    }
     for (uint64_t c = 0; c < kChainsPerShard; ++c) {
       const uint64_t chain = static_cast<uint64_t>(s) * kChainsPerShard + c;
       sharded.shard(s).ScheduleAt(static_cast<Time>(chain + 1),
@@ -336,6 +405,111 @@ TEST(ShardedSim, SkewedShardTimingDoesNotChangeResults) {
       EXPECT_EQ(skewed.traces[s], even.traces[s]);
     }
   }
+}
+
+// Each shard's trace sorted by (time, tag): what ran when, whatever the
+// order of events that tie on one nanosecond.
+std::vector<std::vector<TraceEntry>> SortedTraces(const PingPongState& state) {
+  std::vector<std::vector<TraceEntry>> sorted = state.traces;
+  for (std::vector<TraceEntry>& trace : sorted) {
+    std::sort(trace.begin(), trace.end());
+  }
+  return sorted;
+}
+
+TEST(ShardedSim, TruthfulOutputBoundsRunTheSameEventsInFewerRounds) {
+  // True bounds stretch each window to just before the next promised send,
+  // so the shards sync less often. Every event must still run at its own
+  // time on its own shard. Only events that tie on one nanosecond may enter
+  // the engine in another order: a message is filed when the window it was
+  // sent in closes, and the 8 ns grid makes such ties common here. (The
+  // experiment digests in engine_differential_test pin that they do not
+  // occur on the fig2/fig9 configs.) A bounded run is still bit-identical
+  // from one run to the next.
+  for (int shards : {2, 3, 4}) {
+    SCOPED_TRACE(shards);
+    const PingPongState plain = RunPingPong({.shards = shards});
+    const PingPongState bounded =
+        RunPingPong({.shards = shards, .output_bounds = true});
+    const PingPongState again =
+        RunPingPong({.shards = shards, .output_bounds = true});
+    EXPECT_LT(bounded.stats.rounds, plain.stats.rounds);
+    EXPECT_EQ(bounded.stats.messages, plain.stats.messages);
+    EXPECT_EQ(SortedTraces(bounded), SortedTraces(plain));
+    EXPECT_EQ(again.stats.rounds, bounded.stats.rounds);
+    EXPECT_EQ(TraceHash(again), TraceHash(bounded));
+  }
+}
+
+TEST(ShardedSim, NeverPostingShardsRunOneWindowPerCall) {
+  ShardedSimConfig config;
+  config.shards = 2;
+  config.lookahead = 100;
+  ShardedSim sharded(config);
+  // Each log is written by its shard's thread only; the joins inside Run*
+  // order the writes before the reads below.
+  std::vector<Time> ran[2];
+  auto log = [&sharded, &ran](int s) {
+    return [&sharded, &ran, s] { ran[s].push_back(sharded.shard(s).Now()); };
+  };
+  for (int s = 0; s < 2; ++s) {
+    sharded.SetOutputBound(s, [] { return Simulator::kNoEventTime; });
+    for (Time t : {Time{10}, Time{500}, Time{2000}, Time{4990}}) {
+      sharded.shard(s).ScheduleAt(t + static_cast<Time>(s), log(s));
+    }
+  }
+  EXPECT_EQ(sharded.RunUntil(5000), 8u);
+  EXPECT_EQ(sharded.stats().rounds, 1u);  // 4 windows of 100 ns without
+  EXPECT_EQ(ran[0], (std::vector<Time>{10, 500, 2000, 4990}));
+  EXPECT_EQ(ran[1], (std::vector<Time>{11, 501, 2001, 4991}));
+  EXPECT_EQ(sharded.shard(0).Now(), Time{5000});
+  EXPECT_EQ(sharded.shard(1).Now(), Time{5000});
+
+  // Between Run* calls Post checks only now + lookahead, whatever the bound.
+  sharded.Post(0, 1, sharded.shard(0).Now() + sharded.lookahead(), log(1));
+  sharded.shard(0).ScheduleAt(7000, log(0));
+  EXPECT_EQ(sharded.RunToCompletion(), 2u);
+  EXPECT_EQ(sharded.stats().rounds, 2u);
+  EXPECT_EQ(ran[0].back(), Time{7000});
+  EXPECT_EQ(ran[1].back(), Time{5100});
+  // An unbounded window still leaves each clock at its last event.
+  EXPECT_EQ(sharded.shard(0).Now(), Time{7000});
+  EXPECT_EQ(sharded.shard(1).Now(), Time{5100});
+}
+
+TEST(ShardedSimDeathTest, PostBelowTheAnnouncedOutputBoundDies) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ShardedSimConfig config;
+        config.shards = 2;
+        config.lookahead = 100;
+        ShardedSim sharded(config);
+        // Shard 0 promises no send before 1000, then sends at 110.
+        sharded.SetOutputBound(0, [] { return Time{1000}; });
+        sharded.shard(0).ScheduleAt(10, [&sharded] {
+          sharded.Post(0, 1, sharded.shard(0).Now() + sharded.lookahead(),
+                       [] {});
+        });
+        sharded.RunUntil(5000);
+      },
+      "before the sender's announced output bound");
+}
+
+TEST(ShardedSimDeathTest, OutputBoundAtTheWindowStartDies) {
+  // A bound at or below T would end the window before it starts, and no
+  // shard could ever make progress.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ShardedSimConfig config;
+        config.shards = 2;
+        ShardedSim sharded(config);
+        sharded.SetOutputBound(1, [] { return Time{10}; });
+        sharded.shard(0).ScheduleAt(10, [] {});
+        sharded.RunUntil(5000);
+      },
+      "output bound does not exceed the window start");
 }
 
 // --- Registry shard cells ---------------------------------------------------
