@@ -3,6 +3,7 @@
 
   python3 bench/ab.py --workload fig2_rr_sharded2 --pairs 10 [--seconds 20]
                       [--seed N] [--metric wall_ns_per_req]
+  python3 bench/ab.py --workload fig8_ghost --trace [--seconds 5] [--seed N]
   python3 bench/ab.py --bench sim_parallel --args="--quick --out {out}" \\
                       --metric scenarios.cross_heavy.speedup_4 --better higher
 
@@ -16,7 +17,14 @@ the same source reuses it and its build.
 --workload W runs `python3 bench/e2e/run.py --workload W --seconds S
 --trace 0` in each tree and reads every end-to-end metric of BENCHMARK.json
 from its last line; a run that is not correct or fails requests is an
-error. --bench NAME runs the tree's build/bench/NAME with --args (write
+error. --workload W --trace instead runs one `run.py --trace 1` per side and
+prints every per-layer metric side by side, to show where a change's
+saving lands. A count (events, decisions, messages, map operations per
+request, ...) is deterministic per seed, so any count that differs is
+flagged; timings (units in ns or us, and trace.overhead_ratio) only show
+their relative change.
+
+--bench NAME runs the tree's build/bench/NAME with --args (write
 --args="..." when the value starts with a dash), where {out} names a fresh
 JSON file the metric (a dotted key path) is read from; without {out} the
 metric is the run's wall time in seconds.
@@ -159,6 +167,57 @@ def run_once(tree, args, scratch):
     return {args.metric: lookup(json.loads(out.read_text()), args.metric)}
 
 
+def run_traced(tree, args, scratch):
+    """One traced run of one side: {metric: (value, unit)}, every metric
+    the run reports."""
+    out = scratch / f"{tree.name}-trace.json"
+    cmd = [sys.executable, str(tree / "bench/e2e/run.py"), "--workload",
+           args.workload, "--seconds", str(args.seconds), "--trace", "1",
+           "--out", str(out)]
+    if args.seed is not None:
+        cmd += ["--seed", str(args.seed)]
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"{' '.join(cmd)} printed nothing")
+    contract = json.loads(lines[-1])
+    if not contract["correct"] or contract["failed"] != 0:
+        raise RuntimeError(f"{tree.name}: run not correct: {lines[-1]}")
+    doc = json.loads(out.read_text())
+    return {name: (m["value"], m["unit"])
+            for name, m in doc["metrics"].items()}
+
+
+def is_timing(name, unit):
+    return unit == "us" or unit.startswith("ns") or name.endswith(
+        "overhead_ratio")
+
+
+def report_trace(traced):
+    """Prints the two sides' per-layer metrics; returns how many counts
+    differ."""
+    base, change = traced["base"], traced["change"]
+    differ = 0
+    print(f"  {'metric':<40} {'base':>14} {'change':>14}  {'delta':>8}")
+    for name in list(base) + [n for n in change if n not in base]:
+        if name not in base or name not in change:
+            side = "base" if name in base else "change"
+            print(f"  {name:<40} only in {side}  COUNT DIFFERS")
+            differ += 1
+            continue
+        (b, unit), (c, _) = base[name], change[name]
+        rel = "=" if c == b else f"{(c - b) / b:+.1%}" if b else "new"
+        note = ""
+        if is_timing(name, unit):
+            note = "  (timing)"
+        elif c != b:
+            note = "  COUNT DIFFERS"
+            differ += 1
+        print(f"  {name:<40} {b:>14.6f} {c:>14.6f}  {rel:>8}  "
+              f"{unit}{note}")
+    return differ
+
+
 def quartiles(values):
     if len(values) < 2:
         return values[0], values[0]
@@ -210,11 +269,16 @@ def main():
     parser.add_argument("--args", default="", help="--bench arguments")
     parser.add_argument("--metric", help="metric the verdict is about")
     parser.add_argument("--better", choices=["lower", "higher"])
+    parser.add_argument("--trace", action="store_true",
+                        help="compare one traced run per side, layer by "
+                             "layer, instead of timed pairs")
     parser.add_argument("--workdir", type=Path)
     parser.add_argument("--out", type=Path, help="write every run as JSON")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    if args.trace and not args.workload:
+        parser.error("--trace needs --workload")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     bounds = {m["name"]: m for m in bench["end_to_end"]}
@@ -241,8 +305,11 @@ def main():
     try:
         trees = {"base": prepare("base", args.base, workdir, args),
                  "change": prepare("change", args.change, workdir, args)}
+        if args.trace:
+            traced = {side: run_traced(trees[side], args, scratch)
+                      for side in SIDES}
         runs = []
-        for i in range(args.pairs):
+        for i in range(0 if args.trace else args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {}
             for side in order:
@@ -261,8 +328,18 @@ def main():
             shutil.rmtree(workdir, ignore_errors=True)
 
     what = args.workload or args.bench
+    change = args.change or "working tree"
+    if args.trace:
+        print(f"\n{what}: one traced run per side, base {args.base}, "
+              f"change {change}")
+        differ = report_trace(traced)
+        print(f"  {differ} count(s) differ")
+        if args.out:
+            args.out.write_text(json.dumps({"what": what, "traced": traced},
+                                           indent=1) + "\n")
+        return 0
     print(f"\n{what}: {args.pairs} pairs, base {args.base}, change "
-          f"{args.change or 'working tree'}")
+          f"{change}")
     verdicts = []
     metrics = sorted(runs[0]["base"], key=lambda m: m != args.metric)
     for metric in metrics:

@@ -802,20 +802,19 @@ class Verifier {
       report_->facts.visited = visited_pc_;
       report_->facts.edges = edges_;
       // Purity summary: only packet programs have a flow key to memoize
-      // under; thread classifiers are invoked per scheduling event, not
-      // per packet, and stay uncacheable.
+      // under; a pure thread classifier is memoized per agent pass instead
+      // and stays flow-uncacheable.
+      report_->facts.pure = pure_;
       report_->facts.cacheable =
-          cacheable_ && context_ == ProgramContext::kPacket;
+          pure_ && pkt_keyable_ && context_ == ProgramContext::kPacket;
       report_->facts.pkt_read_mask = pkt_read_mask_;
       report_->facts.read_maps.assign(read_maps_.begin(), read_maps_.end());
       report_->facts.write_maps.assign(write_maps_.begin(), write_maps_.end());
       report_->facts.atomic_maps.assign(atomic_maps_.begin(),
                                         atomic_maps_.end());
-      if (context_ == ProgramContext::kPacket) {
-        for (const auto& [pc, reason] : cache_blockers_) {
-          report_->facts.cache_blockers.push_back(
-              CacheBlocker{static_cast<uint32_t>(pc), reason});
-        }
+      for (const auto& [pc, reason] : cache_blockers_) {
+        report_->facts.cache_blockers.push_back(
+            CacheBlocker{static_cast<uint32_t>(pc), reason});
       }
       EmitWarnings();
     }
@@ -1219,7 +1218,7 @@ class Verifier {
   // cannot be keyed, so they make the program uncacheable instead.
   void NotePacketRead(size_t pc, int64_t lo, int64_t last) {
     if (last > AnalysisFacts::kMaxTrackedPktBytes) {
-      cacheable_ = false;
+      pkt_keyable_ = false;
       NoteCacheBlocker(pc,
                        "packet read reaches byte " + std::to_string(last) +
                            ", past the " +
@@ -1306,7 +1305,7 @@ class Verifier {
           // In-place map mutation (stores or atomics through the value
           // pointer) makes the program observable-state-changing: the
           // flow-decision cache must never skip running it.
-          cacheable_ = false;
+          pure_ = false;
           write_maps_.insert(ptr.map_index);
           if (is_atomic) {
             atomic_maps_.insert(ptr.map_index);
@@ -1731,23 +1730,23 @@ class Verifier {
       case HelperId::kMapLookupBatch:  // pure read, like a single lookup
         break;
       case HelperId::kMapUpdateElem:
-        cacheable_ = false;
+        pure_ = false;
         NoteCacheBlocker(pc, "map_update_elem (map write)");
         break;
       case HelperId::kMapDeleteElem:
-        cacheable_ = false;
+        pure_ = false;
         NoteCacheBlocker(pc, "map_delete_elem (map write)");
         break;
       case HelperId::kGetPrandomU32:
-        cacheable_ = false;
+        pure_ = false;
         NoteCacheBlocker(pc, "get_prandom_u32 (nondeterministic result)");
         break;
       case HelperId::kKtimeGetNs:
-        cacheable_ = false;
+        pure_ = false;
         NoteCacheBlocker(pc, "ktime_get_ns (time-dependent result)");
         break;
       case HelperId::kTailCall:
-        cacheable_ = false;
+        pure_ = false;
         has_tail_call_ = true;
         NoteCacheBlocker(pc, "tail_call (target program outside this "
                              "analysis)");
@@ -1987,7 +1986,8 @@ class Verifier {
   // Purity / read-set / side-effect summary accumulated across every
   // explored path (soundness wants the union over all paths, so plain
   // member state that only ever grows is exactly right).
-  bool cacheable_ = true;
+  bool pure_ = true;
+  bool pkt_keyable_ = true;  // every packet read inside the flow-key window
   uint64_t pkt_read_mask_ = 0;
   std::set<int32_t> read_maps_;
   std::set<int32_t> write_maps_;

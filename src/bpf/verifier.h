@@ -86,11 +86,14 @@ struct VerifierStats {
 // rewritten to an unconditional jump (or dropped). Both vectors are sized
 // to the program; `edges` is meaningful for conditional jumps only.
 //
-// The purity summary feeds the flow-decision cache (docs/DESIGN.md): a
-// packet program is `cacheable` iff its result is a pure function of the
-// packet bytes it reads plus the current contents of the maps it reads —
-// no map writes/deletes, no randomness, no clock reads, no tail calls,
-// and every packet read at a statically bounded offset below 64 bytes.
+// The purity summary feeds two memos. A program is `pure` iff its result
+// is a function of its arguments (the packet bytes it reads, or the tid)
+// plus the current contents of the maps it reads: no map writes/deletes,
+// no randomness, no clock reads, no tail calls. The ghOSt agent classifies
+// each thread once per pass with a pure thread program (DESIGN.md "ghOSt
+// agent"). A packet program is `cacheable` by the flow-decision cache iff
+// it is pure and every packet read sits at a statically bounded offset
+// below 64 bytes.
 // `pkt_read_mask` (bit i set = packet byte i may be read on some path)
 // plus the packet length then form an exact memoization key, and
 // `read_maps` names the program map indices whose version stamps must be
@@ -102,7 +105,7 @@ struct VerifierStats {
 // purity check, the deployment interference analysis) must consult the
 // write sets explicitly.
 //
-// One reason a packet program cannot be memoized per flow, anchored to the
+// One reason a program's decision cannot be memoized, anchored to the
 // instruction that introduced the impurity.
 struct CacheBlocker {
   uint32_t pc = 0;
@@ -119,8 +122,9 @@ struct AnalysisFacts {
   std::vector<uint8_t> visited;  // reached on some verified path
   std::vector<uint8_t> edges;    // OR of feasible edges per cond jump
 
-  // --- purity / read-set summary (flow-decision cache) -------------------
-  bool cacheable = false;          // decision memoizable per flow key
+  // --- purity / read-set summary (flow cache, agent memo) ----------------
+  bool pure = false;               // no side effects, no hidden inputs
+  bool cacheable = false;          // packet decision memoizable per flow key
   uint64_t pkt_read_mask = 0;      // bit i: packet byte i may be read
   std::vector<int32_t> read_maps;  // program map indices read via lookup
 
@@ -131,8 +135,10 @@ struct AnalysisFacts {
   // stamps). Sorted, deduplicated, may overlap read_maps.
   std::vector<int32_t> write_maps;
   std::vector<int32_t> atomic_maps;
-  // Why this program is not flow-cacheable (empty when cacheable, or when
-  // the cause is context-level — thread programs are never cached).
+  // Why this program's decision cannot be memoized: every impurity, in
+  // either context, plus packet reads past the flow-key window. Empty when
+  // cacheable (packet) or pure (thread); `cacheable` is false for every
+  // thread program whatever this holds, since a thread has no flow key.
   std::vector<CacheBlocker> cache_blockers;
 
   // --- cost summary (post-acceptance WCET pass, see cost_model.h) --------

@@ -21,6 +21,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/bpf/compiler.h"
 #include "src/bpf/interpreter.h"
@@ -151,17 +152,24 @@ class BytecodePacketPolicy : public PacketPolicy {
 // runnable thread of the smallest class and preempts whenever a runnable
 // thread's class is strictly smaller than the running thread's — with a
 // two-class map this is exactly GetPriorityGhostPolicy.
+//
+// `pure` is the verifier's AnalysisFacts::pure. A pure classifier's class
+// for a tid cannot change within one agent pass (GhostPolicy::BeginPass),
+// so it runs at most once per thread per pass; an impure one runs on every
+// query.
 class BytecodeGhostPolicy : public GhostPolicy {
  public:
   BytecodeGhostPolicy(
       std::shared_ptr<const bpf::Program> program, bpf::ExecEnv env,
       PolicyMetrics metrics = PolicyMetrics::Detached(),
-      std::shared_ptr<const bpf::CompiledProgram> compiled = nullptr)
+      std::shared_ptr<const bpf::CompiledProgram> compiled = nullptr,
+      bool pure = false)
       : program_(std::move(program)),
         compiled_(std::move(compiled)),
         interp_(env),
         exec_(std::move(env)),
-        metrics_(std::move(metrics)) {}
+        metrics_(std::move(metrics)),
+        memoize_(pure) {}
 
   int PickThread(int /*core*/,
                  const std::vector<GhostThreadInfo>& runnable) override {
@@ -185,12 +193,19 @@ class BytecodeGhostPolicy : public GhostPolicy {
     return ClassOf(candidate.tid) < ClassOf(running_tid);
   }
 
+  void BeginPass() override { ++pass_; }
+
   std::string_view name() const { return program_->name; }
 
-  // Runs the classifier for one thread. Faults degrade to class 1 (the
-  // "urgent" default for unclassified threads), mirroring the native
-  // policy's missing-map-entry behavior.
+  // Classifies one thread. Faults degrade to class 1 (the "urgent" default
+  // for unclassified threads), mirroring the native policy's missing-map-
+  // entry behavior, and are never memoized. Before the first BeginPass
+  // nothing is memoized either.
   uint64_t ClassOf(int tid) {
+    ClassMemo* memo = MemoFor(tid);
+    if (memo != nullptr && memo->pass == pass_) {
+      return memo->klass;
+    }
     const auto arg1 = static_cast<uint64_t>(static_cast<uint32_t>(tid));
     auto result = compiled_ != nullptr
                       ? exec_.Run(*compiled_, arg1, 0,
@@ -204,6 +219,9 @@ class BytecodeGhostPolicy : public GhostPolicy {
     metrics_.invocations->Inc();
     metrics_.insns->Inc(result->insns_executed);
     metrics_.helper_calls->Inc(result->helper_calls);
+    if (memo != nullptr) {
+      *memo = ClassMemo{pass_, result->r0};
+    }
     return result->r0;
   }
 
@@ -213,11 +231,32 @@ class BytecodeGhostPolicy : public GhostPolicy {
   }
 
  private:
+  struct ClassMemo {
+    uint64_t pass = 0;  // pass the class was computed in; 0 = never
+    uint64_t klass = 0;
+  };
+  // Machine tids are dense from 1; a larger tid is classified unmemoized.
+  static constexpr int kMaxMemoTid = 1 << 16;
+
+  ClassMemo* MemoFor(int tid) {
+    if (!memoize_ || pass_ == 0 || tid < 0 || tid >= kMaxMemoTid) {
+      return nullptr;
+    }
+    const auto slot = static_cast<size_t>(tid);
+    if (slot >= memo_.size()) {
+      memo_.resize(slot + 1);
+    }
+    return &memo_[slot];
+  }
+
   std::shared_ptr<const bpf::Program> program_;
   std::shared_ptr<const bpf::CompiledProgram> compiled_;
   bpf::Interpreter interp_;
   bpf::CompiledExecutor exec_;
   PolicyMetrics metrics_;
+  bool memoize_ = false;
+  uint64_t pass_ = 0;
+  std::vector<ClassMemo> memo_;  // indexed by tid
 };
 
 }  // namespace syrup

@@ -526,14 +526,19 @@ Status Syrupd::DeployThreadPolicy(AppId app, GhostPolicy* policy,
   if (policy == nullptr) {
     return InvalidArgumentError("null thread policy");
   }
-  if (ghost_ != nullptr) {
-    return AlreadyExistsError("machine already has a thread policy (app " +
-                              std::to_string(ghost_owner_) + ")");
-  }
+  SYRUP_RETURN_IF_ERROR(CheckThreadHookFree());
   ghost_ = std::make_unique<GhostScheduler>(machine, *policy, config);
   ghost_->BindMetrics(metrics_, apps_.at(app).name);
   ghost_owner_ = app;
   machine.SetScheduler(ghost_.get());
+  return OkStatus();
+}
+
+Status Syrupd::CheckThreadHookFree() const {
+  if (ghost_ != nullptr) {
+    return AlreadyExistsError("machine already has a thread policy (app " +
+                              std::to_string(ghost_owner_) + ")");
+  }
   return OkStatus();
 }
 
@@ -544,6 +549,9 @@ StatusOr<int> Syrupd::DeployThreadPolicyFile(AppId app,
   if (apps_.find(app) == apps_.end()) {
     return NotFoundError("unknown app");
   }
+  // Rejected before any work that leaves a trace: pinned maps, a prog id,
+  // or the live deployment's verifier and cost gauges.
+  SYRUP_RETURN_IF_ERROR(CheckThreadHookFree());
   SYRUP_ASSIGN_OR_RETURN(bpf::AssembledProgram assembled,
                          bpf::Assemble(policy_source));
   if (assembled.context != bpf::ProgramContext::kThread) {
@@ -589,7 +597,8 @@ StatusOr<int> Syrupd::DeployThreadPolicyFile(AppId app,
 
   auto policy = std::make_shared<BytecodeGhostPolicy>(
       program, MakeExecEnv(),
-      PolicyMetrics::InRegistry(metrics_, app_name, hook_name), compiled);
+      PolicyMetrics::InRegistry(metrics_, app_name, hook_name), compiled,
+      vfacts.pure);
   SYRUP_RETURN_IF_ERROR(
       DeployThreadPolicy(app, policy.get(), machine, config));
   owned_thread_policy_ = std::move(policy);
@@ -1108,10 +1117,16 @@ DeploymentAnalysis Syrupd::AnalyzeDeployments() const {
     if (reasons.empty()) {
       continue;
     }
-    std::string detail = rec.label + " is not flow-cacheable: " + reasons;
-    out.findings.push_back(
-        InterferenceFinding{InterferenceFinding::Level::kInfo,
-                            "uncacheable", "", std::move(detail)});
+    // A pure thread classifier is memoized per agent pass instead; an
+    // impure one pays a VM run on every agent query.
+    std::string detail =
+        rec.label +
+        (rec.packet ? " is not flow-cacheable: "
+                    : " runs its classifier on every agent query: ") +
+        reasons;
+    out.findings.push_back(InterferenceFinding{
+        InterferenceFinding::Level::kInfo,
+        rec.packet ? "uncacheable" : "unmemoized", "", std::move(detail)});
   }
   std::stable_sort(out.findings.begin(), out.findings.end(),
                    [](const InterferenceFinding& a,

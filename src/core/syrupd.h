@@ -98,12 +98,14 @@ struct MapInterferenceRow {
 // is an error (unsynchronized last-writer-wins across trust domains);
 // dead-telemetry / stale-input are warnings (userspace readers and writers
 // are invisible to this analysis, so either may be intentional);
-// per-program flow-cache blockers (purity or cost) are informational.
+// per-program memo blockers are informational: a packet program's
+// flow-cache blockers (purity or cost), or a thread program's impurities,
+// which make the agent re-run it on every query.
 struct InterferenceFinding {
   enum class Level { kError, kWarning, kInfo };
   Level level = Level::kInfo;
   std::string category;  // write-write | dead-telemetry | stale-input |
-                         // uncacheable
+                         // uncacheable | unmemoized
   std::string map;       // subject map; "" for per-program findings
   std::string detail;
 };
@@ -156,6 +158,8 @@ class Syrupd {
   // assembly; the program classifies threads by priority class, see
   // BytecodeGhostPolicy). Assembles, resolves maps, verifies, compiles per
   // the active exec mode, then starts the ghOSt agent. Returns the prog id.
+  // A machine that already has a thread policy is refused with
+  // ALREADY_EXISTS before any of that work.
   StatusOr<int> DeployThreadPolicyFile(AppId app,
                                        std::string_view policy_source,
                                        Machine& machine,
@@ -427,6 +431,8 @@ class Syrupd {
                      FlowDecisionCache& cache);
   StatusOr<std::vector<std::shared_ptr<Map>>> ResolveMapSlots(
       AppId app, const std::vector<bpf::MapSlot>& slots);
+  // ALREADY_EXISTS once a thread policy runs: one ghOSt agent per machine.
+  Status CheckThreadHookFree() const;
 
   // Per-map runtime gauge row: registered once per distinct map on
   // MapCreate/MapOpen, refreshed from Map::RuntimeStats() on every

@@ -17,6 +17,7 @@ GhostScheduler::GhostScheduler(Machine& machine, GhostPolicy& policy,
       commits_(std::make_shared<obs::Counter>()),
       runnable_depth_(std::make_shared<obs::Gauge>()) {
   SYRUP_CHECK_GE(machine.num_cores(), config_.num_managed_cores);
+  committed_cores_.resize(static_cast<size_t>(config_.num_managed_cores));
 }
 
 void GhostScheduler::BindMetrics(obs::MetricsRegistry& registry,
@@ -83,11 +84,10 @@ void GhostScheduler::ScheduleAgentRun() {
 void GhostScheduler::AgentRun() {
   agent_run_pending_ = false;
 
-  // Drain the channel, updating the agent's runnable view.
+  // Drain the channel, updating the agent's runnable view. Nothing posts
+  // while the agent drains, so the vector is read in place and cleared.
   Duration agent_work = 0;
-  while (!channel_.empty()) {
-    const GhostMsg msg = channel_.front();
-    channel_.pop_front();
+  for (const GhostMsg& msg : channel_) {
     messages_processed_->value += 1;
     agent_work += config_.per_message_cost;
     switch (msg.type) {
@@ -108,6 +108,7 @@ void GhostScheduler::AgentRun() {
         break;  // core occupancy is read directly from the machine below
     }
   }
+  channel_.clear();
 
   runnable_depth_->Set(static_cast<int64_t>(runnable_.size()));
 
@@ -120,12 +121,14 @@ void GhostScheduler::AgentRun() {
 }
 
 void GhostScheduler::CommitPlacements() {
+  policy_.BeginPass();
   // Place runnable threads on idle managed cores per the policy.
   for (int core = 0; core < config_.num_managed_cores; ++core) {
     if (runnable_.empty()) {
       break;
     }
-    if (machine_.CurrentOn(core) != nullptr || committed_cores_.count(core)) {
+    if (machine_.CurrentOn(core) != nullptr ||
+        committed_cores_[static_cast<size_t>(core)] != 0) {
       continue;
     }
     const int tid = policy_.PickThread(core, runnable_);
@@ -135,26 +138,23 @@ void GhostScheduler::CommitPlacements() {
     auto it = std::find_if(
         runnable_.begin(), runnable_.end(),
         [&](const GhostThreadInfo& info) { return info.tid == tid; });
-    if (it == runnable_.end() || committed_tids_.count(tid)) {
+    if (it == runnable_.end() || TidCommitted(tid)) {
       continue;  // policy picked a stale tid; skip
     }
     runnable_.erase(it);
-    committed_cores_.insert(core);
-    committed_tids_.insert(tid);
+    committed_cores_[static_cast<size_t>(core)] = 1;
+    if (static_cast<size_t>(tid) >= committed_tids_.size()) {
+      committed_tids_.resize(static_cast<size_t>(tid) + 1);
+    }
+    committed_tids_[static_cast<size_t>(tid)] = 1;
     ++commits_->value;
     runnable_depth_->Set(static_cast<int64_t>(runnable_.size()));
     SYRUP_TRACE(machine_.sim().Now(), "ghost",
                 "commit tid=" << tid << " core=" << core);
     machine_.sim().ScheduleAfter(config_.commit_delay, [this, core, tid]() {
-      committed_cores_.erase(core);
-      committed_tids_.erase(tid);
-      Thread* thread = nullptr;
-      for (const auto& t : machine_.threads()) {
-        if (t->tid() == tid) {
-          thread = t.get();
-          break;
-        }
-      }
+      committed_cores_[static_cast<size_t>(core)] = 0;
+      committed_tids_[static_cast<size_t>(tid)] = 0;
+      Thread* thread = machine_.FindThread(tid);
       SYRUP_CHECK_NE(thread, nullptr);
       if (thread->state() != Thread::State::kRunnable ||
           machine_.CurrentOn(core) != nullptr) {
@@ -172,11 +172,11 @@ void GhostScheduler::CommitPlacements() {
 
   // No core free: consult the policy about preemption for waiting threads.
   for (const GhostThreadInfo& waiter : runnable_) {
-    if (committed_tids_.count(waiter.tid)) {
+    if (TidCommitted(waiter.tid)) {
       continue;
     }
     for (int core = 0; core < config_.num_managed_cores; ++core) {
-      if (committed_cores_.count(core)) {
+      if (committed_cores_[static_cast<size_t>(core)] != 0) {
         continue;
       }
       Thread* current = machine_.CurrentOn(core);
@@ -189,8 +189,12 @@ void GhostScheduler::CommitPlacements() {
                     "preempt core=" << core << " victim=" << current->tid()
                                     << " for=" << waiter.tid);
         // Preempt synchronously; the victim's wakeup + the idle core
-        // messages drive a fresh agent pass that places the waiter.
+        // messages drive a fresh agent pass that places the waiter. A
+        // preemption on a segment boundary runs the application's
+        // segment-done callback, which may reclassify threads: the rest of
+        // this pass decides on a fresh view.
         machine_.Preempt(core);
+        policy_.BeginPass();
         break;
       }
     }

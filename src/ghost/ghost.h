@@ -12,9 +12,7 @@
 #define SYRUP_SRC_GHOST_GHOST_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <set>
 #include <string_view>
 #include <vector>
 
@@ -64,6 +62,13 @@ class GhostPolicy {
     (void)running_tid;
     return false;
   }
+
+  // The agent opens a decision pass: at the start of every placement pass,
+  // and again right after each synchronous preemption, whose segment-done
+  // callback may rewrite the maps a policy reads. Until the next call no
+  // other code runs, so a policy may reuse what it derived from those maps
+  // (DESIGN.md "ghOSt agent"). Default: nothing to reuse.
+  virtual void BeginPass() {}
 };
 
 struct GhostConfig {
@@ -101,18 +106,23 @@ class GhostScheduler : public Scheduler {
   void ScheduleAgentRun();
   void AgentRun();
   void CommitPlacements();
+  bool TidCommitted(int tid) const {
+    return static_cast<size_t>(tid) < committed_tids_.size() &&
+           committed_tids_[static_cast<size_t>(tid)] != 0;
+  }
 
   Machine& machine_;
   GhostPolicy& policy_;
   GhostConfig config_;
 
-  std::deque<GhostMsg> channel_;
+  std::vector<GhostMsg> channel_;  // drained whole by each agent run
   bool agent_run_pending_ = false;
 
-  // Agent-local view.
-  std::vector<GhostThreadInfo> runnable_;    // wake order
-  std::set<int> committed_cores_;            // placement in flight
-  std::set<int> committed_tids_;
+  // Agent-local view. A placement is in flight from its commit until the
+  // transaction lands; the flags are indexed by core and by tid.
+  std::vector<GhostThreadInfo> runnable_;  // wake order
+  std::vector<uint8_t> committed_cores_;
+  std::vector<uint8_t> committed_tids_;
 
   std::shared_ptr<obs::Counter> messages_processed_;
   std::shared_ptr<obs::Counter> preemptions_;

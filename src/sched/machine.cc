@@ -10,8 +10,9 @@ Machine::Machine(Simulator& sim, int num_cores) : sim_(sim) {
 }
 
 Thread* Machine::CreateThread(std::string name) {
+  const int tid = static_cast<int>(threads_.size()) + 1;
   threads_.push_back(
-      std::unique_ptr<Thread>(new Thread(next_tid_++, std::move(name))));
+      std::unique_ptr<Thread>(new Thread(tid, std::move(name))));
   return threads_.back().get();
 }
 

@@ -103,8 +103,12 @@ class Machine {
   int num_cores() const { return static_cast<int>(cores_.size()); }
 
   Thread* CreateThread(std::string name);
-  const std::vector<std::unique_ptr<Thread>>& threads() const {
-    return threads_;
+  // The thread with `tid`, or nullptr. Tids are dense from 1 in creation
+  // order, so this is an index.
+  Thread* FindThread(int tid) const {
+    const auto index = static_cast<size_t>(tid) - 1;
+    return tid > 0 && index < threads_.size() ? threads_[index].get()
+                                               : nullptr;
   }
 
   // --- Application-side API ----------------------------------------------
@@ -153,7 +157,6 @@ class Machine {
   Scheduler* scheduler_ = nullptr;
   std::vector<Core> cores_;
   std::vector<std::unique_ptr<Thread>> threads_;
-  int next_tid_ = 1;
   bool in_block_ = false;  // reentrancy guard for Block-from-callback
 };
 

@@ -19,6 +19,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/bpf/assembler.h"
@@ -226,6 +227,52 @@ TEST(CostModelTest, WriteAndAtomicSetsNameTheMutatedMaps) {
     EXPECT_TRUE(facts.atomic_maps.empty());
     EXPECT_TRUE(facts.cacheable);
     EXPECT_TRUE(facts.cache_blockers.empty());
+  }
+}
+
+TEST(CostModelTest, PurityIsAFactInBothContexts) {
+  // The GET-priority classifier only reads its map: pure, which is what
+  // lets the ghOSt agent memoize it per pass, yet never flow-cacheable,
+  // since a thread has no flow key.
+  {
+    const Program prog =
+        BuildProgram(GetPriorityThreadPolicyAsm("/syrup/test/types"));
+    AnalysisFacts facts;
+    ASSERT_TRUE(
+        Verify(prog, ProgramContext::kThread, {}, nullptr, &facts).ok());
+    EXPECT_TRUE(facts.pure);
+    EXPECT_FALSE(facts.cacheable);
+    EXPECT_TRUE(facts.cache_blockers.empty());
+  }
+  // A thread classifier that draws randomness keeps its blocker.
+  {
+    const Program prog = BuildProgram(R"(
+.name coin
+.ctx thread
+  call get_prandom_u32
+  and r0, 1
+  exit
+)");
+    AnalysisFacts facts;
+    ASSERT_TRUE(
+        Verify(prog, ProgramContext::kThread, {}, nullptr, &facts).ok());
+    EXPECT_FALSE(facts.pure);
+    EXPECT_FALSE(facts.cacheable);
+    ASSERT_EQ(facts.cache_blockers.size(), 1u);
+    EXPECT_EQ(facts.cache_blockers[0].pc, 0u);
+    EXPECT_EQ(facts.cache_blockers[0].reason,
+              "get_prandom_u32 (nondeterministic result)");
+  }
+  // Packet programs: cacheable implies pure; a store is neither.
+  for (const auto& [source, pure] :
+       {std::pair{MicaHomePolicyAsm(4), true},
+        std::pair{RoundRobinPolicyAsm(4), false}}) {
+    const Program prog = BuildProgram(source);
+    AnalysisFacts facts;
+    ASSERT_TRUE(
+        Verify(prog, ProgramContext::kPacket, {}, nullptr, &facts).ok());
+    EXPECT_EQ(facts.pure, pure) << prog.name;
+    EXPECT_EQ(facts.cacheable, pure) << prog.name;
   }
 }
 

@@ -1,12 +1,16 @@
 // Pinned experiment digests: the fig2/fig9 experiment pipelines must keep
 // reproducing, bit for bit, the results recorded under the original heap
 // engine (tests/oracles/reference_simulator.h), which the timing wheel
-// matched exactly. Determinism is contractual (same seed => same
+// matched exactly; the fig8 ones, the results recorded before the ghOSt
+// agent memoized thread classes. Determinism is contractual (same seed => same
 // execution), so every numeric result — throughputs, latency percentiles,
 // drop fractions — is compared exactly, as a hex float. `stats_json` is
 // deliberately excluded: it embeds wall-clock compile-time gauges that
 // differ between any two runs.
 #include <gtest/gtest.h>
+
+#include <regex>
+#include <string>
 
 #include "src/apps/experiments.h"
 
@@ -217,6 +221,95 @@ TEST(ShardedDifferential, Fig9MicaFourShardsRepeatable) {
     const MicaResult second = RunMicaExperiment(config);
     SCOPED_TRACE(seed);
     ExpectSameMica(first, second);
+  }
+}
+
+// --- ghOSt (Fig. 8) ----------------------------------------------------------
+//
+// The cross-layer pipeline: SCAN Avoid at Socket Select plus the bytecode
+// GET-priority classifier driving the ghOSt agent. The digests were
+// recorded before the agent memoized classes per pass, so they pin that
+// the memo changes no decision.
+
+RocksDbExperimentConfig SmallFig8Config(uint64_t seed) {
+  RocksDbExperimentConfig config;
+  config.socket_policy = SocketPolicyKind::kScanAvoid;
+  config.thread_sched = ThreadSchedKind::kGhostGetPriority;
+  config.use_bytecode = true;
+  config.get_fraction = 0.5;
+  config.num_threads = 36;
+  config.num_cores = 6;
+  config.load_rps = 10'000;
+  config.warmup = 100 * kMillisecond;
+  config.measure = 1 * kSecond;
+  config.seed = seed;
+  return config;
+}
+
+TEST(GhostDifferential, Fig8BothSeed4MatchesParentDigest) {
+  const RocksDbResult r = RunRocksDbExperiment(SmallFig8Config(4));
+  EXPECT_EQ(r.load_rps, 10'000.0);
+  EXPECT_EQ(r.throughput_rps, 0x1.383p+13);
+  EXPECT_EQ(r.p50_us, 0x1.68728f5c28f5cp+9);
+  EXPECT_EQ(r.p99_us, 0x1.cac072b020c4ap+10);
+  EXPECT_EQ(r.p99_get_us, 0x1.020a3d70a3d71p+5);
+  EXPECT_EQ(r.p99_scan_us, 0x1.0e55fbe76c8b4p+11);
+  EXPECT_EQ(r.drop_fraction, 0.0);
+  EXPECT_EQ(r.get_throughput_rps, 0x1.378p+12);
+  EXPECT_EQ(r.scan_throughput_rps, 0x1.38ep+12);
+}
+
+TEST(GhostDifferential, Fig8BothSeed7MatchesParentDigest) {
+  const RocksDbResult r = RunRocksDbExperiment(SmallFig8Config(7));
+  EXPECT_EQ(r.load_rps, 10'000.0);
+  EXPECT_EQ(r.throughput_rps, 0x1.3f2p+13);
+  EXPECT_EQ(r.p50_us, 0x1.68728f5c28f5cp+9);
+  EXPECT_EQ(r.p99_us, 0x1.b22cfdf3b645ap+10);
+  EXPECT_EQ(r.p99_get_us, 0x1.020a3d70a3d71p+5);
+  EXPECT_EQ(r.p99_scan_us, 0x1.fbe75c28f5c29p+10);
+  EXPECT_EQ(r.drop_fraction, 0.0);
+  EXPECT_EQ(r.get_throughput_rps, 0x1.3b3p+12);
+  EXPECT_EQ(r.scan_throughput_rps, 0x1.431p+12);
+}
+
+// Thread-hook classifier runs (policy.invocations under thread_scheduler)
+// per offered request. The agent asks about the same waiter and the same
+// running thread on every (waiter, core) pair of its preemption scan; a
+// pure classifier answers each thread once per pass. Before the memo this
+// config read ~22 runs per request. Counts repeat exactly, so the bound is
+// immune to host speed.
+TEST(GhostDifferential, Fig8ClassifiesEachThreadOncePerPass) {
+  const RocksDbExperimentConfig config = SmallFig8Config(4);
+  const RocksDbResult r = RunRocksDbExperiment(config);
+  std::smatch match;
+  ASSERT_TRUE(std::regex_search(
+      r.stats_json, match,
+      std::regex(R"("thread_scheduler":\{[\s\S]*?"policy\.invocations":)"
+                 R"(\{\s*"type":\s*"counter",\s*"value":\s*(\d+))")))
+      << r.stats_json;
+  const double invocations = std::stod(match[1].str());
+  const double offered =
+      config.load_rps * ToSeconds(config.warmup + config.measure);
+  EXPECT_LT(invocations / offered, 10.0)
+      << invocations << " classifier runs for " << offered << " requests";
+}
+
+// With vanilla socket select the only Syrup policy is the thread
+// classifier, so the bytecode GET-priority program must reproduce its
+// native mirror, GetPriorityGhostPolicy, bit for bit on every tier.
+TEST(GhostDifferential, BytecodeGetPriorityMatchesNativeOnEveryTier) {
+  RocksDbExperimentConfig config = SmallFig8Config(3);
+  config.socket_policy = SocketPolicyKind::kVanilla;
+  config.use_bytecode = false;
+  const RocksDbResult native = RunRocksDbExperiment(config);
+  EXPECT_GT(native.scan_throughput_rps, 0.0);
+  config.use_bytecode = true;
+  for (bpf::ExecMode mode :
+       {bpf::ExecMode::kInterpret, bpf::ExecMode::kCompiled,
+        bpf::ExecMode::kNative}) {
+    config.exec_mode = mode;
+    SCOPED_TRACE(bpf::ExecModeName(mode));
+    ExpectSameRocksDb(RunRocksDbExperiment(config), native);
   }
 }
 

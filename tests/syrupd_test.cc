@@ -10,6 +10,7 @@
 #include "src/core/syrupd.h"
 #include "src/net/stack.h"
 #include "src/policies/builtin.h"
+#include "src/sched/machine.h"
 #include "src/sim/simulator.h"
 
 namespace syrup {
@@ -162,6 +163,46 @@ TEST_F(SyrupdTest, ThreadHookRejectsPolicyFiles) {
   EXPECT_FALSE(
       client.syr_deploy_policy("mov r0, 0\nexit\n", Hook::kThreadScheduler)
           .ok());
+}
+
+// A machine runs one thread policy. A second deploy is refused before it
+// pins maps, spends a prog id or publishes verifier and cost gauges over
+// the live deployment's.
+TEST_F(SyrupdTest, RejectedThreadDeployLeavesNoTrace) {
+  auto app = syrupd_.RegisterApp("a", 1000, 9000).value();
+  MapSpec spec;
+  spec.type = MapType::kHash;
+  spec.max_entries = 16;
+  spec.name = "types";
+  ASSERT_TRUE(syrupd_.registry()
+                  .Pin("/syrup/a/types", CreateMap(spec).value(), 1000)
+                  .ok());
+  Machine machine(sim_, 2);
+  GhostConfig config;
+  config.num_managed_cores = 1;
+  const StatusOr<int> first = syrupd_.DeployThreadPolicyFile(
+      app, GetPriorityThreadPolicyAsm("/syrup/a/types"), machine, config);
+  ASSERT_TRUE(first.ok()) << first.status();
+  const std::string stats = syrupd_.StatsSnapshot().ToJson();
+  const std::string analysis = syrupd_.AnalyzeDeployments().ToJson();
+
+  // Cheaper than the first and with a map of its own: verifying, pricing
+  // or resolving it would each change the snapshot.
+  const StatusOr<int> second = syrupd_.DeployThreadPolicyFile(app, R"(
+.name constant_class
+.ctx thread
+.map scratch hash 4 8 4
+  mov r0, 2
+  exit
+)", machine, config);
+  EXPECT_EQ(second.status().code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(syrupd_.StatsSnapshot().ToJson(), stats);
+  EXPECT_EQ(syrupd_.AnalyzeDeployments().ToJson(), analysis);
+  EXPECT_EQ(syrupd_
+                .DeployPolicyFile(app, RoundRobinPolicyAsm(4),
+                                  Hook::kSocketSelect)
+                .value(),
+            *first + 1);  // no prog id spent on the rejected deploy
 }
 
 TEST_F(SyrupdTest, UnknownAppRejected) {
@@ -938,6 +979,56 @@ TEST_F(SyrupdTest, AnalyzeDeploymentsExplainsTheCostGate) {
                             "exceed the 50.0 ns flow-cache probe"),
             std::string::npos)
       << details[0];
+}
+
+// A thread classifier has no flow key, so analyze reports whether the
+// ghOSt agent can memoize it per pass instead, never flow-cacheability.
+TEST_F(SyrupdTest, AnalyzeDeploymentsNamesUnmemoizedThreadClassifier) {
+  auto memo_findings = [](const Syrupd& syrupd) {
+    std::vector<InterferenceFinding> out;
+    for (const InterferenceFinding& f : syrupd.AnalyzeDeployments().findings) {
+      if (f.category == "unmemoized" || f.category == "uncacheable") {
+        out.push_back(f);
+      }
+    }
+    return out;
+  };
+  GhostConfig config;
+  config.num_managed_cores = 1;
+
+  auto app = syrupd_.RegisterApp("a", 1000, 9000).value();
+  Machine machine(sim_, 2);
+  ASSERT_TRUE(syrupd_
+                  .DeployThreadPolicyFile(app, R"(
+.name coin_class
+.ctx thread
+  call get_prandom_u32
+  and r0, 1
+  add r0, 1
+  exit
+)", machine, config)
+                  .ok());
+  const std::vector<InterferenceFinding> impure = memo_findings(syrupd_);
+  ASSERT_EQ(impure.size(), 1u);
+  EXPECT_EQ(impure[0].category, "unmemoized");
+  EXPECT_EQ(impure[0].level, InterferenceFinding::Level::kInfo);
+  EXPECT_EQ(impure[0].detail,
+            "a/thread_scheduler/coin_class runs its classifier on every "
+            "agent query: insn 0: get_prandom_u32 (nondeterministic "
+            "result)");
+
+  Syrupd pure_daemon(sim_, nullptr);
+  auto pure_app = pure_daemon.RegisterApp("b", 1000, 9000).value();
+  Machine pure_machine(sim_, 2);
+  ASSERT_TRUE(pure_daemon
+                  .DeployThreadPolicyFile(pure_app, R"(
+.name constant_class
+.ctx thread
+  mov r0, 1
+  exit
+)", pure_machine, config)
+                  .ok());
+  EXPECT_TRUE(memo_findings(pure_daemon).empty());
 }
 
 }  // namespace
