@@ -2,10 +2,10 @@
 //
 // The simulation hot path uses native C++ policies; real deployments run
 // verified bytecode. This ablation (a) confirms the C++ mirror and every
-// bytecode tier (interpret, compiled, compiled-paranoid, native machine
-// code) produce identical *simulation results*, and (b) quantifies the
-// per-decision execution cost gap and how much of it the compiled and
-// native-JIT tiers recover.
+// bytecode tier (interpret, compiled, native machine code) produce
+// identical *simulation results*, and (b) quantifies the per-decision
+// execution cost gap and how much of it the compiled and native-JIT tiers
+// recover.
 //
 //   --quick  single policy / single load / short windows (CI smoke run)
 #include <chrono>
@@ -48,11 +48,11 @@ void Run(bool quick) {
   const Duration measure = quick ? 150 * kMillisecond : 600 * kMillisecond;
   std::printf("# Ablation: native policy mirrors vs verified bytecode via "
               "syrupd (Fig. 6 workload)%s\n", quick ? " [--quick]" : "");
-  std::printf("%-12s %9s | %11s %11s | %11s %11s | %7s %7s %7s %7s | %9s "
+  std::printf("%-12s %9s | %11s %11s | %11s %11s | %7s %7s %7s | %9s "
               "%9s %5s\n",
               "policy", "load_rps", "native_p99", "bcode_p99", "native_tput",
-              "bcode_tput", "interp", "compld", "parand", "jit",
-              "cmp_recov", "jit_recov", "ident");
+              "bcode_tput", "interp", "compld", "jit", "cmp_recov",
+              "jit_recov", "ident");
   bool all_identical = true;
   const auto policies =
       quick ? std::vector<SocketPolicyKind>{SocketPolicyKind::kRoundRobin}
@@ -69,9 +69,6 @@ void Run(bool quick) {
                                     bpf::ExecMode::kInterpret, load, measure);
       const Timed compiled = RunTimed(policy, /*bytecode=*/true,
                                       bpf::ExecMode::kCompiled, load, measure);
-      const Timed paranoid =
-          RunTimed(policy, /*bytecode=*/true,
-                   bpf::ExecMode::kCompiledParanoid, load, measure);
       const Timed jit = RunTimed(policy, /*bytecode=*/true,
                                  bpf::ExecMode::kNative, load, measure);
 
@@ -81,8 +78,6 @@ void Run(bool quick) {
       const double interp_slow = interp.wall_seconds / native.wall_seconds;
       const double compiled_slow =
           compiled.wall_seconds / native.wall_seconds;
-      const double paranoid_slow =
-          paranoid.wall_seconds / native.wall_seconds;
       const double jit_slow = jit.wall_seconds / native.wall_seconds;
       const double gap = interp.wall_seconds - native.wall_seconds;
       const double recovered =
@@ -93,26 +88,25 @@ void Run(bool quick) {
       // Same seed, same decisions: every bytecode tier must land on the
       // same simulated outcome to the bit.
       const bool identical = SameResults(interp.result, compiled.result) &&
-                             SameResults(compiled.result, paranoid.result) &&
                              SameResults(compiled.result, jit.result);
       all_identical = all_identical && identical;
 
       std::printf("%-12s %9.0f | %11.1f %11.1f | %11.0f %11.0f | %6.2fx "
-                  "%6.2fx %6.2fx %6.2fx | %8.0f%% %8.0f%% %5s\n",
+                  "%6.2fx %6.2fx | %8.0f%% %8.0f%% %5s\n",
                   std::string(SocketPolicyName(policy)).c_str(), load,
                   native.result.p99_us, compiled.result.p99_us,
                   native.result.throughput_rps,
                   compiled.result.throughput_rps, interp_slow, compiled_slow,
-                  paranoid_slow, jit_slow, recovered * 100,
-                  jit_recovered * 100, identical ? "yes" : "NO");
+                  jit_slow, recovered * 100, jit_recovered * 100,
+                  identical ? "yes" : "NO");
     }
   }
   std::printf(
-      "# interp/compld/parand/jit: simulation wall-clock vs the native "
-      "mirror per execution tier.\n"
+      "# interp/compld/jit: simulation wall-clock vs the native mirror per "
+      "execution tier.\n"
       "# cmp_recov/jit_recov: share of the interpreter-vs-native cost gap "
       "the compiled / machine-code tier closes.\n"
-      "# ident: all four bytecode tiers produced bit-identical results.\n");
+      "# ident: all three bytecode tiers produced bit-identical results.\n");
   if (!all_identical) {
     std::printf("# FAILURE: execution tiers disagreed on simulation "
                 "results\n");

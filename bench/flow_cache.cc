@@ -327,8 +327,8 @@ ScenarioResult RunScenario(Hook hook, const std::string& policy_asm,
   r.tier = bpf::EffectiveExecMode(syrupd.CompiledById(id));
   r.gate = syrupd.StatsSnapshot().GaugeValue("bench", HookName(hook),
                                              "policy.cacheable") == 1;
-  r.priced_ns = syrupd.FactsById(id)->cost.wcet_ns[static_cast<size_t>(
-      bpf::CostTierOf(r.tier))];
+  r.priced_ns =
+      syrupd.FactsById(id)->cost.wcet_ns[static_cast<size_t>(r.tier)];
 
   SteerHook& cached_fn = HookFn(cached_h.stack, hook);
   SteerHook& uncached_fn = HookFn(uncached_h.stack, hook);

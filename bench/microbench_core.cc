@@ -76,26 +76,6 @@ void BM_CompiledSitaDecision(benchmark::State& state) {
 }
 BENCHMARK(BM_CompiledSitaDecision);
 
-void BM_CompiledParanoidSitaDecision(benchmark::State& state) {
-  // Same pre-decoded dispatch, runtime memory re-validation retained:
-  // isolates check elision from decode elimination.
-  bpf::Program prog = LoadProgram(SitaPolicyAsm(6));
-  bpf::CompileOptions options;
-  options.paranoid = true;
-  bpf::CompiledProgram compiled =
-      bpf::Compile(prog, bpf::ProgramContext::kPacket, options).value();
-  bpf::CompiledExecutor exec{bpf::ExecEnv{}};
-  const Packet pkt = BenchPacket();
-  for (auto _ : state) {
-    auto result =
-        exec.Run(compiled, reinterpret_cast<uint64_t>(pkt.wire.data()),
-                 reinterpret_cast<uint64_t>(pkt.wire.data() + kWireSize),
-                 true);
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_CompiledParanoidSitaDecision);
-
 void BM_CompileSita(benchmark::State& state) {
   // Attach-time translation cost (paid once per deploy, cached by id).
   bpf::Program prog = LoadProgram(SitaPolicyAsm(6));

@@ -1,10 +1,10 @@
 // Per-decision policy execution cost, by tier, machine-readable.
 //
-// Runs each builtin socket policy through the four bytecode execution tiers
-// (interpret, compiled, compiled-paranoid, native machine code) and the
-// trusted C++ mirror ("cpp"), then writes `BENCH_policy_exec.json`
-// (mode -> ns/decision per policy) so the perf trajectory is tracked across
-// PRs. Human-readable numbers go to stdout.
+// Runs each builtin socket policy through the three bytecode execution tiers
+// (interpret, compiled, native machine code) and the trusted C++ mirror
+// ("cpp"), then writes `BENCH_policy_exec.json` (mode -> ns/decision per
+// policy) so the perf trajectory is tracked across PRs. Human-readable
+// numbers go to stdout.
 //
 // Gates (exit 1 on failure):
 //   * --baseline <file>: each policy's compiled and native ns/decision may
@@ -161,19 +161,14 @@ int Run(bool quick, const char* out_path, const char* baseline_path) {
 
   std::printf("# policy_exec: per-decision cost by execution tier (%s)\n",
               quick ? "quick" : "full");
-  std::printf("%-12s %10s %10s %10s %10s %10s\n", "policy", "interpret",
-              "compiled", "paranoid", "native", "cpp");
+  std::printf("%-12s %10s %10s %10s %10s\n", "policy", "interpret",
+              "compiled", "native", "cpp");
   for (const auto& put : policies) {
     bpf::Program prog = LoadProgram(put.asm_source);
     bpf::Interpreter interp(BenchEnv());
     bpf::CompiledExecutor exec(BenchEnv());
     bpf::CompiledProgram compiled =
         bpf::Compile(prog, bpf::ProgramContext::kPacket).value();
-    bpf::CompileOptions paranoid_options;
-    paranoid_options.paranoid = true;
-    bpf::CompiledProgram paranoid =
-        bpf::Compile(prog, bpf::ProgramContext::kPacket, paranoid_options)
-            .value();
     // The native tier: same artifact with machine code attached. On an
     // unsupported host the JIT refuses and the column degrades to the
     // compiled tier, exactly like a syrupd deployment.
@@ -204,14 +199,13 @@ int Run(bool quick, const char* out_path, const char* baseline_path) {
           .r0;
     });
     row["compiled"] = run_tier(compiled);
-    row["compiled-paranoid"] = run_tier(paranoid);
     row["native"] = run_tier(native);
     row["cpp"] = MeasureNs(workload, iters, [&](const Packet& pkt) {
       return put.cpp->Schedule(PacketView::Of(pkt));
     });
-    std::printf("%-12s %9.1f %9.1f %9.1f %9.1f %9.1f   (ns/decision)\n",
-                put.name, row["interpret"], row["compiled"],
-                row["compiled-paranoid"], row["native"], row["cpp"]);
+    std::printf("%-12s %9.1f %9.1f %9.1f %9.1f   (ns/decision)\n",
+                put.name, row["interpret"], row["compiled"], row["native"],
+                row["cpp"]);
 
     // Cross-validation of the static cost model: the verifier's wcet with
     // the checked-in DefaultCostModel (the deploy gate's tables) next to
@@ -228,7 +222,7 @@ int Run(bool quick, const char* out_path, const char* baseline_path) {
       row["wcet.interpret"] = wcet[0];
       row["wcet.compiled"] = wcet[1];
       row["wcet.native"] = wcet[2];
-      std::printf("%-12s %9.1f %9.1f %19.1f          "
+      std::printf("%-12s %9.1f %9.1f %9.1f           "
                   " (static wcet; measured/wcet %.2f/%.2f/%.2f)\n",
                   "  wcet", wcet[0], wcet[1], wcet[2],
                   row["interpret"] / wcet[0], row["compiled"] / wcet[1],
@@ -296,7 +290,7 @@ int Run(bool quick, const char* out_path, const char* baseline_path) {
 
     constexpr double kTolerance = 1.25;  // fail on >25% regression
     // The hot tiers are the ones deployments actually run on; interpret
-    // and paranoid exist for ablation and are too slow-moving to gate.
+    // exists for ablation and as the oracle, and is too slow-moving to gate.
     const char* gated_modes[] = {"compiled", "native"};
     for (const auto& [policy, modes] : results) {
       for (const char* mode : gated_modes) {

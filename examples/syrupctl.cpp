@@ -152,10 +152,9 @@ int CostPolicyFile(const char* path) {
                   ? " (+ tail-call targets outside this analysis)"
                   : "");
   std::printf("%-10s %12s %12s\n", "tier", "wcet_ns", "best_ns");
-  for (size_t t = 0; t < bpf::kNumCostTiers; ++t) {
+  for (size_t t = 0; t < bpf::kNumExecModes; ++t) {
     std::printf("%-10s %12.1f %12.1f\n",
-                std::string(bpf::CostTierName(
-                                static_cast<bpf::CostTier>(t)))
+                std::string(bpf::ExecModeName(static_cast<bpf::ExecMode>(t)))
                     .c_str(),
                 cost.wcet_ns[t], cost.best_ns[t]);
   }
@@ -167,7 +166,7 @@ int CostPolicyFile(const char* path) {
   // Budget verdicts at the compiled tier — the daemon's default exec mode,
   // and what the deploy gate checks unless the deployment runs elsewhere.
   const double wcet =
-      cost.wcet_ns[static_cast<size_t>(bpf::CostTier::kCompiled)];
+      cost.wcet_ns[static_cast<size_t>(bpf::ExecMode::kCompiled)];
   std::printf("budget check (compiled tier):\n");
   for (size_t i = 0; i < kNumHooks; ++i) {
     const Hook hook = HookFromIndex(i);
@@ -191,11 +190,11 @@ int CostPolicyFile(const char* path) {
         std::printf("    insn %u: %s\n", blocker.pc, blocker.reason.c_str());
       }
     } else {
-      for (size_t t = 0; t < bpf::kNumCostTiers; ++t) {
-        const auto tier = static_cast<bpf::CostTier>(t);
+      for (size_t t = 0; t < bpf::kNumExecModes; ++t) {
+        const auto tier = static_cast<bpf::ExecMode>(t);
         const bool pays = bpf::FlowCachePays(cost, tier);
         std::printf("  %-10s %8.1f ns %s %.1f ns  %s\n",
-                    std::string(bpf::CostTierName(tier)).c_str(),
+                    std::string(bpf::ExecModeName(tier)).c_str(),
                     cost.wcet_ns[t], pays ? "> " : "<=", probe,
                     pays ? "cached" : "not cached");
       }
@@ -248,7 +247,7 @@ int main(int argc, char** argv) {
     if (!mode.has_value()) {
       std::fprintf(stderr,
                    "exec-mode: unknown mode '%s' (interpret, compiled, "
-                   "compiled-paranoid, native)\n",
+                   "native)\n",
                    argv[2]);
       return 2;
     }

@@ -13,8 +13,6 @@ namespace syrup::bpf {
 namespace {
 
 using internal::LoadUnaligned;
-using internal::Region;
-using internal::RegionContains;
 using internal::StoreUnaligned;
 
 // The Op -> COp translation below maps three contiguous opcode runs by
@@ -28,8 +26,6 @@ static_assert(OpIdx(Op::kMovImm) - OpIdx(Op::kAddReg) ==
               COpIdx(COp::kMovImm) - COpIdx(COp::kAddReg));
 static_assert(OpIdx(Op::kAtomicAddDW) - OpIdx(Op::kLdxB) ==
               COpIdx(COp::kAtomicAddDW) - COpIdx(COp::kLdxB));
-static_assert(OpIdx(Op::kAtomicAddDW) - OpIdx(Op::kLdxB) ==
-              COpIdx(COp::kAtomicAddDWChk) - COpIdx(COp::kLdxBChk));
 static_assert(OpIdx(Op::kJsetImm) - OpIdx(Op::kJa) ==
               COpIdx(COp::kJsetImm) - COpIdx(COp::kJa));
 
@@ -42,9 +38,8 @@ COp AluCOp(Op op) {
                           OpIdx(Op::kAddReg));
 }
 
-COp MemCOp(Op op, bool paranoid) {
-  const int base = paranoid ? COpIdx(COp::kLdxBChk) : COpIdx(COp::kLdxB);
-  return static_cast<COp>(base + OpIdx(op) - OpIdx(Op::kLdxB));
+COp MemCOp(Op op) {
+  return static_cast<COp>(COpIdx(COp::kLdxB) + OpIdx(op) - OpIdx(Op::kLdxB));
 }
 
 COp JumpCOp(Op op) {
@@ -142,17 +137,11 @@ RegEffects EffectsOf(COp op) {
     case COp::kBe64:
       return {.reads_dst = true, .writes_dst = true};
     case COp::kLdxB: case COp::kLdxH: case COp::kLdxW: case COp::kLdxDW:
-    case COp::kLdxBChk: case COp::kLdxHChk:
-    case COp::kLdxWChk: case COp::kLdxDWChk:
       return {.reads_src = true, .writes_dst = true};
     case COp::kStxB: case COp::kStxH: case COp::kStxW: case COp::kStxDW:
-    case COp::kStxBChk: case COp::kStxHChk:
-    case COp::kStxWChk: case COp::kStxDWChk:
-    case COp::kAtomicAddDW: case COp::kAtomicAddDWChk:
+    case COp::kAtomicAddDW:
       return {.reads_dst = true, .reads_src = true};
     case COp::kStB: case COp::kStH: case COp::kStW: case COp::kStDW:
-    case COp::kStBChk: case COp::kStHChk: case COp::kStWChk:
-    case COp::kStDWChk:
       return {.reads_dst = true};
     default: {
       // Remaining ALU ops: reg flavors read dst+src, imm flavors read dst.
@@ -172,27 +161,8 @@ bool IsBarrierCOp(COp op) {
 
 }  // namespace
 
-std::string_view ExecModeName(ExecMode mode) {
-  switch (mode) {
-    case ExecMode::kInterpret: return "interpret";
-    case ExecMode::kCompiled: return "compiled";
-    case ExecMode::kCompiledParanoid: return "compiled-paranoid";
-    case ExecMode::kNative: return "native";
-  }
-  return "unknown";
-}
-
-std::optional<ExecMode> ExecModeFromName(std::string_view name) {
-  for (ExecMode mode : {ExecMode::kInterpret, ExecMode::kCompiled,
-                        ExecMode::kCompiledParanoid, ExecMode::kNative}) {
-    if (name == ExecModeName(mode)) return mode;
-  }
-  return std::nullopt;
-}
-
 ExecMode EffectiveExecMode(const CompiledProgram* compiled) {
   if (compiled == nullptr) return ExecMode::kInterpret;
-  if (compiled->paranoid) return ExecMode::kCompiledParanoid;
   if (compiled->native != nullptr) return ExecMode::kNative;
   return ExecMode::kCompiled;
 }
@@ -213,8 +183,7 @@ StatusOr<CompiledProgram> Compile(const Program& prog, ProgramContext context,
   // silently ignored rather than miscompiling.
   const AnalysisFacts* facts =
       options.facts != nullptr ? options.facts : &own_facts;
-  const bool use_facts = options.optimize && !facts->empty() &&
-                         facts->visited.size() == n &&
+  const bool use_facts = !facts->empty() && facts->visited.size() == n &&
                          facts->edges.size() == n;
 
   CompileStats stats;
@@ -331,8 +300,7 @@ StatusOr<CompiledProgram> Compile(const Program& prog, ProgramContext context,
         operand_known = known[in.src];
       }
       const bool reads_dst = AluReadsDst(in.op);
-      if (options.optimize && (!has_operand || operand_known) &&
-          (!reads_dst || known[in.dst])) {
+      if ((!has_operand || operand_known) && (!reads_dst || known[in.dst])) {
         const uint64_t folded = EvalAlu(in.op, kval[in.dst], operand);
         s.c.op = COp::kMovImm;
         s.c.src = 0;
@@ -344,7 +312,7 @@ StatusOr<CompiledProgram> Compile(const Program& prog, ProgramContext context,
       }
       // Peephole over imm flavors with unknown dst: drop no-ops, turn
       // mul/div/mod by powers of two into shifts/masks.
-      if (options.optimize && !reg_flavor && has_operand) {
+      if (!reg_flavor && has_operand) {
         const uint64_t imm = operand;
         bool handled = false;
         switch (in.op) {
@@ -414,10 +382,10 @@ StatusOr<CompiledProgram> Compile(const Program& prog, ProgramContext context,
       s.c.imm = static_cast<uint64_t>(in.imm);
       known[in.dst] = false;
     } else if (InRange(in.op, Op::kLdxB, Op::kAtomicAddDW)) {
-      s.c.op = MemCOp(in.op, options.paranoid);
+      s.c.op = MemCOp(in.op);
       s.c.arg = in.off;
       s.c.imm = static_cast<uint64_t>(in.imm);
-      if (!options.paranoid) ++stats.elided_checks;
+      ++stats.elided_checks;
       if (IsLoadOp(in.op)) known[in.dst] = false;
     } else if (InRange(in.op, Op::kJa, Op::kJsetImm)) {
       const auto target = static_cast<size_t>(pc + 1 + in.off);
@@ -437,7 +405,7 @@ StatusOr<CompiledProgram> Compile(const Program& prog, ProgramContext context,
       } else {
         bool fold = false;
         bool taken = false;
-        if (options.optimize && known[in.dst]) {
+        if (known[in.dst]) {
           if (UsesSrcReg(in.op)) {
             if (known[in.src]) {
               fold = true;
@@ -472,21 +440,20 @@ StatusOr<CompiledProgram> Compile(const Program& prog, ProgramContext context,
     } else if (in.op == Op::kCall) {
       switch (static_cast<HelperId>(in.imm)) {
         case HelperId::kMapLookupElem:
-          s.c.op = options.paranoid ? COp::kCallLookupChk : COp::kCallLookup;
-          if (!options.paranoid) ++stats.elided_checks;  // key bounds
+          s.c.op = COp::kCallLookup;
+          ++stats.elided_checks;  // key bounds
           break;
         case HelperId::kMapUpdateElem:
-          s.c.op = options.paranoid ? COp::kCallUpdateChk : COp::kCallUpdate;
-          if (!options.paranoid) stats.elided_checks += 2;  // key + value
+          s.c.op = COp::kCallUpdate;
+          stats.elided_checks += 2;  // key + value
           break;
         case HelperId::kMapDeleteElem:
-          s.c.op = options.paranoid ? COp::kCallDeleteChk : COp::kCallDelete;
-          if (!options.paranoid) ++stats.elided_checks;  // key bounds
+          s.c.op = COp::kCallDelete;
+          ++stats.elided_checks;  // key bounds
           break;
         case HelperId::kMapLookupBatch:
-          s.c.op = options.paranoid ? COp::kCallLookupBatchChk
-                                    : COp::kCallLookupBatch;
-          if (!options.paranoid) stats.elided_checks += 2;  // keys + out
+          s.c.op = COp::kCallLookupBatch;
+          stats.elided_checks += 2;  // keys + out
           break;
         case HelperId::kGetPrandomU32:
           s.c.op = COp::kCallRandom;
@@ -513,27 +480,25 @@ StatusOr<CompiledProgram> Compile(const Program& prog, ProgramContext context,
   // Dead-move elimination: a constant move whose register is overwritten
   // before any possible read (scanning stops at block ends and barriers)
   // produced its value for nothing — folding already forwarded it.
-  if (options.optimize) {
-    for (size_t i = 0; i < n; ++i) {
-      Slot& s = slots[i];
-      if (!s.emit) continue;
-      if (s.c.op != COp::kMovImm && s.c.op != COp::kMov32Imm) continue;
-      const uint8_t reg = s.c.dst;
-      for (size_t j = i + 1; j < n; ++j) {
-        if (leader[j]) break;  // live into a join point: keep
-        const Slot& t = slots[j];
-        if (!t.emit) continue;
-        if (IsBarrierCOp(t.c.op)) break;  // jump/call/exit may read: keep
-        const RegEffects e = EffectsOf(t.c.op);
-        if ((e.reads_dst && t.c.dst == reg) ||
-            (e.reads_src && t.c.src == reg)) {
-          break;  // read before overwrite: keep
-        }
-        if (e.writes_dst && t.c.dst == reg) {
-          s.emit = false;
-          ++stats.eliminated_insns;
-          break;
-        }
+  for (size_t i = 0; i < n; ++i) {
+    Slot& s = slots[i];
+    if (!s.emit) continue;
+    if (s.c.op != COp::kMovImm && s.c.op != COp::kMov32Imm) continue;
+    const uint8_t reg = s.c.dst;
+    for (size_t j = i + 1; j < n; ++j) {
+      if (leader[j]) break;  // live into a join point: keep
+      const Slot& t = slots[j];
+      if (!t.emit) continue;
+      if (IsBarrierCOp(t.c.op)) break;  // jump/call/exit may read: keep
+      const RegEffects e = EffectsOf(t.c.op);
+      if ((e.reads_dst && t.c.dst == reg) ||
+          (e.reads_src && t.c.src == reg)) {
+        break;  // read before overwrite: keep
+      }
+      if (e.writes_dst && t.c.dst == reg) {
+        s.emit = false;
+        ++stats.eliminated_insns;
+        break;
       }
     }
   }
@@ -552,7 +517,6 @@ StatusOr<CompiledProgram> Compile(const Program& prog, ProgramContext context,
   CompiledProgram out;
   out.name = prog.name;
   out.maps = prog.maps;
-  out.paranoid = options.paranoid;
   out.code.reserve(static_cast<size_t>(emitted) + 1);
   for (size_t pc = 0; pc < n; ++pc) {
     if (!slots[pc].emit) continue;
@@ -572,16 +536,9 @@ StatusOr<CompiledProgram> Compile(const Program& prog, ProgramContext context,
 
 // --- Execution ------------------------------------------------------------
 
-// Direct-threaded dispatch needs GNU computed goto; elsewhere (or with
-// SYRUP_BPF_PORTABLE_DISPATCH defined, e.g. to benchmark the fallback) a
-// plain switch loop runs the same handler bodies.
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(SYRUP_BPF_PORTABLE_DISPATCH)
-#define SYRUP_BPF_THREADED_DISPATCH 1
-#else
-#define SYRUP_BPF_THREADED_DISPATCH 0
-#endif
-
+// Direct-threaded dispatch through GNU computed goto, which GCC and Clang
+// (the only compilers the tree builds with) both provide.
+//
 // Every COp, in enum order; the computed-goto table is generated from this
 // list, so order mismatches break the static_assert below, not runtime.
 #define SYRUP_COP_LIST(X)                                                    \
@@ -593,9 +550,6 @@ StatusOr<CompiledProgram> Compile(const Program& prog, ProgramContext context,
   X(kLdxB) X(kLdxH) X(kLdxW) X(kLdxDW)                                       \
   X(kStxB) X(kStxH) X(kStxW) X(kStxDW)                                       \
   X(kStB) X(kStH) X(kStW) X(kStDW) X(kAtomicAddDW)                           \
-  X(kLdxBChk) X(kLdxHChk) X(kLdxWChk) X(kLdxDWChk)                           \
-  X(kStxBChk) X(kStxHChk) X(kStxWChk) X(kStxDWChk)                           \
-  X(kStBChk) X(kStHChk) X(kStWChk) X(kStDWChk) X(kAtomicAddDWChk)            \
   X(kJa)                                                                     \
   X(kJeqReg) X(kJeqImm) X(kJneReg) X(kJneImm)                                \
   X(kJgtReg) X(kJgtImm) X(kJgeReg) X(kJgeImm)                                \
@@ -603,9 +557,7 @@ StatusOr<CompiledProgram> Compile(const Program& prog, ProgramContext context,
   X(kJsgtReg) X(kJsgtImm) X(kJsgeReg) X(kJsgeImm)                            \
   X(kJsltReg) X(kJsltImm) X(kJsleReg) X(kJsleImm)                            \
   X(kJsetReg) X(kJsetImm)                                                    \
-  X(kCallLookup) X(kCallLookupChk) X(kCallUpdate) X(kCallUpdateChk)          \
-  X(kCallDelete) X(kCallDeleteChk)                                           \
-  X(kCallLookupBatch) X(kCallLookupBatchChk)                                 \
+  X(kCallLookup) X(kCallUpdate) X(kCallDelete) X(kCallLookupBatch)           \
   X(kCallRandom) X(kCallKtime)                                               \
   X(kCallTailCall) X(kLdMapPtr) X(kExit)
 
@@ -632,12 +584,12 @@ static_assert(ListedInEnumOrder(),
 
 StatusOr<ExecResult> CompiledExecutor::Run(const CompiledProgram& prog_in,
                                            uint64_t arg1, uint64_t arg2,
-                                           bool args_are_packet) {
+                                           bool /*args_are_packet*/) {
   // Native tier: when machine code was published at attach time, dispatch
   // straight into it. Identical observable semantics to the loop below
   // (same r0, map side effects, helper/instruction counts); programs the
   // JIT rejected never get here because `native` stays null.
-  if (prog_in.native != nullptr && !prog_in.paranoid) {
+  if (prog_in.native != nullptr) {
     return RunNative(prog_in, env_, arg1, arg2);
   }
   ExecResult result;
@@ -646,39 +598,11 @@ StatusOr<ExecResult> CompiledExecutor::Run(const CompiledProgram& prog_in,
   alignas(8) std::array<uint8_t, kStackSize> stack{};
   std::array<uint64_t, kNumRegisters> regs{};
 
-  // Paranoid programs re-validate every access against the live regions,
-  // exactly like the interpreter. Non-paranoid runs never touch `regions`;
-  // the vector stays empty and never allocates.
-  std::vector<Region> regions;
-  bool base_regions_added = false;
-  const auto ensure_base_regions = [&] {
-    if (base_regions_added) return;
-    base_regions_added = true;
-    regions.push_back(Region{reinterpret_cast<uint64_t>(stack.data()),
-                             stack.size(), /*writable=*/true});
-    if (args_are_packet) {
-      regions.push_back(Region{arg1, arg2 - arg1, /*writable=*/false});
-    }
-  };
-  const auto readable = [&regions](uint64_t addr, uint64_t size) {
-    for (const Region& r : regions) {
-      if (RegionContains(r, addr, size)) return true;
-    }
-    return false;
-  };
-  const auto writable = [&regions](uint64_t addr, uint64_t size) {
-    for (const Region& r : regions) {
-      if (r.writable && RegionContains(r, addr, size)) return true;
-    }
-    return false;
-  };
-
   const CInsn* code = nullptr;
   const CInsn* insn = nullptr;
   size_t ip = 0;
 
 restart:  // tail-call target: rerun with fresh ip but original context args
-  if (prog->paranoid) ensure_base_regions();
   code = prog->code.data();
   regs[1] = arg1;
   regs[2] = arg2;
@@ -689,7 +613,6 @@ restart:  // tail-call target: rerun with fresh ip but original context args
 #define S regs[insn->src]
 #define IMM (insn->imm)
 
-#if SYRUP_BPF_THREADED_DISPATCH
 #define SYRUP_LABEL_ADDR(name) &&lbl_##name,
   static const void* kDispatch[] = {SYRUP_COP_LIST(SYRUP_LABEL_ADDR)};
 #undef SYRUP_LABEL_ADDR
@@ -703,18 +626,6 @@ restart:  // tail-call target: rerun with fresh ip but original context args
   } while (0)
 #define VM_CASE(name) lbl_##name
   VM_NEXT();
-#else
-#define VM_NEXT() continue
-#define VM_CASE(name) case COp::name
-  for (;;) {
-    if (++result.insns_executed > kMaxInsns) {
-      return ResourceExhaustedError("instruction limit exceeded at runtime");
-    }
-    insn = &code[ip];
-    switch (insn->op) {
-      default:
-        return InternalError("bad compiled opcode");
-#endif
 
   VM_CASE(kAddReg) : { D += S; ++ip; } VM_NEXT();
   VM_CASE(kAddImm) : { D += IMM; ++ip; } VM_NEXT();
@@ -754,7 +665,7 @@ restart:  // tail-call target: rerun with fresh ip but original context args
   } VM_NEXT();
   VM_CASE(kBe64) : { D = internal::ByteSwap(D, 64); ++ip; } VM_NEXT();
 
-  // Unchecked memory: bounds were proven by the verifier at compile time.
+  // Memory: bounds were proven by the verifier at compile time.
   VM_CASE(kLdxB) : { D = LoadUnaligned(S + insn->arg, 1); ++ip; } VM_NEXT();
   VM_CASE(kLdxH) : { D = LoadUnaligned(S + insn->arg, 2); ++ip; } VM_NEXT();
   VM_CASE(kLdxW) : { D = LoadUnaligned(S + insn->arg, 4); ++ip; } VM_NEXT();
@@ -768,57 +679,11 @@ restart:  // tail-call target: rerun with fresh ip but original context args
   VM_CASE(kStW) : { StoreUnaligned(D + insn->arg, IMM, 4); ++ip; } VM_NEXT();
   VM_CASE(kStDW) : { StoreUnaligned(D + insn->arg, IMM, 8); ++ip; } VM_NEXT();
   VM_CASE(kAtomicAddDW) : {
-    // The verifier proves bounds but not 8-byte alignment; the alignment
-    // check stays even unchecked (std::atomic on a misaligned address is UB).
+    // The verifier proves bounds but not 8-byte alignment, so the alignment
+    // check stays (std::atomic on a misaligned address is UB).
     const uint64_t addr = D + insn->arg;
     if ((addr & 7) != 0) {
       return OutOfRangeError("runtime atomic unaligned");
-    }
-    reinterpret_cast<std::atomic<uint64_t>*>(addr)->fetch_add(
-        S, std::memory_order_relaxed);
-    ++ip;
-  } VM_NEXT();
-
-#define SYRUP_CHECKED_LOAD(name, size)                                \
-  VM_CASE(name) : {                                                   \
-    const uint64_t addr = S + insn->arg;                              \
-    if (!readable(addr, size)) {                                      \
-      return OutOfRangeError("runtime load out of bounds");           \
-    }                                                                 \
-    D = LoadUnaligned(addr, size);                                    \
-    ++ip;                                                             \
-  }                                                                   \
-  VM_NEXT()
-  SYRUP_CHECKED_LOAD(kLdxBChk, 1);
-  SYRUP_CHECKED_LOAD(kLdxHChk, 2);
-  SYRUP_CHECKED_LOAD(kLdxWChk, 4);
-  SYRUP_CHECKED_LOAD(kLdxDWChk, 8);
-#undef SYRUP_CHECKED_LOAD
-
-#define SYRUP_CHECKED_STORE(name, value, size)                        \
-  VM_CASE(name) : {                                                   \
-    const uint64_t addr = D + insn->arg;                              \
-    if (!writable(addr, size)) {                                      \
-      return OutOfRangeError("runtime store out of bounds");          \
-    }                                                                 \
-    StoreUnaligned(addr, value, size);                                \
-    ++ip;                                                             \
-  }                                                                   \
-  VM_NEXT()
-  SYRUP_CHECKED_STORE(kStxBChk, S, 1);
-  SYRUP_CHECKED_STORE(kStxHChk, S, 2);
-  SYRUP_CHECKED_STORE(kStxWChk, S, 4);
-  SYRUP_CHECKED_STORE(kStxDWChk, S, 8);
-  SYRUP_CHECKED_STORE(kStBChk, IMM, 1);
-  SYRUP_CHECKED_STORE(kStHChk, IMM, 2);
-  SYRUP_CHECKED_STORE(kStWChk, IMM, 4);
-  SYRUP_CHECKED_STORE(kStDWChk, IMM, 8);
-#undef SYRUP_CHECKED_STORE
-
-  VM_CASE(kAtomicAddDWChk) : {
-    const uint64_t addr = D + insn->arg;
-    if (!writable(addr, 8) || (addr & 7) != 0) {
-      return OutOfRangeError("runtime atomic out of bounds/unaligned");
     }
     reinterpret_cast<std::atomic<uint64_t>*>(addr)->fetch_add(
         S, std::memory_order_relaxed);
@@ -867,29 +732,12 @@ restart:  // tail-call target: rerun with fresh ip but original context args
   regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
 
   // Helpers. The verifier proved r1 is a non-null map pointer of the right
-  // type and the key/value pointers in bounds; the unchecked flavors trust
-  // that, the *Chk flavors re-validate like the interpreter.
+  // type and the key/value pointers in bounds.
   VM_CASE(kCallLookup) : {
     ++result.helper_calls;
     auto* map = reinterpret_cast<Map*>(regs[1]);
     regs[0] = reinterpret_cast<uint64_t>(
         map->Lookup(reinterpret_cast<const void*>(regs[2])));
-    SYRUP_CLOBBER_ARGS();
-    ++ip;
-  } VM_NEXT();
-  VM_CASE(kCallLookupChk) : {
-    ++result.helper_calls;
-    auto* map = reinterpret_cast<Map*>(regs[1]);
-    const uint64_t key = regs[2];
-    if (map == nullptr || !readable(key, map->spec().key_size)) {
-      return OutOfRangeError("map_lookup: bad map/key");
-    }
-    void* value = map->Lookup(reinterpret_cast<const void*>(key));
-    regs[0] = reinterpret_cast<uint64_t>(value);
-    if (value != nullptr) {
-      regions.push_back(
-          Region{regs[0], map->spec().value_size, /*writable=*/true});
-    }
     SYRUP_CLOBBER_ARGS();
     ++ip;
   } VM_NEXT();
@@ -903,38 +751,10 @@ restart:  // tail-call target: rerun with fresh ip but original context args
     SYRUP_CLOBBER_ARGS();
     ++ip;
   } VM_NEXT();
-  VM_CASE(kCallUpdateChk) : {
-    ++result.helper_calls;
-    auto* map = reinterpret_cast<Map*>(regs[1]);
-    const uint64_t key = regs[2];
-    const uint64_t value = regs[3];
-    if (map == nullptr || !readable(key, map->spec().key_size) ||
-        !readable(value, map->spec().value_size)) {
-      return OutOfRangeError("map_update: bad map/key/value");
-    }
-    const Status s = map->Update(reinterpret_cast<const void*>(key),
-                                 reinterpret_cast<const void*>(value),
-                                 UpdateFlag::kAny);
-    regs[0] = s.ok() ? 0 : static_cast<uint64_t>(-1);
-    SYRUP_CLOBBER_ARGS();
-    ++ip;
-  } VM_NEXT();
   VM_CASE(kCallDelete) : {
     ++result.helper_calls;
     auto* map = reinterpret_cast<Map*>(regs[1]);
     const Status s = map->Delete(reinterpret_cast<const void*>(regs[2]));
-    regs[0] = s.ok() ? 0 : static_cast<uint64_t>(-1);
-    SYRUP_CLOBBER_ARGS();
-    ++ip;
-  } VM_NEXT();
-  VM_CASE(kCallDeleteChk) : {
-    ++result.helper_calls;
-    auto* map = reinterpret_cast<Map*>(regs[1]);
-    const uint64_t key = regs[2];
-    if (map == nullptr || !readable(key, map->spec().key_size)) {
-      return OutOfRangeError("map_delete: bad map/key");
-    }
-    const Status s = map->Delete(reinterpret_cast<const void*>(key));
     regs[0] = s.ok() ? 0 : static_cast<uint64_t>(-1);
     SYRUP_CLOBBER_ARGS();
     ++ip;
@@ -945,24 +765,6 @@ restart:  // tail-call target: rerun with fresh ip but original context args
     regs[0] = map->LookupBatchU64(static_cast<uint32_t>(regs[4]),
                                   reinterpret_cast<const void*>(regs[2]),
                                   reinterpret_cast<uint64_t*>(regs[3]));
-    SYRUP_CLOBBER_ARGS();
-    ++ip;
-  } VM_NEXT();
-  VM_CASE(kCallLookupBatchChk) : {
-    ++result.helper_calls;
-    auto* map = reinterpret_cast<Map*>(regs[1]);
-    const uint64_t keys = regs[2];
-    const uint64_t out = regs[3];
-    const uint64_t n = regs[4];
-    if (map == nullptr || n == 0 || n > Map::kMaxLookupBatch ||
-        map->spec().value_size != sizeof(uint64_t) ||
-        !readable(keys, n * map->spec().key_size) ||
-        !writable(out, n * sizeof(uint64_t))) {
-      return OutOfRangeError("map_lookup_batch: bad map/keys/out/n");
-    }
-    regs[0] = map->LookupBatchU64(static_cast<uint32_t>(n),
-                                  reinterpret_cast<const void*>(keys),
-                                  reinterpret_cast<uint64_t*>(out));
     SYRUP_CLOBBER_ARGS();
     ++ip;
   } VM_NEXT();
@@ -1016,11 +818,6 @@ restart:  // tail-call target: rerun with fresh ip but original context args
     result.r0 = regs[0];
     return result;
   }
-
-#if !SYRUP_BPF_THREADED_DISPATCH
-    }  // switch
-  }    // for
-#endif
 
 #undef SYRUP_CLOBBER_ARGS
 #undef VM_CASE

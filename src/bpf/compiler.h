@@ -12,26 +12,24 @@
 //     (mul/div/mod by a power of two become shifts/masks, branches with
 //     both sides known become unconditional or disappear),
 //   * the per-access runtime memory re-validation of src/bpf/interpreter.cc
-//     is elided wherever it is redundant: the verifier already proved every
-//     packet/stack/map-value access in bounds on every path, so the
-//     compiled form loads and stores directly. The `paranoid` flag keeps
-//     the full region re-validation (defense in depth stays selectable).
+//     is dropped: the verifier already proved every packet/stack/map-value
+//     access in bounds on every path, so the compiled form loads and stores
+//     directly. An operator who distrusts the verifier deploys the
+//     interpreter, which keeps every check.
 //
 // The compiled form executes through a direct-threaded (computed-goto)
-// dispatch loop with a portable switch fallback. Syrupd caches one
-// CompiledProgram per deployed program id, so compilation happens once per
-// attach and every hook (XDP, socket select, thread scheduling via the
-// ghOSt shim) runs the compiled form.
+// dispatch loop. Syrupd caches one CompiledProgram per deployed program id,
+// so compilation happens once per attach and every hook (XDP, socket
+// select, thread scheduling via the ghOSt shim) runs the compiled form.
 #ifndef SYRUP_SRC_BPF_COMPILER_H_
 #define SYRUP_SRC_BPF_COMPILER_H_
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "src/bpf/cost_model.h"
 #include "src/bpf/interpreter.h"
 #include "src/bpf/program.h"
 #include "src/bpf/verifier.h"
@@ -39,34 +37,7 @@
 
 namespace syrup::bpf {
 
-// How a deployed bytecode policy is executed. kCompiled is the default
-// deployment tier; kInterpret is kept for ablation (the pre-PR behavior)
-// and kCompiledParanoid for defense in depth with pre-decoded dispatch.
-// kNative additionally lowers the pre-decoded form to x86-64 machine code
-// at attach time (src/bpf/jit.h); hosts or programs the JIT cannot handle
-// fall back to kCompiled transparently (EffectiveExecMode reports which
-// tier actually runs).
-enum class ExecMode : uint8_t {
-  kInterpret = 0,         // decode-per-instruction switch interpreter
-  kCompiled = 1,          // pre-decoded, checks elided where verified
-  kCompiledParanoid = 2,  // pre-decoded, runtime memory checks retained
-  kNative = 3,            // copy-and-patch x86-64 code, compiled fallback
-};
-
-std::string_view ExecModeName(ExecMode mode);
-
-// Parses an ExecModeName back into the mode ("interpret", "compiled",
-// "compiled-paranoid", "native"); nullopt for anything else.
-std::optional<ExecMode> ExecModeFromName(std::string_view name);
-
 struct CompileOptions {
-  // Keep the runtime memory region re-validation on every access (and on
-  // helper pointer arguments). Slower; the verifier makes these checks
-  // unreachable, so they exist purely as defense in depth.
-  bool paranoid = false;
-  // Constant folding, dead-move elimination, and peephole strength
-  // reduction. Off: plain pre-decode + operand resolution only.
-  bool optimize = true;
   // Skip the internal verification pass. Only set when the caller has just
   // run Verify() on the identical program (syrupd's deploy path does);
   // compiling an unverified program with checks elided is unsound.
@@ -92,9 +63,8 @@ struct CompileStats {
   size_t facts_decided_branches = 0;  // branches the range analysis decided
 };
 
-// Pre-decoded opcodes. Memory ops come in an unchecked (verifier-trusted)
-// and a checked (paranoid) flavor so the dispatch loop stays branch-free
-// about which mode it is in.
+// Pre-decoded opcodes. Memory ops are unchecked: the verifier proved their
+// bounds at attach time.
 enum class COp : uint8_t {
   kAddReg, kAddImm, kSubReg, kSubImm, kMulReg, kMulImm,
   kDivReg, kDivImm, kModReg, kModImm, kOrReg, kOrImm,
@@ -102,17 +72,10 @@ enum class COp : uint8_t {
   kArshReg, kArshImm, kNeg, kMovReg, kMovImm, kMov32Reg, kMov32Imm,
   kBe16, kBe32, kBe64,
 
-  // Unchecked memory (bounds proven by the verifier at compile time).
   kLdxB, kLdxH, kLdxW, kLdxDW,
   kStxB, kStxH, kStxW, kStxDW,
   kStB, kStH, kStW, kStDW,
   kAtomicAddDW,  // alignment still checked (the verifier does not prove it)
-
-  // Checked memory (paranoid mode): re-validates against the live regions.
-  kLdxBChk, kLdxHChk, kLdxWChk, kLdxDWChk,
-  kStxBChk, kStxHChk, kStxWChk, kStxDWChk,
-  kStBChk, kStHChk, kStWChk, kStDWChk,
-  kAtomicAddDWChk,
 
   // Jumps: `arg` is the absolute index of the taken target.
   kJa,
@@ -123,12 +86,8 @@ enum class COp : uint8_t {
   kJsltReg, kJsltImm, kJsleReg, kJsleImm,
   kJsetReg, kJsetImm,
 
-  // Helpers, specialized per id at compile time. *Chk variants re-validate
-  // the key/value pointer arguments (paranoid mode).
-  kCallLookup, kCallLookupChk,
-  kCallUpdate, kCallUpdateChk,
-  kCallDelete, kCallDeleteChk,
-  kCallLookupBatch, kCallLookupBatchChk,
+  // Helpers, specialized per id at compile time.
+  kCallLookup, kCallUpdate, kCallDelete, kCallLookupBatch,
   kCallRandom, kCallKtime, kCallTailCall,
 
   kLdMapPtr,  // imm carries the resolved Map* (maps vector keeps it alive)
@@ -153,7 +112,6 @@ struct CompiledProgram {
   std::string name;
   std::vector<CInsn> code;
   std::vector<std::shared_ptr<Map>> maps;
-  bool paranoid = false;
   CompileStats stats;
   // Machine code published by the native tier (ExecMode::kNative), null on
   // every other tier and whenever the JIT fell back (non-x86-64 host,
@@ -185,6 +143,8 @@ class CompiledExecutor {
  public:
   explicit CompiledExecutor(ExecEnv env) : env_(std::move(env)) {}
 
+  // `args_are_packet` mirrors Interpreter::Run's signature; the compiled
+  // form never reads it, since the verifier already fixed the context.
   StatusOr<ExecResult> Run(const CompiledProgram& prog, uint64_t arg1,
                            uint64_t arg2, bool args_are_packet);
 

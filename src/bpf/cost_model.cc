@@ -14,23 +14,21 @@
 
 namespace syrup::bpf {
 
-std::string_view CostTierName(CostTier tier) {
-  switch (tier) {
-    case CostTier::kInterpret: return "interpret";
-    case CostTier::kCompiled: return "compiled";
-    case CostTier::kNative: return "native";
+std::string_view ExecModeName(ExecMode mode) {
+  switch (mode) {
+    case ExecMode::kInterpret: return "interpret";
+    case ExecMode::kCompiled: return "compiled";
+    case ExecMode::kNative: return "native";
   }
-  return "?";
+  return "unknown";
 }
 
-CostTier CostTierOf(ExecMode mode) {
-  switch (mode) {
-    case ExecMode::kInterpret: return CostTier::kInterpret;
-    case ExecMode::kCompiled: return CostTier::kCompiled;
-    case ExecMode::kCompiledParanoid: return CostTier::kCompiled;
-    case ExecMode::kNative: return CostTier::kNative;
+std::optional<ExecMode> ExecModeFromName(std::string_view name) {
+  for (ExecMode mode :
+       {ExecMode::kInterpret, ExecMode::kCompiled, ExecMode::kNative}) {
+    if (name == ExecModeName(mode)) return mode;
   }
-  return CostTier::kInterpret;
+  return std::nullopt;
 }
 
 double CostModel::HelperNs(HelperId helper, MapType map_type,
@@ -52,8 +50,8 @@ double CostModel::HelperNs(HelperId helper, MapType map_type,
 }
 
 double CostModel::InsnNs(const Insn& insn, MapType helper_map_type,
-                         CostTier tier, uint32_t batch_count) const {
-  double ns = op_ns[static_cast<size_t>(tier)][static_cast<size_t>(insn.op)];
+                         ExecMode mode, uint32_t batch_count) const {
+  double ns = op_ns[static_cast<size_t>(mode)][static_cast<size_t>(insn.op)];
   if (insn.op == Op::kCall) {
     ns += HelperNs(static_cast<HelperId>(insn.imm), helper_map_type,
                    batch_count);
@@ -142,24 +140,24 @@ CostModel MakeDefaultCostModel() {
   CostModel m;
   // Per-op dispatch costs, upper bounds for an unloaded modern x86-64 host.
   // interpret: switch dispatch + runtime region checks per memory op.
-  FillTier(m.op_ns[static_cast<size_t>(CostTier::kInterpret)],
+  FillTier(m.op_ns[static_cast<size_t>(ExecMode::kInterpret)],
            {.alu = 4.0, .mul = 5.0, .divmod = 12.0, .mov = 3.5, .swap = 4.0,
             .mem = 6.0, .atomic = 12.0, .ja = 3.5, .jcc = 4.5, .call = 10.0,
             .exit = 2.0, .ldmapfd = 4.0});
   // compiled: pre-decoded computed-goto dispatch, checks elided.
-  FillTier(m.op_ns[static_cast<size_t>(CostTier::kCompiled)],
+  FillTier(m.op_ns[static_cast<size_t>(ExecMode::kCompiled)],
            {.alu = 1.4, .mul = 1.8, .divmod = 8.0, .mov = 1.2, .swap = 1.4,
             .mem = 2.0, .atomic = 8.0, .ja = 1.2, .jcc = 1.7, .call = 5.0,
             .exit = 1.0, .ldmapfd = 1.4});
   // native: copy-and-patch machine code; calls go through helper
   // trampolines (register save/restore priced into the call cost).
-  FillTier(m.op_ns[static_cast<size_t>(CostTier::kNative)],
+  FillTier(m.op_ns[static_cast<size_t>(ExecMode::kNative)],
            {.alu = 0.5, .mul = 0.8, .divmod = 6.0, .mov = 0.45, .swap = 0.5,
             .mem = 0.9, .atomic = 7.0, .ja = 0.45, .jcc = 0.7, .call = 3.5,
             .exit = 0.5, .ldmapfd = 0.5});
-  m.exec_overhead_ns[static_cast<size_t>(CostTier::kInterpret)] = 60.0;
-  m.exec_overhead_ns[static_cast<size_t>(CostTier::kCompiled)] = 45.0;
-  m.exec_overhead_ns[static_cast<size_t>(CostTier::kNative)] = 35.0;
+  m.exec_overhead_ns[static_cast<size_t>(ExecMode::kInterpret)] = 60.0;
+  m.exec_overhead_ns[static_cast<size_t>(ExecMode::kCompiled)] = 45.0;
+  m.exec_overhead_ns[static_cast<size_t>(ExecMode::kNative)] = 35.0;
 
   // Helper bodies (host C++, tier-independent). Hash maps pay the probe
   // chain; per-CPU arrays pay the shard indirection.
@@ -252,7 +250,7 @@ struct TierMeasurement {
   double overhead_ns = 0;
 };
 
-TierMeasurement MeasureAluTier(CostTier tier) {
+TierMeasurement MeasureAluTier(ExecMode tier) {
   TierMeasurement out;
   const Program tiny = MakeAluProgram("cal_tiny", 0);     // 2 insns
   const Program chain = MakeAluProgram("cal_chain", 256); // 258 insns
@@ -262,7 +260,7 @@ TierMeasurement MeasureAluTier(CostTier tier) {
   double t_tiny = 0;
   double t_chain = 0;
 
-  if (tier == CostTier::kInterpret) {
+  if (tier == ExecMode::kInterpret) {
     Interpreter interp{ExecEnv{}};
     auto run = [&](const Program& p) {
       auto r = interp.Run(p, 3, 7, /*args_are_packet=*/false);
@@ -274,7 +272,7 @@ TierMeasurement MeasureAluTier(CostTier tier) {
     auto ct = Compile(tiny, ProgramContext::kThread);
     auto cc = Compile(chain, ProgramContext::kThread);
     if (!ct.ok() || !cc.ok()) return out;
-    if (tier == CostTier::kNative) {
+    if (tier == ExecMode::kNative) {
       auto nt = JitCompile(*ct);
       auto nc = JitCompile(*cc);
       if (!nt.ok() || !nc.ok()) return out;  // fall back to compiled numbers
@@ -343,11 +341,11 @@ CostModel CalibratedCostModel() {
 
   // Per-tier scale from the straight-line ALU chain: a slow host (or a
   // sanitizer build) inflates every op class roughly uniformly.
-  for (size_t t = 0; t < kNumCostTiers; ++t) {
-    const auto tier = static_cast<CostTier>(t);
+  for (size_t t = 0; t < kNumExecModes; ++t) {
+    const auto tier = static_cast<ExecMode>(t);
     TierMeasurement meas = MeasureAluTier(tier);
-    if (!meas.ok && tier == CostTier::kNative) {
-      meas = MeasureAluTier(CostTier::kCompiled);  // JIT unavailable
+    if (!meas.ok && tier == ExecMode::kNative) {
+      meas = MeasureAluTier(ExecMode::kCompiled);  // JIT unavailable
     }
     if (!meas.ok) continue;
     const double default_alu =
@@ -364,7 +362,7 @@ CostModel CalibratedCostModel() {
   // factor. Subtract the (already rescaled) interpreter call-dispatch cost
   // to isolate the body.
   const double call_dispatch =
-      m.op_ns[static_cast<size_t>(CostTier::kInterpret)]
+      m.op_ns[static_cast<size_t>(ExecMode::kInterpret)]
              [static_cast<size_t>(Op::kCall)];
   double helper_scale = 1.0;
   const std::pair<HelperId, MapType> probes[] = {
@@ -393,8 +391,8 @@ CostModel CalibratedCostModel() {
   return m;
 }
 
-bool FlowCachePays(const CostFacts& cost, CostTier tier) {
-  return cost.bounded && cost.wcet_ns[static_cast<size_t>(tier)] >
+bool FlowCachePays(const CostFacts& cost, ExecMode mode) {
+  return cost.bounded && cost.wcet_ns[static_cast<size_t>(mode)] >
                              DefaultCostModel().flow_cache_probe_ns;
 }
 

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,22 +19,30 @@
 
 namespace syrup::bpf {
 
-enum class ExecMode : uint8_t;  // compiler.h; forward-declared to avoid cycle
-
-// Cost tiers collapse the four execution modes into the three distinct cost
-// profiles: kCompiledParanoid shares kCompiled's table (the extra runtime
-// checks are already priced into the compiled per-op costs, which are upper
-// bounds for both variants).
-enum class CostTier : uint8_t {
+// How a deployed bytecode policy is executed. Each mode runs on its own
+// cost table below, indexed by the enum value.
+//   kInterpret  decodes every instruction and re-checks every memory access
+//               at runtime: the differential oracle, and the tier for an
+//               operator who distrusts the verifier.
+//   kCompiled   the default: pre-decoded at attach time (src/bpf/compiler.h),
+//               with the accesses the verifier proved safe left unchecked.
+//   kNative     lowers the pre-decoded form to x86-64 machine code
+//               (src/bpf/jit.h). Hosts or programs the JIT cannot handle fall
+//               back to kCompiled transparently; EffectiveExecMode reports
+//               which tier actually runs.
+enum class ExecMode : uint8_t {
   kInterpret = 0,
   kCompiled = 1,
   kNative = 2,
 };
 
-inline constexpr size_t kNumCostTiers = 3;
+inline constexpr size_t kNumExecModes = 3;
 
-std::string_view CostTierName(CostTier tier);
-CostTier CostTierOf(ExecMode mode);
+std::string_view ExecModeName(ExecMode mode);
+
+// Parses an ExecModeName back into the mode ("interpret", "compiled",
+// "native"); nullopt for anything else.
+std::optional<ExecMode> ExecModeFromName(std::string_view name);
 
 // Per-tier, per-opcode execution costs in nanoseconds, plus helper-body
 // costs parameterized by map kind. All entries are intended as host upper
@@ -48,12 +57,12 @@ struct CostModel {
   // Dispatch + execute cost of one opcode at each tier. The kCall entry
   // covers calling-convention overhead only; the helper body is priced
   // separately below.
-  double op_ns[kNumCostTiers][kNumOps] = {};
+  double op_ns[kNumExecModes][kNumOps] = {};
 
   // Fixed per-Run() overhead (register/stack setup, entry/exit). Dominates
   // tiny programs, which is why the model carries it explicitly instead of
   // smearing it over per-op costs.
-  double exec_overhead_ns[kNumCostTiers] = {};
+  double exec_overhead_ns[kNumExecModes] = {};
 
   // Helper-body costs. Map helpers depend on the map kind (array index vs
   // hash probe vs per-CPU shard); bodies run as host C++ at every tier, so
@@ -78,10 +87,10 @@ struct CostModel {
   double HelperNs(HelperId helper, MapType map_type,
                   uint32_t batch_count = 1) const;
 
-  // Full cost of executing `insn` once at `tier`: opcode dispatch cost plus,
+  // Full cost of executing `insn` once at `mode`: opcode dispatch cost plus,
   // for kCall, the helper body (map helpers priced by `helper_map_type`;
   // `batch_count` is the proven r4 constant for map_lookup_batch).
-  double InsnNs(const Insn& insn, MapType helper_map_type, CostTier tier,
+  double InsnNs(const Insn& insn, MapType helper_map_type, ExecMode mode,
                 uint32_t batch_count = 1) const;
 };
 
@@ -115,18 +124,18 @@ struct CostFacts {
   // Worst-/best-case wall time per execution at each tier, including the
   // per-Run() overhead. best_ns is the minimum over *explored* paths (cost
   // pruning may skip some cheap suffixes), so treat it as approximate.
-  double wcet_ns[kNumCostTiers] = {};
-  double best_ns[kNumCostTiers] = {};
+  double wcet_ns[kNumExecModes] = {};
+  double best_ns[kNumExecModes] = {};
   // The concrete hottest path: pc sequence of the feasible path with the
   // highest native-tier cost (ties broken toward more instructions).
   std::vector<uint32_t> hottest_path;
 };
 
 // The flow cache's cost gate: memoizing a program's decisions can pay at
-// `tier` only when its bounded worst case costs more than a warm probe
+// `mode` only when its bounded worst case costs more than a warm probe
 // (DefaultCostModel().flow_cache_probe_ns). Unbounded programs never pass.
 // Purity (AnalysisFacts::cacheable) is the other, independent half.
-bool FlowCachePays(const CostFacts& cost, CostTier tier);
+bool FlowCachePays(const CostFacts& cost, ExecMode mode);
 
 // Renders "pc0 -> pc1 -> ... -> pcN" for diagnostics.
 std::string FormatPath(const std::vector<uint32_t>& path);

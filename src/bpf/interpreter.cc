@@ -11,9 +11,22 @@ namespace syrup::bpf {
 
 using internal::ByteSwap;
 using internal::LoadUnaligned;
-using internal::Region;
-using internal::RegionContains;
 using internal::StoreUnaligned;
+
+namespace {
+
+// A contiguous byte region the program may touch at runtime.
+struct Region {
+  uint64_t base;
+  uint64_t size;
+  bool writable;
+};
+
+bool RegionContains(const Region& r, uint64_t addr, uint64_t size) {
+  return addr >= r.base && size <= r.size && addr - r.base <= r.size - size;
+}
+
+}  // namespace
 
 StatusOr<ExecResult> Interpreter::Run(const Program& prog_in, uint64_t arg1,
                                       uint64_t arg2, bool args_are_packet) {
@@ -47,6 +60,15 @@ StatusOr<ExecResult> Interpreter::Run(const Program& prog_in, uint64_t arg1,
       }
     }
     return false;
+  };
+  // Map helpers and tail_call dereference a map pointer, which only ldmapfd
+  // produces. Accept one of the running program's own maps and nothing
+  // else: a scalar there would otherwise be called through.
+  auto map_arg = [&prog](uint64_t reg) -> Map* {
+    for (const auto& map : prog->maps) {
+      if (reinterpret_cast<uint64_t>(map.get()) == reg) return map.get();
+    }
+    return nullptr;
   };
 
 restart:  // tail-call target: rerun with fresh pc but original context args
@@ -195,7 +217,7 @@ restart:  // tail-call target: rerun with fresh pc but original context args
         ++result.helper_calls;
         switch (static_cast<HelperId>(insn.imm)) {
           case HelperId::kMapLookupElem: {
-            auto* map = reinterpret_cast<Map*>(regs[1]);
+            Map* map = map_arg(regs[1]);
             const uint64_t key = regs[2];
             if (map == nullptr || !readable(key, map->spec().key_size)) {
               return OutOfRangeError("map_lookup: bad map/key");
@@ -209,7 +231,7 @@ restart:  // tail-call target: rerun with fresh pc but original context args
             break;
           }
           case HelperId::kMapUpdateElem: {
-            auto* map = reinterpret_cast<Map*>(regs[1]);
+            Map* map = map_arg(regs[1]);
             const uint64_t key = regs[2];
             const uint64_t value = regs[3];
             if (map == nullptr || !readable(key, map->spec().key_size) ||
@@ -224,7 +246,7 @@ restart:  // tail-call target: rerun with fresh pc but original context args
             break;
           }
           case HelperId::kMapDeleteElem: {
-            auto* map = reinterpret_cast<Map*>(regs[1]);
+            Map* map = map_arg(regs[1]);
             const uint64_t key = regs[2];
             if (map == nullptr || !readable(key, map->spec().key_size)) {
               return OutOfRangeError("map_delete: bad map/key");
@@ -235,7 +257,7 @@ restart:  // tail-call target: rerun with fresh pc but original context args
             break;
           }
           case HelperId::kMapLookupBatch: {
-            auto* map = reinterpret_cast<Map*>(regs[1]);
+            Map* map = map_arg(regs[1]);
             const uint64_t keys = regs[2];
             const uint64_t out = regs[3];
             const uint64_t n = regs[4];
@@ -262,7 +284,7 @@ restart:  // tail-call target: rerun with fresh pc but original context args
               regs[0] = static_cast<uint64_t>(-1);
               break;
             }
-            auto* array = reinterpret_cast<Map*>(regs[2]);
+            Map* array = map_arg(regs[2]);
             const auto index = static_cast<uint32_t>(regs[3]);
             if (array == nullptr ||
                 array->spec().type != MapType::kProgArray) {

@@ -3,7 +3,10 @@
 // Executes a verified program against a context (packet bounds or scalar
 // thread-event arguments). As defense in depth, every memory access is also
 // re-validated at runtime against the known regions (packet, stack, live map
-// values); the verifier should make these checks unreachable.
+// values), and every map pointer a helper receives must be one of the
+// program's own maps; the verifier should make these checks unreachable.
+// This is the only tier that re-checks at runtime: the compiled and native
+// tiers (src/bpf/compiler.h, src/bpf/jit.h) trust the verifier.
 #ifndef SYRUP_SRC_BPF_INTERPRETER_H_
 #define SYRUP_SRC_BPF_INTERPRETER_H_
 

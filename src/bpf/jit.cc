@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <mutex>
 #include <vector>
 
@@ -90,8 +91,8 @@ namespace {
 // One entry per COp, in exact enum order. A stencil is a byte template
 // family plus the patch parameters the emitter burns in while copying:
 // x86 opcode/extension bytes, operand size, condition code, helper index.
-// Unsupported entries (paranoid *Chk flavors, tail calls) make JitCompile
-// fall back to the compiled tier.
+// The one unsupported entry (tail calls) makes JitCompile fall back to the
+// compiled tier.
 struct Stencil {
   enum class Kind : uint8_t {
     kUnsupported,
@@ -125,7 +126,7 @@ struct Stencil {
 
 using SK = Stencil::Kind;
 
-constexpr Stencil kStencilTable[static_cast<size_t>(COp::kNumCOps)] = {
+constexpr Stencil kStencilTable[] = {
     /*kAddReg*/ {SK::kAluRR, 0x01},
     /*kAddImm*/ {SK::kAluImm, 0, 0x01},
     /*kSubReg*/ {SK::kAluRR, 0x29},
@@ -167,19 +168,6 @@ constexpr Stencil kStencilTable[static_cast<size_t>(COp::kNumCOps)] = {
     /*kStW*/ {SK::kStoreImm, 4},
     /*kStDW*/ {SK::kStoreImm, 8},
     /*kAtomicAddDW*/ {SK::kAtomic},
-    /*kLdxBChk*/ {SK::kUnsupported},
-    /*kLdxHChk*/ {SK::kUnsupported},
-    /*kLdxWChk*/ {SK::kUnsupported},
-    /*kLdxDWChk*/ {SK::kUnsupported},
-    /*kStxBChk*/ {SK::kUnsupported},
-    /*kStxHChk*/ {SK::kUnsupported},
-    /*kStxWChk*/ {SK::kUnsupported},
-    /*kStxDWChk*/ {SK::kUnsupported},
-    /*kStBChk*/ {SK::kUnsupported},
-    /*kStHChk*/ {SK::kUnsupported},
-    /*kStWChk*/ {SK::kUnsupported},
-    /*kStDWChk*/ {SK::kUnsupported},
-    /*kAtomicAddDWChk*/ {SK::kUnsupported},
     /*kJa*/ {SK::kJa},
     /*kJeqReg*/ {SK::kCondJump, 0x84, 0},
     /*kJeqImm*/ {SK::kCondJump, 0x84, 1},
@@ -204,19 +192,19 @@ constexpr Stencil kStencilTable[static_cast<size_t>(COp::kNumCOps)] = {
     /*kJsetReg*/ {SK::kCondJump, 0x85, 2},
     /*kJsetImm*/ {SK::kCondJump, 0x85, 3},
     /*kCallLookup*/ {SK::kHelper, 0},
-    /*kCallLookupChk*/ {SK::kUnsupported},
     /*kCallUpdate*/ {SK::kHelper, 1},
-    /*kCallUpdateChk*/ {SK::kUnsupported},
     /*kCallDelete*/ {SK::kHelper, 2},
-    /*kCallDeleteChk*/ {SK::kUnsupported},
     /*kCallLookupBatch*/ {SK::kHelper, 5},
-    /*kCallLookupBatchChk*/ {SK::kUnsupported},
     /*kCallRandom*/ {SK::kHelper, 3},
     /*kCallKtime*/ {SK::kHelper, 4},
     /*kCallTailCall*/ {SK::kUnsupported},
     /*kLdMapPtr*/ {SK::kLdMapPtr},
     /*kExit*/ {SK::kExit},
 };
+// The initializer sizes the table, so a missing or extra row breaks the
+// build instead of silently leaving the last opcodes unsupported.
+static_assert(std::size(kStencilTable) == static_cast<size_t>(COp::kNumCOps),
+              "kStencilTable out of sync with the COp enum");
 
 #if SYRUP_JIT_SUPPORTED
 
@@ -731,8 +719,8 @@ Status Emitter::EmitAll() {
   for (const CInsn& insn : prog_.code) {
     if (kStencilTable[static_cast<size_t>(insn.op)].kind == SK::kUnsupported) {
       return UnimplementedError(
-          "jit: program uses an unsupported opcode (paranoid flavor or "
-          "tail call); staying on the compiled tier");
+          "jit: program uses an unsupported opcode (tail call); staying on "
+          "the compiled tier");
     }
   }
   ComputeLeaders();
@@ -854,10 +842,6 @@ StatusOr<std::shared_ptr<const JitProgram>> JitCompile(
 #else
   if (JitDisabledByEnv()) {
     return FailedPreconditionError("jit: disabled via SYRUP_JIT_DISABLE");
-  }
-  if (prog.paranoid) {
-    return UnimplementedError(
-        "jit: paranoid programs stay on the compiled tier");
   }
   const uint64_t t0 = NowNs();
   Emitter emitter(prog);

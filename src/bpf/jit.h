@@ -11,9 +11,9 @@
 // Everything the compiled tier proved stays proven here: `AnalysisFacts`
 // already shaped the input (dead code gone, decided branches removed), and
 // the verifier's bounds proofs mean loads/stores are emitted with no runtime
-// re-checks, exactly like the unchecked compiled flavor. Only the 8-byte
-// alignment of atomic adds — which the verifier does not prove — keeps a
-// runtime test, branching to a shared fault stub.
+// re-checks, exactly like the compiled tier. Only the 8-byte alignment of
+// atomic adds — which the verifier does not prove — keeps a runtime test,
+// branching to a shared fault stub.
 //
 // W^X lifecycle: code is emitted into a plain buffer, then published into a
 // process-wide executable arena (mmap RW -> copy/patch -> mprotect RX). The
@@ -26,7 +26,7 @@
 //   * SYRUP_JIT_DISABLE=1 in the environment (kill switch; also how CI
 //     forces the fallback path on x86-64 matrix entries),
 //   * mmap/mprotect failure in the arena,
-//   * unsupported input: paranoid (*Chk) opcodes or tail calls.
+//   * unsupported input: tail calls.
 #ifndef SYRUP_SRC_BPF_JIT_H_
 #define SYRUP_SRC_BPF_JIT_H_
 
@@ -88,11 +88,11 @@ class JitProgram {
 // only discoverable at JitCompile time.
 bool JitAvailable();
 
-// Lowers a non-paranoid pre-decoded program to machine code and publishes
-// it. Returns FailedPrecondition when the JIT is unavailable on this
-// host/build, Unimplemented when the program uses an unsupported feature
-// (paranoid flavors, tail calls), ResourceExhausted when the arena cannot
-// map memory. Callers treat any error as "stay on the compiled tier".
+// Lowers a pre-decoded program to machine code and publishes it. Returns
+// FailedPrecondition when the JIT is unavailable on this host/build,
+// Unimplemented when the program uses an unsupported feature (tail calls),
+// ResourceExhausted when the arena cannot map memory. Callers treat any
+// error as "stay on the compiled tier".
 StatusOr<std::shared_ptr<const JitProgram>> JitCompile(
     const CompiledProgram& prog);
 

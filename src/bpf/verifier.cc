@@ -655,7 +655,7 @@ struct AbsState {
   // instructions and per-tier ns along the path that produced this state,
   // plus this path's node in the arena for hottest-path reconstruction.
   uint64_t cost_insns = 0;
-  double cost_ns[kNumCostTiers] = {};
+  double cost_ns[kNumExecModes] = {};
   int32_t path_node = -1;
 
   // Redundant-lookup lint: the most recent lookup on this path whose result
@@ -1088,7 +1088,7 @@ class Verifier {
     if (o.cost_insns < n.cost_insns) {
       return false;
     }
-    for (size_t t = 0; t < kNumCostTiers; ++t) {
+    for (size_t t = 0; t < kNumExecModes; ++t) {
       if (o.cost_ns[t] < n.cost_ns[t]) {
         return false;
       }
@@ -1147,9 +1147,9 @@ class Verifier {
                           : Map::kMaxLookupBatch;
       }
     }
-    for (size_t t = 0; t < kNumCostTiers; ++t) {
+    for (size_t t = 0; t < kNumExecModes; ++t) {
       st.cost_ns[t] += cost_model_->InsnNs(insn, map_type,
-                                           static_cast<CostTier>(t),
+                                           static_cast<ExecMode>(t),
                                            batch_count);
     }
     path_arena_.push_back({st.path_node, static_cast<uint32_t>(st.pc)});
@@ -1160,28 +1160,28 @@ class Verifier {
   // minima; the hottest path is the native-tier maximum, ties broken
   // toward more instructions.
   void RecordExitCost(const AbsState& st) {
-    double total_ns[kNumCostTiers];
-    for (size_t t = 0; t < kNumCostTiers; ++t) {
+    double total_ns[kNumExecModes];
+    for (size_t t = 0; t < kNumExecModes; ++t) {
       total_ns[t] = st.cost_ns[t] + cost_model_->exec_overhead_ns[t];
     }
     if (!cost_any_exit_) {
       cost_any_exit_ = true;
       cost_facts_.wcet_insns = cost_facts_.best_insns = st.cost_insns;
-      for (size_t t = 0; t < kNumCostTiers; ++t) {
+      for (size_t t = 0; t < kNumExecModes; ++t) {
         cost_facts_.wcet_ns[t] = cost_facts_.best_ns[t] = total_ns[t];
       }
-      hottest_native_ns_ = total_ns[static_cast<size_t>(CostTier::kNative)];
+      hottest_native_ns_ = total_ns[static_cast<size_t>(ExecMode::kNative)];
       hottest_insns_ = st.cost_insns;
       hottest_leaf_ = st.path_node;
       return;
     }
     cost_facts_.wcet_insns = std::max(cost_facts_.wcet_insns, st.cost_insns);
     cost_facts_.best_insns = std::min(cost_facts_.best_insns, st.cost_insns);
-    for (size_t t = 0; t < kNumCostTiers; ++t) {
+    for (size_t t = 0; t < kNumExecModes; ++t) {
       cost_facts_.wcet_ns[t] = std::max(cost_facts_.wcet_ns[t], total_ns[t]);
       cost_facts_.best_ns[t] = std::min(cost_facts_.best_ns[t], total_ns[t]);
     }
-    const double native = total_ns[static_cast<size_t>(CostTier::kNative)];
+    const double native = total_ns[static_cast<size_t>(ExecMode::kNative)];
     if (native > hottest_native_ns_ ||
         (native == hottest_native_ns_ && st.cost_insns > hottest_insns_)) {
       hottest_native_ns_ = native;
@@ -2028,7 +2028,7 @@ void AppendBudgetLint(VerifyReport& report, ProgramContext context,
                             ? kTightestPacketBudgetNs
                             : kThreadBudgetNs;
   const double wcet =
-      cost.wcet_ns[static_cast<size_t>(CostTier::kCompiled)];
+      cost.wcet_ns[static_cast<size_t>(ExecMode::kCompiled)];
   if (wcet <= budget) {
     return;
   }

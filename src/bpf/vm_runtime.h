@@ -1,7 +1,6 @@
 // Shared runtime-memory primitives of the two VM execution engines
-// (src/bpf/interpreter.cc and src/bpf/compiler.cc): the region model used
-// for defense-in-depth access validation and the unaligned load/store and
-// byte-swap helpers whose semantics both engines must match exactly.
+// (src/bpf/interpreter.cc and src/bpf/compiler.cc): the unaligned load/store
+// and byte-swap helpers whose semantics both engines must match exactly.
 #ifndef SYRUP_SRC_BPF_VM_RUNTIME_H_
 #define SYRUP_SRC_BPF_VM_RUNTIME_H_
 
@@ -9,17 +8,6 @@
 #include <cstring>
 
 namespace syrup::bpf::internal {
-
-// A contiguous byte region the program may touch at runtime.
-struct Region {
-  uint64_t base;
-  uint64_t size;
-  bool writable;
-};
-
-inline bool RegionContains(const Region& r, uint64_t addr, uint64_t size) {
-  return addr >= r.base && size <= r.size && addr - r.base <= r.size - size;
-}
 
 inline uint64_t LoadUnaligned(uint64_t addr, int size) {
   uint64_t out = 0;

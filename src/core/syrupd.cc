@@ -202,7 +202,6 @@ Syrupd::CompileForCurrentMode(const bpf::Program& program,
                               bpf::ProgramContext context,
                               const bpf::AnalysisFacts* facts) {
   bpf::CompileOptions options;
-  options.paranoid = exec_mode_ == bpf::ExecMode::kCompiledParanoid;
   // The deploy pipeline verified the program right before this call.
   options.assume_verified = true;
   options.facts = facts;
@@ -252,8 +251,7 @@ Status Syrupd::EnforceCostBudget(const std::string& app_name, Hook hook,
                                  const bpf::AnalysisFacts& facts,
                                  const bpf::CompiledProgram* compiled) {
   const std::string_view hook_name = HookName(hook);
-  const bpf::CostTier tier =
-      bpf::CostTierOf(bpf::EffectiveExecMode(compiled));
+  const bpf::ExecMode tier = bpf::EffectiveExecMode(compiled);
   const bpf::CostFacts& cost = facts.cost;
   const double wcet_ns =
       cost.bounded ? cost.wcet_ns[static_cast<size_t>(tier)] : 0.0;
@@ -295,7 +293,7 @@ Status Syrupd::EnforceCostBudget(const std::string& app_name, Hook hook,
     what = "policy '" + prog.name + "' rejected at hook " +
            std::string(hook_name) + ": worst-case path costs " +
            FormatNs(wcet_ns) + " ns at the " +
-           std::string(bpf::CostTierName(tier)) + " tier, over the " +
+           std::string(bpf::ExecModeName(tier)) + " tier, over the " +
            FormatNs(budget) + " ns budget; hottest path: " +
            bpf::FormatPath(cost.hottest_path) +
            " (run `syrupctl cost` for the disassembly)";
@@ -417,8 +415,7 @@ StatusOr<int> Syrupd::DeployPolicyFile(AppId app,
   // the worst case at the tier the program really runs on costs more than
   // the probe that would replace it; the binding resolves the read-set map
   // observers.
-  const bpf::CostTier tier =
-      bpf::CostTierOf(bpf::EffectiveExecMode(compiled.get()));
+  const bpf::ExecMode tier = bpf::EffectiveExecMode(compiled.get());
   FlowCacheBinding cache_binding;
   if (bpf::FlowCachePays(vfacts.cost, tier)) {
     cache_binding = FlowCacheBinding::ForProgram(vfacts, *program);
@@ -1101,15 +1098,14 @@ DeploymentAnalysis Syrupd::AnalyzeDeployments() const {
     // The cost half of the deploy gate, at the tier the program runs on.
     // Thread programs never reach the cache, so only purity applies there.
     const bpf::CostFacts& cost = rec.facts->cost;
-    const bpf::CostTier tier =
-        bpf::CostTierOf(bpf::EffectiveExecMode(CompiledById(id)));
+    const bpf::ExecMode tier = bpf::EffectiveExecMode(CompiledById(id));
     if (rec.packet && !bpf::FlowCachePays(cost, tier)) {
       add_reason(
           !cost.bounded
               ? "the cost analysis could not bound its worst case"
               : "worst case " +
                     FormatNs(cost.wcet_ns[static_cast<size_t>(tier)]) +
-                    " ns at the " + std::string(bpf::CostTierName(tier)) +
+                    " ns at the " + std::string(bpf::ExecModeName(tier)) +
                     " tier does not exceed the " +
                     FormatNs(bpf::DefaultCostModel().flow_cache_probe_ns) +
                     " ns flow-cache probe");

@@ -1,12 +1,12 @@
 // Tests for the pre-decoded execution tier (src/bpf/compiler.h).
 //
 // The contract under test: for any verifier-accepted program, the compiled
-// executor (plain and paranoid) produces exactly the interpreter's r0, map
-// side effects, and helper/tail-call counts — only insns_executed may
-// differ (folding shrinks it). Unit tests pin the individual optimizations;
-// the differential fuzz and the builtin-policy sweep enforce the
-// equivalence wholesale; the experiment test extends it to end-to-end
-// simulation results.
+// executor (bytecode loop and native machine code) produces exactly the
+// interpreter's r0, map side effects, and helper/tail-call counts — only
+// insns_executed may differ (folding shrinks it). Unit tests pin the
+// individual optimizations; the differential fuzz and the builtin-policy
+// sweep enforce the equivalence wholesale; the experiment test extends it
+// to end-to-end simulation results.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -109,14 +109,14 @@ bool HasOp(const CompiledProgram& prog, COp op) {
 TEST(Compiler, ExecModeNames) {
   EXPECT_EQ(bpf::ExecModeName(ExecMode::kInterpret), "interpret");
   EXPECT_EQ(bpf::ExecModeName(ExecMode::kCompiled), "compiled");
-  EXPECT_EQ(bpf::ExecModeName(ExecMode::kCompiledParanoid),
-            "compiled-paranoid");
   EXPECT_EQ(bpf::ExecModeName(ExecMode::kNative), "native");
-  for (ExecMode mode : {ExecMode::kInterpret, ExecMode::kCompiled,
-                        ExecMode::kCompiledParanoid, ExecMode::kNative}) {
+  for (ExecMode mode :
+       {ExecMode::kInterpret, ExecMode::kCompiled, ExecMode::kNative}) {
     EXPECT_EQ(bpf::ExecModeFromName(bpf::ExecModeName(mode)), mode);
   }
   EXPECT_EQ(bpf::ExecModeFromName("warp-speed"), std::nullopt);
+  // The retired re-checking compiled tier is gone, not aliased.
+  EXPECT_EQ(bpf::ExecModeFromName("compiled-paranoid"), std::nullopt);
 }
 
 TEST(Compiler, EffectiveExecModeReportsActualTier) {
@@ -124,10 +124,6 @@ TEST(Compiler, EffectiveExecModeReportsActualTier) {
   Loaded l = Load("mov r0, 1\nexit\n");
   CompiledProgram plain = CompileOrDie(l.prog, ProgramContext::kThread);
   EXPECT_EQ(bpf::EffectiveExecMode(&plain), ExecMode::kCompiled);
-  CompileOptions paranoid;
-  paranoid.paranoid = true;
-  CompiledProgram chk = CompileOrDie(l.prog, ProgramContext::kThread, paranoid);
-  EXPECT_EQ(bpf::EffectiveExecMode(&chk), ExecMode::kCompiledParanoid);
   auto native = bpf::JitCompile(plain);
   if (bpf::JitAvailable()) {
     ASSERT_TRUE(native.ok()) << native.status();
@@ -268,13 +264,6 @@ TEST(Compiler, VarHeaderElidesChecksAndMatchesInterpreter) {
   Loaded l = Load(VarHeaderPolicyAsm(4));
   CompiledProgram plain = CompileOrDie(l.prog, ProgramContext::kPacket);
   EXPECT_GE(plain.stats.elided_checks, 2u);  // both loads unchecked
-  EXPECT_FALSE(HasOp(plain, COp::kLdxBChk));
-  EXPECT_FALSE(HasOp(plain, COp::kLdxWChk));
-
-  CompileOptions paranoid;
-  paranoid.paranoid = true;
-  CompiledProgram chk = CompileOrDie(l.prog, ProgramContext::kPacket,
-                                     paranoid);
   Interpreter interp(TestEnv());
   CompiledExecutor exec(TestEnv());
   for (uint32_t hash : {0u, 3u, 0x1234u, 0xdeadbeefu}) {
@@ -284,7 +273,6 @@ TEST(Compiler, VarHeaderElidesChecksAndMatchesInterpreter) {
     const auto end = start + pkt.wire.size();
     const uint64_t want = interp.Run(l.prog, start, end, true)->r0;
     EXPECT_EQ(exec.Run(plain, start, end, true)->r0, want) << hash;
-    EXPECT_EQ(exec.Run(chk, start, end, true)->r0, want) << hash;
   }
 }
 
@@ -300,7 +288,7 @@ TEST(Compiler, EliminatesDeadConstantMoves) {
   EXPECT_EQ(RunCompiledScalar(c, 7), 7u);
 }
 
-TEST(Compiler, ElidesMemoryChecksUnlessParanoid) {
+TEST(Compiler, ElidesMemoryChecks) {
   Loaded l = Load(R"(
     mov r3, r1
     add r3, 8
@@ -315,16 +303,6 @@ TEST(Compiler, ElidesMemoryChecksUnlessParanoid) {
   CompiledProgram plain = CompileOrDie(l.prog, ProgramContext::kPacket);
   EXPECT_GE(plain.stats.elided_checks, 1u);
   EXPECT_TRUE(HasOp(plain, COp::kLdxW));
-  EXPECT_FALSE(HasOp(plain, COp::kLdxWChk));
-  EXPECT_FALSE(plain.paranoid);
-
-  CompileOptions paranoid;
-  paranoid.paranoid = true;
-  CompiledProgram chk = CompileOrDie(l.prog, ProgramContext::kPacket,
-                                     paranoid);
-  EXPECT_EQ(chk.stats.elided_checks, 0u);
-  EXPECT_TRUE(HasOp(chk, COp::kLdxWChk));
-  EXPECT_TRUE(chk.paranoid);
 
   Packet pkt;
   pkt.SetHeader(ReqType::kGet, 1, 2, 3, 4);
@@ -334,7 +312,6 @@ TEST(Compiler, ElidesMemoryChecksUnlessParanoid) {
   const uint64_t want = interp.Run(l.prog, start, end, true)->r0;
   CompiledExecutor exec(TestEnv());
   EXPECT_EQ(exec.Run(plain, start, end, true)->r0, want);
-  EXPECT_EQ(exec.Run(chk, start, end, true)->r0, want);
 }
 
 TEST(Compiler, RefusesUnverifiableProgramByDefault) {
@@ -344,10 +321,10 @@ TEST(Compiler, RefusesUnverifiableProgramByDefault) {
   auto compiled = bpf::Compile(l.prog, ProgramContext::kPacket);
   EXPECT_FALSE(compiled.ok());
   // An explicitly pre-verified caller may skip the internal pass (syrupd's
-  // deploy path); then translation succeeds mechanically.
+  // deploy path); then translation succeeds mechanically. Running the
+  // result would be unsound, so this test never does.
   CompileOptions options;
   options.assume_verified = true;
-  options.paranoid = true;  // keep runtime checks for the unproven access
   EXPECT_TRUE(bpf::Compile(l.prog, ProgramContext::kPacket, options).ok());
 }
 
@@ -412,9 +389,10 @@ TEST(Compiler, TailCallResolvesThroughCompiledCache) {
   EXPECT_EQ(unresolved->r0, 11u);
 }
 
-TEST(Compiler, TailCallIntoParanoidProgramRevalidates) {
-  // A non-paranoid root chaining into a paranoid target must give the
-  // target its runtime regions even though the root never built any.
+TEST(Compiler, TailCallTargetRunsOnItsOwnMapsAndStack) {
+  // After the jump, the target's code runs with its own resolved map
+  // pointers and a fresh frame pointer: its stack key and map lookup work
+  // exactly as they would had it been entered directly.
   Loaded target = Load(R"(
     .map state array 4 8 1
     mov r1, 0
@@ -431,10 +409,7 @@ TEST(Compiler, TailCallIntoParanoidProgramRevalidates) {
     add r0, 1
     exit
   )");
-  CompileOptions paranoid;
-  paranoid.paranoid = true;
-  auto compiled_target =
-      CompileOrDie(target.prog, ProgramContext::kThread, paranoid);
+  auto compiled_target = CompileOrDie(target.prog, ProgramContext::kThread);
 
   Loaded root = Load(R"(
     .map progs prog_array 4 8 1
@@ -523,9 +498,7 @@ ModeRun RunVariant(const std::string& source, ExecMode mode, uint64_t seed,
   CompiledProgram compiled;
   bool native_engaged = false;
   if (mode != ExecMode::kInterpret) {
-    CompileOptions options;
-    options.paranoid = mode == ExecMode::kCompiledParanoid;
-    compiled = CompileOrDie(l.prog, l.context, options);
+    compiled = CompileOrDie(l.prog, l.context);
     if (mode == ExecMode::kNative) {
       // JIT failure (disabled, unsupported host/program) is the documented
       // transparent fallback to the compiled tier, same as syrupd's deploy.
@@ -595,17 +568,12 @@ TEST_P(BuiltinDifferentialTest, AllModesAgreeOnDecisionsAndSideEffects) {
   for (const BuiltinCase& c : cases) {
     ModeRun interp = RunVariant(c.source, ExecMode::kInterpret, seed, kIters);
     ModeRun compiled = RunVariant(c.source, ExecMode::kCompiled, seed, kIters);
-    ModeRun paranoid =
-        RunVariant(c.source, ExecMode::kCompiledParanoid, seed, kIters);
     ModeRun native = RunVariant(c.source, ExecMode::kNative, seed, kIters);
     EXPECT_EQ(interp.decisions, compiled.decisions) << c.label;
-    EXPECT_EQ(interp.decisions, paranoid.decisions) << c.label;
     EXPECT_EQ(interp.decisions, native.decisions) << c.label;
     EXPECT_EQ(interp.helper_calls, compiled.helper_calls) << c.label;
-    EXPECT_EQ(interp.helper_calls, paranoid.helper_calls) << c.label;
     EXPECT_EQ(interp.helper_calls, native.helper_calls) << c.label;
     EXPECT_EQ(interp.maps, compiled.maps) << c.label;
-    EXPECT_EQ(interp.maps, paranoid.maps) << c.label;
     EXPECT_EQ(interp.maps, native.maps) << c.label;
     if (bpf::JitAvailable()) {
       // Every builtin policy is JIT-able (no tail calls), and the per-block
@@ -673,10 +641,6 @@ TEST_P(CompilerFuzzTest, CompiledMatchesInterpreterOnVerifiedPrograms) {
     assume.assume_verified = true;
     auto plain = bpf::Compile(prog, ProgramContext::kPacket, assume);
     ASSERT_TRUE(plain.ok()) << plain.status();
-    CompileOptions assume_paranoid = assume;
-    assume_paranoid.paranoid = true;
-    auto chk = bpf::Compile(prog, ProgramContext::kPacket, assume_paranoid);
-    ASSERT_TRUE(chk.ok()) << chk.status();
     // Native tier. Random programs may draw the tail-call helper, which the
     // JIT rejects; that exercises the documented fallback (native == plain).
     CompiledProgram native_prog = *plain;
@@ -692,37 +656,28 @@ TEST_P(CompilerFuzzTest, CompiledMatchesInterpreterOnVerifiedPrograms) {
     auto run = [&](auto& engine, const auto& program) {
       return engine.Run(program, start, end, /*args_are_packet=*/true);
     };
-    Rng rng_a(trial), rng_b(trial), rng_c(trial), rng_d(trial);
-    ExecEnv env_a, env_b, env_c, env_d;
+    Rng rng_a(trial), rng_b(trial), rng_c(trial);
+    ExecEnv env_a, env_b, env_c;
     env_a.random_u32 = [&]() { return static_cast<uint32_t>(rng_a.Next()); };
     env_b.random_u32 = [&]() { return static_cast<uint32_t>(rng_b.Next()); };
     env_c.random_u32 = [&]() { return static_cast<uint32_t>(rng_c.Next()); };
-    env_d.random_u32 = [&]() { return static_cast<uint32_t>(rng_d.Next()); };
-    env_a.ktime_ns = env_b.ktime_ns = env_c.ktime_ns = env_d.ktime_ns = []() {
-      return 99u;
-    };
+    env_a.ktime_ns = env_b.ktime_ns = env_c.ktime_ns = []() { return 99u; };
     Interpreter interp(env_a);
     CompiledExecutor exec_plain(env_b);
-    CompiledExecutor exec_chk(env_c);
-    CompiledExecutor exec_native(env_d);
+    CompiledExecutor exec_native(env_c);
 
     auto want = run(interp, prog);
     ASSERT_TRUE(want.ok()) << want.status();
     auto got_plain = run(exec_plain, *plain);
     ASSERT_TRUE(got_plain.ok()) << got_plain.status();
-    auto got_chk = run(exec_chk, *chk);
-    ASSERT_TRUE(got_chk.ok()) << got_chk.status();
     auto got_native = run(exec_native, native_prog);
     ASSERT_TRUE(got_native.ok()) << got_native.status();
 
     EXPECT_EQ(got_plain->r0, want->r0) << "trial " << trial;
-    EXPECT_EQ(got_chk->r0, want->r0) << "trial " << trial;
     EXPECT_EQ(got_native->r0, want->r0) << "trial " << trial;
     EXPECT_EQ(got_plain->helper_calls, want->helper_calls);
-    EXPECT_EQ(got_chk->helper_calls, want->helper_calls);
     EXPECT_EQ(got_native->helper_calls, want->helper_calls);
     EXPECT_EQ(got_plain->tail_calls, want->tail_calls);
-    EXPECT_EQ(got_chk->tail_calls, want->tail_calls);
     if (native_prog.native != nullptr) {
       EXPECT_EQ(got_native->insns_executed, got_plain->insns_executed)
           << "trial " << trial;
@@ -777,14 +732,6 @@ TEST(Jit, RejectsTailCallPrograms) {
   EXPECT_EQ(RunCompiledScalar(c), RunInterpScalar(l.prog));
 }
 
-TEST(Jit, RejectsParanoidPrograms) {
-  Loaded l = Load("mov r0, 1\nexit\n");
-  CompileOptions paranoid;
-  paranoid.paranoid = true;
-  CompiledProgram c = CompileOrDie(l.prog, ProgramContext::kThread, paranoid);
-  EXPECT_FALSE(bpf::JitCompile(c).ok());
-}
-
 TEST(Jit, DisableEnvForcesCompiledFallback) {
   // SYRUP_JIT_DISABLE is the portable way to exercise the non-x86-64 path:
   // JitCompile refuses, the caller keeps the compiled artifact, and results
@@ -827,8 +774,6 @@ TEST(Compiler, ExperimentResultsIdenticalAcrossExecModes) {
   const RocksDbResult interp = RunRocksDbExperiment(config);
   config.exec_mode = ExecMode::kCompiled;
   const RocksDbResult compiled = RunRocksDbExperiment(config);
-  config.exec_mode = ExecMode::kCompiledParanoid;
-  const RocksDbResult paranoid = RunRocksDbExperiment(config);
   config.exec_mode = ExecMode::kNative;
   const RocksDbResult native = RunRocksDbExperiment(config);
 
@@ -839,10 +784,6 @@ TEST(Compiler, ExperimentResultsIdenticalAcrossExecModes) {
   EXPECT_EQ(interp.p50_us, compiled.p50_us);
   EXPECT_EQ(interp.p99_us, compiled.p99_us);
   EXPECT_EQ(interp.drop_fraction, compiled.drop_fraction);
-  EXPECT_EQ(compiled.throughput_rps, paranoid.throughput_rps);
-  EXPECT_EQ(compiled.p50_us, paranoid.p50_us);
-  EXPECT_EQ(compiled.p99_us, paranoid.p99_us);
-  EXPECT_EQ(compiled.drop_fraction, paranoid.drop_fraction);
   // Native either JITs (x86-64) or transparently falls back to compiled —
   // the simulation outcome must be bit-identical either way.
   EXPECT_EQ(compiled.throughput_rps, native.throughput_rps);

@@ -35,9 +35,9 @@
 namespace syrup::bpf {
 namespace {
 
-constexpr size_t kInterp = static_cast<size_t>(CostTier::kInterpret);
-constexpr size_t kComp = static_cast<size_t>(CostTier::kCompiled);
-constexpr size_t kNat = static_cast<size_t>(CostTier::kNative);
+constexpr size_t kInterp = static_cast<size_t>(ExecMode::kInterpret);
+constexpr size_t kComp = static_cast<size_t>(ExecMode::kCompiled);
+constexpr size_t kNat = static_cast<size_t>(ExecMode::kNative);
 
 // Assembles a policy and materializes its map slots the way `syrupctl
 // lint`/`cost` do: extern maps (bound at deploy time) are substituted with
@@ -101,7 +101,7 @@ TEST(CostModelTest, DefaultModelOrdersTiersAndMapKinds) {
 TEST(CostModelTest, CalibratedModelNeverCheaperThanDefault) {
   const CostModel& def = DefaultCostModel();
   const CostModel cal = CalibratedCostModel();
-  for (size_t t = 0; t < kNumCostTiers; ++t) {
+  for (size_t t = 0; t < kNumExecModes; ++t) {
     for (size_t op = 0; op < kNumOps; ++op) {
       ASSERT_GE(cal.op_ns[t][op], def.op_ns[t][op])
           << "tier " << t << " op " << op;
@@ -150,7 +150,7 @@ TEST(CostModelTest, EveryBuiltinPolicyHasFiniteWcet) {
     EXPECT_GE(cost.wcet_insns, cost.best_insns) << name;
     EXPECT_FALSE(cost.hottest_path.empty()) << name;
     EXPECT_LE(cost.hottest_path.size(), cost.wcet_insns) << name;
-    for (size_t t = 0; t < kNumCostTiers; ++t) {
+    for (size_t t = 0; t < kNumExecModes; ++t) {
       EXPECT_GT(cost.wcet_ns[t], 0.0) << name << " tier " << t;
       EXPECT_GE(cost.wcet_ns[t], cost.best_ns[t]) << name << " tier " << t;
     }
@@ -372,7 +372,7 @@ void AssertMeasuredWithinPredicted(const std::string& name,
   if (jit.ok()) {
     compiled->native = std::move(jit).value();
   }
-  const CostTier tier = CostTierOf(EffectiveExecMode(&*compiled));
+  const ExecMode tier = EffectiveExecMode(&*compiled);
   const double predicted_ns = facts.cost.wcet_ns[static_cast<size_t>(tier)];
 
   ExecEnv env;
@@ -410,7 +410,7 @@ void AssertMeasuredWithinPredicted(const std::string& name,
   // underestimate shows up as multiples, not percentages).
   EXPECT_LE(best_per_run_ns, predicted_ns * 1.5)
       << name << ": measured " << best_per_run_ns << " ns/run at the "
-      << CostTierName(tier) << " tier exceeds predicted wcet "
+      << ExecModeName(tier) << " tier exceeds predicted wcet "
       << predicted_ns << " ns\nhottest path:\n"
       << DisassemblePath(prog, facts.cost.hottest_path);
 }

@@ -2,6 +2,8 @@
 
 #include <array>
 #include <cstring>
+#include <string>
+#include <utility>
 
 #include "src/bpf/assembler.h"
 #include "src/bpf/interpreter.h"
@@ -181,6 +183,103 @@ TEST(Interpreter, RuntimeStackBoundsEnforced) {
   Program prog = Load("mov r1, 1\nstxdw [r10+8], r1\nmov r0, 0\nexit\n");
   Interpreter interp(TestEnv());
   EXPECT_FALSE(interp.Run(prog, 0, 0, false).ok());
+}
+
+TEST(Interpreter, EveryRuntimeCheckRejectsUnverifiedAccess) {
+  // The interpreter is the only tier that re-checks at runtime, so each of
+  // its checks gets an unverified program that trips it. Each run must
+  // return a Status, never crash (the ASan job also watches these).
+  //
+  // Most cases first point r1 at array `m` and r2 at a stack key 0.
+  const auto map_and_key = [](int value_size) {
+    return ".map m array 4 " + std::to_string(value_size) + R"( 1
+    mov r6, 0
+    stxw [r10-4], r6
+    ldmapfd r1, m
+    mov r2, r10
+    add r2, -4
+  )";
+  };
+  const std::pair<const char*, std::string> cases[] = {
+      {"load one byte past an 8-byte map value", map_and_key(8) + R"(
+    call map_lookup_elem
+    jeq r0, 0, out
+    ldxb r0, [r0+8]
+  out:
+    exit
+  )"},
+      {"store into the read-only packet", R"(
+    stb [r1+0], 1
+    mov r0, 0
+    exit
+  )"},
+      {"map_lookup_elem with a scalar key", map_and_key(8) + R"(
+    mov r2, 5
+    call map_lookup_elem
+    exit
+  )"},
+      {"map_delete_elem with a scalar key", map_and_key(8) + R"(
+    mov r2, 5
+    call map_delete_elem
+    exit
+  )"},
+      {"map_update_elem with the value at the stack top", map_and_key(8) + R"(
+    mov r3, r10
+    call map_update_elem
+    exit
+  )"},
+      {"map_lookup_batch with n=0", map_and_key(8) + R"(
+    add r2, -132
+    mov r3, r10
+    add r3, -400
+    mov r4, 0
+    call map_lookup_batch
+    exit
+  )"},
+      {"map_lookup_batch with n=33", map_and_key(8) + R"(
+    add r2, -132
+    mov r3, r10
+    add r3, -400
+    mov r4, 33
+    call map_lookup_batch
+    exit
+  )"},
+      // A 16-byte value keeps the 8-byte add at offset 1 in bounds.
+      {"xadd at a misaligned map-value offset", map_and_key(16) + R"(
+    call map_lookup_elem
+    jeq r0, 0, out
+    mov r1, 1
+    xadddw [r0+1], r1
+  out:
+    mov r0, 0
+    exit
+  )"},
+      {"map helper called through a scalar", map_and_key(8) + R"(
+    mov r1, 4096
+    call map_lookup_elem
+    exit
+  )"},
+      {"tail_call through a scalar prog array", R"(
+    mov r2, 4096
+    mov r3, 0
+    call tail_call
+    exit
+  )"},
+  };
+  std::array<uint8_t, 64> packet{};
+  for (const auto& [label, source] : cases) {
+    const Program prog = Load(source);
+    // A resolver is bound, as syrupd's environment binds one, so tail_call
+    // really reaches its prog-array argument.
+    ExecEnv env = TestEnv();
+    env.resolve_program = [](uint64_t) -> const Program* { return nullptr; };
+    Interpreter interp(env);
+    auto result =
+        interp.Run(prog, reinterpret_cast<uint64_t>(packet.data()),
+                   reinterpret_cast<uint64_t>(packet.data() + packet.size()),
+                   /*args_are_packet=*/true);
+    EXPECT_FALSE(result.ok()) << label << " ran to r0=" << result->r0;
+  }
 }
 
 TEST(Interpreter, MapLookupUpdateRoundtrip) {

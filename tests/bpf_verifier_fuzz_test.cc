@@ -16,9 +16,9 @@
 //    access offset, and access width all drawn at random, so the accepted
 //    set straddles exactly the boundary the range analysis must get right.
 //
-// Every accepted program runs through all four execution tiers (interpret,
-// compiled, compiled-paranoid, native) with identical inputs and helper
-// streams: none may fault, and all must agree on r0. The compiled tiers run
+// Every accepted program runs through all three execution tiers (interpret,
+// compiled, native) with identical inputs and helper streams: none may
+// fault, and all must agree on r0. The compiled tiers run
 // with assume_verified (checks elided), so an unsound acceptance surfaces
 // as a raw bad access under the sanitizer jobs rather than a Status — which
 // is precisely the production blast radius being tested.
@@ -46,13 +46,12 @@ ExecEnv FuzzEnv(Rng* rng) {
   return env;
 }
 
-// The three compiled-family artifacts for an accepted program. The native
+// The two compiled-family artifacts for an accepted program. The native
 // artifact transparently degrades to the compiled tier when the JIT refuses
 // the program (tail-call draws) or the host (non-x86-64, SYRUP_JIT_DISABLE)
 // — exactly syrupd's deploy-time fallback, so the fuzz exercises it too.
 struct Tiers {
   CompiledProgram plain;
-  CompiledProgram paranoid;
   CompiledProgram native;
 };
 
@@ -63,10 +62,6 @@ Tiers CompileTiers(const Program& prog, ProgramContext context) {
   auto plain = Compile(prog, context, options);
   EXPECT_TRUE(plain.ok()) << plain.status();
   if (plain.ok()) t.plain = *std::move(plain);
-  options.paranoid = true;
-  auto chk = Compile(prog, context, options);
-  EXPECT_TRUE(chk.ok()) << chk.status();
-  if (chk.ok()) t.paranoid = *std::move(chk);
   t.native = t.plain;
   auto jit = JitCompile(t.native);
   if (jit.ok()) t.native.native = std::move(jit).value();
@@ -76,7 +71,7 @@ Tiers CompileTiers(const Program& prog, ProgramContext context) {
 // Cost soundness: the verifier's wcet_insns is a WORST-case bound, so no
 // concrete execution may ever retire more instructions than it predicts.
 // Checked on the interpreter (counts source insns, the unit the bound is
-// stated in) and both compiled tiers (execute at most the source path).
+// stated in) and the compiled tier (executes at most the source path).
 void AssertWithinWcet(const AnalysisFacts* facts, const ExecResult& result,
                       const char* tier) {
   if (facts == nullptr || !facts->cost.bounded) {
@@ -89,18 +84,16 @@ void AssertWithinWcet(const AnalysisFacts* facts, const ExecResult& result,
 
 // Executes an accepted program against `runs` random packets with random
 // sizes (including sizes smaller than any guard) and asserts that no
-// execution tier faults and that all four agree on r0.
+// execution tier faults and that all three agree on r0.
 void AssertSoundOnPackets(const Program& prog, Rng& rng, int runs,
                           const AnalysisFacts* facts = nullptr) {
   const Tiers tiers = CompileTiers(prog, ProgramContext::kPacket);
   // One helper stream per engine, identically seeded, so bpf_random draws
   // line up across tiers and r0 comparison is meaningful.
   const uint64_t helper_seed = rng.Next();
-  Rng rng_i(helper_seed), rng_c(helper_seed), rng_p(helper_seed),
-      rng_n(helper_seed);
+  Rng rng_i(helper_seed), rng_c(helper_seed), rng_n(helper_seed);
   Interpreter interp(FuzzEnv(&rng_i));
   CompiledExecutor plain(FuzzEnv(&rng_c));
-  CompiledExecutor paranoid(FuzzEnv(&rng_p));
   CompiledExecutor native(FuzzEnv(&rng_n));
   for (int i = 0; i < runs; ++i) {
     std::vector<uint8_t> wire(rng.NextBounded(96));
@@ -115,16 +108,12 @@ void AssertSoundOnPackets(const Program& prog, Rng& rng, int runs,
         << "(pkt_size=" << wire.size() << "): " << want.status();
     auto got_plain = plain.Run(tiers.plain, start, end, true);
     ASSERT_TRUE(got_plain.ok()) << got_plain.status();
-    auto got_chk = paranoid.Run(tiers.paranoid, start, end, true);
-    ASSERT_TRUE(got_chk.ok()) << got_chk.status();
     auto got_native = native.Run(tiers.native, start, end, true);
     ASSERT_TRUE(got_native.ok()) << got_native.status();
     ASSERT_EQ(got_plain->r0, want->r0) << "pkt_size=" << wire.size();
-    ASSERT_EQ(got_chk->r0, want->r0) << "pkt_size=" << wire.size();
     ASSERT_EQ(got_native->r0, want->r0) << "pkt_size=" << wire.size();
     AssertWithinWcet(facts, *want, "interpreter");
     AssertWithinWcet(facts, *got_plain, "compiled");
-    AssertWithinWcet(facts, *got_chk, "compiled-paranoid");
   }
 }
 
@@ -132,11 +121,9 @@ void AssertSoundOnScalars(const Program& prog, Rng& rng, int runs,
                           const AnalysisFacts* facts = nullptr) {
   const Tiers tiers = CompileTiers(prog, ProgramContext::kThread);
   const uint64_t helper_seed = rng.Next();
-  Rng rng_i(helper_seed), rng_c(helper_seed), rng_p(helper_seed),
-      rng_n(helper_seed);
+  Rng rng_i(helper_seed), rng_c(helper_seed), rng_n(helper_seed);
   Interpreter interp(FuzzEnv(&rng_i));
   CompiledExecutor plain(FuzzEnv(&rng_c));
-  CompiledExecutor paranoid(FuzzEnv(&rng_p));
   CompiledExecutor native(FuzzEnv(&rng_n));
   for (int i = 0; i < runs; ++i) {
     const uint64_t arg1 = rng.Next();
@@ -147,16 +134,12 @@ void AssertSoundOnScalars(const Program& prog, Rng& rng, int runs,
         << want.status();
     auto got_plain = plain.Run(tiers.plain, arg1, arg2, false);
     ASSERT_TRUE(got_plain.ok()) << got_plain.status();
-    auto got_chk = paranoid.Run(tiers.paranoid, arg1, arg2, false);
-    ASSERT_TRUE(got_chk.ok()) << got_chk.status();
     auto got_native = native.Run(tiers.native, arg1, arg2, false);
     ASSERT_TRUE(got_native.ok()) << got_native.status();
     ASSERT_EQ(got_plain->r0, want->r0);
-    ASSERT_EQ(got_chk->r0, want->r0);
     ASSERT_EQ(got_native->r0, want->r0);
     AssertWithinWcet(facts, *want, "interpreter");
     AssertWithinWcet(facts, *got_plain, "compiled");
-    AssertWithinWcet(facts, *got_chk, "compiled-paranoid");
   }
 }
 

@@ -712,18 +712,18 @@ TEST(FlowCacheGate, PricedWorstCaseMustExceedTheProbe) {
   const bpf::CostFacts cost = FactsFor(MicaHomePolicyAsm(6)).cost;
   const double probe = bpf::DefaultCostModel().flow_cache_probe_ns;
   ASSERT_TRUE(cost.bounded);
-  EXPECT_GT(cost.wcet_ns[static_cast<size_t>(bpf::CostTier::kCompiled)],
+  EXPECT_GT(cost.wcet_ns[static_cast<size_t>(bpf::ExecMode::kCompiled)],
             probe);
-  EXPECT_LE(cost.wcet_ns[static_cast<size_t>(bpf::CostTier::kNative)], probe);
-  EXPECT_TRUE(bpf::FlowCachePays(cost, bpf::CostTier::kInterpret));
-  EXPECT_TRUE(bpf::FlowCachePays(cost, bpf::CostTier::kCompiled));
-  EXPECT_FALSE(bpf::FlowCachePays(cost, bpf::CostTier::kNative));
+  EXPECT_LE(cost.wcet_ns[static_cast<size_t>(bpf::ExecMode::kNative)], probe);
+  EXPECT_TRUE(bpf::FlowCachePays(cost, bpf::ExecMode::kInterpret));
+  EXPECT_TRUE(bpf::FlowCachePays(cost, bpf::ExecMode::kCompiled));
+  EXPECT_FALSE(bpf::FlowCachePays(cost, bpf::ExecMode::kNative));
   // The map-consulting builtins pay even as machine code.
   EXPECT_TRUE(bpf::FlowCachePays(
       FactsFor(LeastLoadedPolicyAsm(6, "/syrup/t/load")).cost,
-      bpf::CostTier::kNative));
+      bpf::ExecMode::kNative));
   // No bound, no cache.
-  EXPECT_FALSE(bpf::FlowCachePays(bpf::CostFacts{}, bpf::CostTier::kInterpret));
+  EXPECT_FALSE(bpf::FlowCachePays(bpf::CostFacts{}, bpf::ExecMode::kInterpret));
 }
 
 TEST_F(FlowCacheDispatchTest, NativeTierMicaHomeIsNotCached) {
