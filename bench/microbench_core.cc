@@ -239,7 +239,7 @@ BENCHMARK(BM_ObsCounterIncAtomic);
 
 void BM_ObsCounterIncAtomicContended(benchmark::State& state) {
   // All threads hammer ONE counter cell with IncAtomic: the cache-line
-  // ping-pong a sharded run would pay if shards shared metrics cells.
+  // ping-pong concurrent map operations pay on a shared map's counters.
   static obs::MetricsRegistry* registry = new obs::MetricsRegistry();
   std::shared_ptr<obs::Counter> counter =
       registry->GetCounter("bench", "hook", "contended");
@@ -249,20 +249,6 @@ void BM_ObsCounterIncAtomicContended(benchmark::State& state) {
   benchmark::DoNotOptimize(counter->value);
 }
 BENCHMARK(BM_ObsCounterIncAtomicContended)->Threads(2)->Threads(4);
-
-void BM_ObsCounterIncSharded(benchmark::State& state) {
-  // Each thread bumps its own shard cell with the single-writer relaxed
-  // store (the sharded-sim emission path, src/sim/sharded.h); the registry
-  // folds the cells at snapshot. No shared cache lines on the hot path.
-  static obs::MetricsRegistry* registry = new obs::MetricsRegistry();
-  std::shared_ptr<obs::Counter> counter = registry->GetCounterShard(
-      "bench", "hook", "sharded", state.thread_index());
-  for (auto _ : state) {
-    counter->IncRelaxed();
-  }
-  benchmark::DoNotOptimize(counter->value);
-}
-BENCHMARK(BM_ObsCounterIncSharded)->Threads(2)->Threads(4);
 
 void BM_ObsHistogramRecord(benchmark::State& state) {
   obs::LatencyHistogram histogram;
@@ -296,32 +282,24 @@ void BM_SyrupdDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SyrupdDispatch);
 
-// Dispatch with a verifier-cacheable bytecode policy: arg 1 = flow cache
-// on (steady-state hits, the policy VM never runs), arg 0 = off (the
-// compiled policy executes per packet). The gap is the flow-decision
-// cache's per-packet win; the cache-on number also guards the hit path
-// (MakeKey + probe) against regressions, and the raw-pointer dispatch
-// refactor (PortEntry::policy_raw) keeps shared_ptr refcount traffic off
-// both variants.
-void BM_SyrupdDispatchCacheable(benchmark::State& state) {
+// Dispatch with a compiled bytecode policy (MICA home steering): the
+// policy executes on every packet. The raw-pointer dispatch
+// (PortEntry::policy_raw) keeps shared_ptr refcount traffic off this path.
+void BM_SyrupdDispatchBytecode(benchmark::State& state) {
   Simulator sim;
   HostStack stack(sim, StackConfig{});
   Syrupd syrupd(sim, &stack);
-  FlowCacheConfig cache_config;
-  cache_config.enabled = state.range(0) != 0;
-  syrupd.set_flow_cache_config(cache_config);
   const AppId app = syrupd.RegisterApp("bench", /*uid=*/1000, 9000).value();
   (void)syrupd.DeployPolicyFile(app, MicaHomePolicyAsm(6), Hook::kSocketSelect)
       .value();
   const Packet pkt = BenchPacket();
   const PacketView view = PacketView::Of(pkt);
   SteerHook& dispatch = stack.hooks().socket_select;
-  (void)dispatch(view);  // warm: populate the flow's cache entry
   for (auto _ : state) {
     benchmark::DoNotOptimize(dispatch(view));
   }
 }
-BENCHMARK(BM_SyrupdDispatchCacheable)->Arg(0)->Arg(1)->ArgName("cache");
+BENCHMARK(BM_SyrupdDispatchBytecode);
 
 void BM_FiveTupleHash(benchmark::State& state) {
   FiveTuple tuple{0x0a000001, 0x0a0000ff, 20'000, 9000, 17};

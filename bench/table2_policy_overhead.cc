@@ -90,29 +90,10 @@ double MeasureNs(PacketPolicy& policy, const std::vector<Packet>& packets,
          iters;
 }
 
-// Full dispatch cost through the installed stack hook — port match, flow-
-// decision cache (when the deployment is verifier-cacheable), then the
-// policy. This is what a packet actually pays, where MeasureNs above
-// isolates the policy body.
-double MeasureHookNs(const SteerHook& hook, const std::vector<Packet>& packets,
-                     int iters) {
-  volatile uint64_t sink = 0;
-  for (int i = 0; i < kWarmupIters; ++i) {
-    sink += hook(PacketView::Of(packets[i % packets.size()]));
-  }
-  const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < iters; ++i) {
-    sink += hook(PacketView::Of(packets[i % packets.size()]));
-  }
-  const auto stop = std::chrono::steady_clock::now();
-  (void)sink;
-  return std::chrono::duration<double, std::nano>(stop - start).count() /
-         iters;
-}
-
-// Batched dispatch cost — the same end-to-end path as MeasureHookNs but
-// through Syrupd::DispatchBatch in bursts of 32 (the shape RxBurst
-// produces), so the batch-vs-single delta is visible per policy.
+// Full dispatch cost through Syrupd::DispatchBatch in bursts of 32 (the
+// shape RxBurst produces): port match, counters, then the policy. This is
+// what a packet actually pays, where MeasureNs above isolates the policy
+// body.
 double MeasureBatchNs(Syrupd& syrupd, const std::vector<Packet>& packets,
                       int iters) {
   constexpr size_t kBurst = 32;
@@ -191,18 +172,15 @@ void Run() {
       {"SITA", "t2_sita", SitaPolicyAsm(6), std::make_shared<SitaPolicy>(6)});
   policies.push_back({"Token-based", "t2_token", TokenPolicyAsm(),
                       std::make_shared<TokenPolicy>(native_token_map)});
-  // The §3.3 portable-hash policy: the only Table-2 entry the verifier
-  // proves cacheable, so its cached_ns column shows the flow-decision
-  // cache serving hits while the rows above show the uncacheable
-  // fall-through (dispatch + policy every packet).
+  // The §3.3 portable-hash policy.
   policies.push_back({"Hash", "t2_hash", HashPolicyAsm(6),
                       std::make_shared<HashPolicy>(6)});
 
   std::printf("# Table 2: overhead of different Syrup policies\n");
-  std::printf("%-12s %5s %13s | %10s %10s %10s %8s %10s %10s %10s | %18s "
+  std::printf("%-12s %5s %13s | %10s %10s %10s %8s %10s %10s | %18s "
               "%10s\n",
               "Policy", "LoC", "Instructions", "native_ns", "interp_ns",
-              "compiled_ns", "speedup", "jit_ns", "cached_ns", "batched_ns",
+              "compiled_ns", "speedup", "jit_ns", "batched_ns",
               "DecisionCycles", "Cycles");
   uint16_t next_port = 9000;
   for (auto& put : policies) {
@@ -261,11 +239,9 @@ void Run() {
     }
 
     // Compiled tier (the default deployment mode): same program, same
-    // maps, pre-decoded execution. The cached column measures the same
-    // deployment end to end through the stack's socket_select hook with
-    // the flow-decision cache live.
+    // maps, pre-decoded execution. The batched column measures the same
+    // deployment end to end through the dispatcher.
     double compiled_ns = 0;
-    double cached_ns = 0;
     double batched_ns = 0;
     syrupd.set_exec_mode(bpf::ExecMode::kCompiled);
     {
@@ -274,8 +250,6 @@ void Run() {
       std::shared_ptr<PacketPolicy> attached =
           syrupd.PolicyAt(Hook::kSocketSelect, port);
       compiled_ns = MeasureNs(*attached, workload, kBytecodeIters);
-      cached_ns =
-          MeasureHookNs(stack.hooks().socket_select, workload, kBytecodeIters);
       batched_ns = MeasureBatchNs(syrupd, workload, kBytecodeIters);
     }
 
@@ -298,11 +272,11 @@ void Run() {
     const double decision_cycles = decision_ns * kGhz;
     const double total_cycles = decision_cycles + kEnforcementCycles;
     std::printf("%-12s %5d %13.0f | %10.1f %10.1f %10.1f %7.2fx %10.1f "
-                "%10.1f %10.1f | %18.0f %10.0f\n",
+                "%10.1f | %18.0f %10.0f\n",
                 put.name, CountLoc(put.asm_source), mean_insns, decision_ns,
                 interp_ns, compiled_ns,
                 compiled_ns > 0 ? interp_ns / compiled_ns : 0.0, jit_ns,
-                cached_ns, batched_ns, decision_cycles, total_cycles);
+                batched_ns, decision_cycles, total_cycles);
   }
   std::printf(
       "# native_ns/interp_ns/compiled_ns: per-decision cost of the native "
@@ -313,15 +287,9 @@ void Run() {
       "native) — x86-64 stencils\n"
       "# emitted at attach time; equals compiled_ns on hosts where the JIT "
       "falls back.\n"
-      "# cached_ns: full dispatch through the socket_select hook with the "
-      "flow-decision cache on —\n"
-      "# for verifier-cacheable policies (Hash) most packets skip the VM "
-      "entirely; uncacheable\n"
-      "# policies pay dispatch + policy every packet.\n"
-      "# batched_ns: same end-to-end dispatch via Syrupd::DispatchBatch in "
-      "bursts of 32 — port\n"
-      "# resolution, cache keys, and slot prefetch hoisted across the "
-      "burst.\n"
+      "# batched_ns: full dispatch (port match, counters, policy) via "
+      "Syrupd::DispatchBatch in\n"
+      "# bursts of 32, the compiled tier.\n"
       "# Cycles = measured native decision cost at %.1f GHz + %.0f modeled "
       "enforcement cycles\n"
       "# (the paper: ~1500-1700 cycles total, dominated by enforcement).\n",

@@ -78,16 +78,20 @@ void TryPolicy(const std::string& source) {
   program->name = assembled->name;
   program->insns = assembled->insns;
   for (const bpf::MapSlot& slot : assembled->map_slots) {
+    MapSpec spec = slot.spec;
     if (slot.is_extern) {
       std::printf("  (extern map '%s' bound to a fresh map for the dry "
                   "run)\n", slot.name.c_str());
-      MapSpec spec;
+      spec = MapSpec{};
       spec.type = MapType::kHash;
       spec.max_entries = 1024;
-      program->maps.push_back(CreateMap(spec).value());
-      continue;
     }
-    program->maps.push_back(CreateMap(slot.spec).value());
+    auto map = CreateMap(spec);
+    if (!map.ok()) {
+      std::printf("  map spec: %s\n", map.status().ToString().c_str());
+      return;
+    }
+    program->maps.push_back(std::move(map).value());
   }
 
   bpf::VerifierStats stats;

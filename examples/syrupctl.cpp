@@ -9,7 +9,6 @@
 // Build & run:
 //   ./build/examples/syrupctl            # human-readable inspection
 //   ./build/examples/syrupctl stats      # full StatsSnapshot() as JSON
-//   ./build/examples/syrupctl flow-cache # FlowCacheConfig + cache counters
 //   ./build/examples/syrupctl lint p.s   # verifier lint report for a policy
 //   ./build/examples/syrupctl cost p.s   # per-tier WCET breakdown + budgets
 //   ./build/examples/syrupctl analyze    # deployment-wide map interference
@@ -32,6 +31,29 @@
 
 namespace {
 
+// Materializes an assembled policy's maps for an offline check. Extern
+// maps bind at deploy time, so a generic hash map stands in: the most
+// expensive kind, which keeps cost bounds conservative. A declared spec
+// that CreateMap rejects fails here as it fails syrupd's deploy.
+syrup::StatusOr<syrup::bpf::Program> BuildProgram(
+    const syrup::bpf::AssembledProgram& assembled) {
+  using namespace syrup;
+  bpf::Program program;
+  program.name = assembled.name;
+  program.insns = assembled.insns;
+  for (const bpf::MapSlot& slot : assembled.map_slots) {
+    MapSpec spec = slot.spec;
+    if (slot.is_extern) {
+      spec = MapSpec{};
+      spec.type = MapType::kHash;
+      spec.max_entries = 1024;
+    }
+    SYRUP_ASSIGN_OR_RETURN(std::shared_ptr<Map> map, CreateMap(spec));
+    program.maps.push_back(std::move(map));
+  }
+  return program;
+}
+
 // `syrupctl lint <file.s>` (alias: `verify`): the offline face of the
 // deploy-time verifier gate. Runs the keep-going VerifyAll() pass and
 // prints every error plus the warning catalog, one formatted diagnostic
@@ -53,25 +75,14 @@ int LintPolicyFile(const char* path) {
                  assembled.status().ToString().c_str());
     return 1;
   }
-
-  bpf::Program program;
-  program.name = assembled->name;
-  program.insns = assembled->insns;
-  for (const bpf::MapSlot& slot : assembled->map_slots) {
-    // Extern maps are bound at deploy time; lint substitutes a fresh map
-    // of a generic shape so map-relative bounds still get checked.
-    if (slot.is_extern) {
-      MapSpec spec;
-      spec.type = MapType::kHash;
-      spec.max_entries = 1024;
-      program.maps.push_back(CreateMap(spec).value());
-      continue;
-    }
-    program.maps.push_back(CreateMap(slot.spec).value());
+  auto program = BuildProgram(*assembled);
+  if (!program.ok()) {
+    std::fprintf(stderr, "lint: %s\n", program.status().ToString().c_str());
+    return 1;
   }
 
   const bpf::VerifyReport report =
-      bpf::VerifyAll(program, assembled->context);
+      bpf::VerifyAll(*program, assembled->context);
   size_t errors = 0;
   for (const bpf::Diagnostic& d : report.diagnostics) {
     if (d.severity == bpf::DiagSeverity::kError) ++errors;
@@ -111,22 +122,12 @@ int CostPolicyFile(const char* path) {
                  assembled.status().ToString().c_str());
     return 1;
   }
-
-  bpf::Program program;
-  program.name = assembled->name;
-  program.insns = assembled->insns;
-  for (const bpf::MapSlot& slot : assembled->map_slots) {
-    // As in lint: extern maps bind at deploy time, so substitute a generic
-    // hash map — the most expensive kind, keeping the bound conservative.
-    if (slot.is_extern) {
-      MapSpec spec;
-      spec.type = MapType::kHash;
-      spec.max_entries = 1024;
-      program.maps.push_back(CreateMap(spec).value());
-      continue;
-    }
-    program.maps.push_back(CreateMap(slot.spec).value());
+  auto built = BuildProgram(*assembled);
+  if (!built.ok()) {
+    std::fprintf(stderr, "cost: %s\n", built.status().ToString().c_str());
+    return 1;
   }
+  const bpf::Program& program = *built;
 
   bpf::VerifierStats stats;
   bpf::AnalysisFacts facts;
@@ -178,28 +179,6 @@ int CostPolicyFile(const char* path) {
                 std::string(HookName(hook)).c_str(), budget,
                 100.0 * wcet / budget, wcet <= budget ? "OK" : "OVER");
   }
-  // The deploy-time flow-cache gate per tier: a pure packet program is
-  // memoized only where its worst case costs more than the warm probe that
-  // would replace it.
-  if (packet) {
-    const double probe = bpf::DefaultCostModel().flow_cache_probe_ns;
-    std::printf("flow cache (warm probe %.1f ns):\n", probe);
-    if (!facts.cacheable) {
-      std::printf("  never cached, not pure:\n");
-      for (const bpf::CacheBlocker& blocker : facts.cache_blockers) {
-        std::printf("    insn %u: %s\n", blocker.pc, blocker.reason.c_str());
-      }
-    } else {
-      for (size_t t = 0; t < bpf::kNumExecModes; ++t) {
-        const auto tier = static_cast<bpf::ExecMode>(t);
-        const bool pays = bpf::FlowCachePays(cost, tier);
-        std::printf("  %-10s %8.1f ns %s %.1f ns  %s\n",
-                    std::string(bpf::ExecModeName(tier)).c_str(),
-                    cost.wcet_ns[t], pays ? "> " : "<=", probe,
-                    pays ? "cached" : "not cached");
-      }
-    }
-  }
   return 0;
 }
 
@@ -224,10 +203,9 @@ int main(int argc, char** argv) {
     return CostPolicyFile(argv[2]);
   }
   if (command != "inspect" && command != "stats" &&
-      command != "flow-cache" && command != "exec-mode" &&
-      command != "analyze") {
+      command != "exec-mode" && command != "analyze") {
     std::fprintf(stderr,
-                 "usage: %s [inspect|stats|flow-cache|exec-mode [mode]|"
+                 "usage: %s [inspect|stats|exec-mode [mode]|"
                  "lint <policy.s>|cost <policy.s>|analyze [--json]]\n",
                  argv[0]);
     return 2;
@@ -257,10 +235,9 @@ int main(int argc, char** argv) {
   // A multi-tenant deployment to inspect: "rocksdb" runs SCAN Avoid at
   // socket-select plus a token policy file at XDP_SKB; "analytics" shares
   // the host with round robin on its own port and pins its protocol
-  // processing to one core with const_index at CPU redirect (pure, but too
-  // cheap for the flow cache to pay). The typed handles own the
-  // deployments; holding them in main keeps the policies attached for the
-  // whole run.
+  // processing to one core with const_index at CPU redirect. The typed
+  // handles own the deployments; holding them in main keeps the policies
+  // attached for the whole run.
   const AppId rocksdb = syrupd.RegisterApp("rocksdb", 1000, 9000).value();
   SyrupClient rocksdb_client(syrupd, rocksdb);
   PolicyHandle scan_avoid =
@@ -361,48 +338,6 @@ int main(int argc, char** argv) {
     // The entire observability tree: every app, hook, and metric the
     // daemon accounted during the run (docs/OBSERVABILITY.md schema).
     std::printf("%s\n", syrupd.StatsSnapshot().ToJson().c_str());
-    return 0;
-  }
-
-  if (command == "flow-cache") {
-    // The typed FlowCacheConfig knob surface plus the per-hook cache
-    // counters it drives (flow_cache.* under {"syrupd", <hook>}).
-    const FlowCacheConfig& config = syrupd.flow_cache_config();
-    std::printf("== flow cache config ==\n");
-    std::printf("  enabled=%s capacity=%zu admission=%s adaptive=%s\n",
-                config.enabled ? "true" : "false", config.capacity,
-                config.admission ? "true" : "false",
-                config.adaptive ? "true" : "false");
-    std::printf("\n== per-hook cache counters ==\n");
-    const obs::Snapshot snapshot = syrupd.StatsSnapshot();
-    for (size_t i = 0; i < kNumHooks; ++i) {
-      const Hook hook = HookFromIndex(i);
-      if (!IsPacketHook(hook)) {
-        continue;
-      }
-      const std::string name(HookName(hook));
-      std::printf(
-          "  %-14s hits=%llu misses=%llu invalidations=%llu "
-          "uncacheable=%llu evictions=%llu admission_rejects=%llu "
-          "resizes=%llu capacity=%lld\n",
-          name.c_str(),
-          static_cast<unsigned long long>(
-              snapshot.CounterValue("syrupd", name, "flow_cache.hits")),
-          static_cast<unsigned long long>(
-              snapshot.CounterValue("syrupd", name, "flow_cache.misses")),
-          static_cast<unsigned long long>(snapshot.CounterValue(
-              "syrupd", name, "flow_cache.invalidations")),
-          static_cast<unsigned long long>(snapshot.CounterValue(
-              "syrupd", name, "flow_cache.uncacheable")),
-          static_cast<unsigned long long>(snapshot.CounterValue(
-              "syrupd", name, "flow_cache.evictions")),
-          static_cast<unsigned long long>(snapshot.CounterValue(
-              "syrupd", name, "flow_cache.admission_rejects")),
-          static_cast<unsigned long long>(
-              snapshot.CounterValue("syrupd", name, "flow_cache.resizes")),
-          static_cast<long long>(
-              snapshot.GaugeValue("syrupd", name, "flow_cache.capacity")));
-    }
     return 0;
   }
 

@@ -172,7 +172,6 @@ std::unique_ptr<RocksDbHost> BuildRocksDbHost(
   host->syrupd = std::make_unique<Syrupd>(sim, host->stack.get(), seed);
   Syrupd& syrupd = *host->syrupd;
   syrupd.set_exec_mode(config.exec_mode);
-  syrupd.set_flow_cache_config(config.flow_cache_config);
   const AppId app =
       syrupd.RegisterApp("rocksdb", kAppUid, kRocksDbPort).value();
 
@@ -532,7 +531,6 @@ std::unique_ptr<MicaHost> BuildMicaHost(Simulator& sim,
   host->syrupd = std::make_unique<Syrupd>(sim, host->stack.get(), seed);
   Syrupd& syrupd = *host->syrupd;
   syrupd.set_exec_mode(config.exec_mode);
-  syrupd.set_flow_cache_config(config.flow_cache_config);
   const AppId app = syrupd.RegisterApp("mica", kAppUid, kMicaPort).value();
 
   host->machine = std::make_unique<Machine>(sim, config.num_threads);

@@ -13,7 +13,7 @@
 #include "src/apps/mica_server.h"
 #include "src/bpf/compiler.h"
 #include "src/common/time.h"
-#include "src/core/flow_cache.h"
+#include "src/core/syrupd.h"
 #include "src/sim/sharded.h"
 
 namespace syrup {
@@ -63,10 +63,7 @@ struct RocksDbExperimentConfig {
   bool use_bytecode = false;
   // Execution tier for bytecode deployments (ignored without use_bytecode).
   bpf::ExecMode exec_mode = bpf::ExecMode::kCompiled;
-  // Flow-decision cache (src/core/flow_cache.h). Cacheable policies are
-  // pure, so results are bit-identical either way (asserted by
-  // tests/flow_cache_differential_test.cc); disabling
-  // (flow_cache_config.enabled = false) is the ablation.
+  // Read only by bench/e2e's host copy; holds no settings.
   FlowCacheConfig flow_cache_config;
   // Late binding at the socket layer (paper §6.3 extension): buffer
   // datagrams centrally and match them to sockets whose worker is idle.
@@ -145,7 +142,7 @@ struct MicaExperimentConfig {
   bool use_bytecode = false;
   // Execution tier for bytecode deployments (ignored without use_bytecode).
   bpf::ExecMode exec_mode = bpf::ExecMode::kCompiled;
-  // Flow-decision cache knobs (see RocksDbExperimentConfig).
+  // Read only by bench/e2e's host copy; holds no settings.
   FlowCacheConfig flow_cache_config;
   Duration warmup = 100 * kMillisecond;
   Duration measure = 500 * kMillisecond;

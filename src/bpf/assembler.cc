@@ -1,6 +1,7 @@
 #include "src/bpf/assembler.h"
 
 #include <charconv>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -245,6 +246,12 @@ StatusOr<AssembledProgram> Assemble(std::string_view source) {
             !ParseInt(tokens[5], &entries) || key_size <= 0 ||
             value_size <= 0 || entries <= 0) {
           return error("bad map sizes");
+        }
+        for (const int64_t size : {key_size, value_size, entries}) {
+          if (size > int64_t{UINT32_MAX}) {
+            return error("map size " + std::to_string(size) +
+                         " does not fit in 32 bits");
+          }
         }
         slot.spec.key_size = static_cast<uint32_t>(key_size);
         slot.spec.value_size = static_cast<uint32_t>(value_size);

@@ -801,20 +801,14 @@ class Verifier {
     if (report_->ok() && !cost_mode_) {
       report_->facts.visited = visited_pc_;
       report_->facts.edges = edges_;
-      // Purity summary: only packet programs have a flow key to memoize
-      // under; a pure thread classifier is memoized per agent pass instead
-      // and stays flow-uncacheable.
       report_->facts.pure = pure_;
-      report_->facts.cacheable =
-          pure_ && pkt_keyable_ && context_ == ProgramContext::kPacket;
-      report_->facts.pkt_read_mask = pkt_read_mask_;
       report_->facts.read_maps.assign(read_maps_.begin(), read_maps_.end());
       report_->facts.write_maps.assign(write_maps_.begin(), write_maps_.end());
       report_->facts.atomic_maps.assign(atomic_maps_.begin(),
                                         atomic_maps_.end());
-      for (const auto& [pc, reason] : cache_blockers_) {
-        report_->facts.cache_blockers.push_back(
-            CacheBlocker{static_cast<uint32_t>(pc), reason});
+      for (const auto& [pc, reason] : impurities_) {
+        report_->facts.impurities.push_back(
+            Impurity{static_cast<uint32_t>(pc), reason});
       }
       EmitWarnings();
     }
@@ -1206,29 +1200,11 @@ class Verifier {
     }
   }
 
-  // First impurity reason recorded per pc wins (a pc can clear
-  // cacheability for one reason only).
-  void NoteCacheBlocker(size_t pc, std::string reason) {
-    cache_blockers_.emplace(pc, std::move(reason));
-  }
-
-  // Folds a proven-in-bounds packet read span [lo, last) into the read-set
-  // mask. A variable-offset read contributes its whole interval (any byte
-  // in it may influence the decision). Spans past the mask's 64-byte reach
-  // cannot be keyed, so they make the program uncacheable instead.
-  void NotePacketRead(size_t pc, int64_t lo, int64_t last) {
-    if (last > AnalysisFacts::kMaxTrackedPktBytes) {
-      pkt_keyable_ = false;
-      NoteCacheBlocker(pc,
-                       "packet read reaches byte " + std::to_string(last) +
-                           ", past the " +
-                           std::to_string(AnalysisFacts::kMaxTrackedPktBytes) +
-                           "-byte flow-key window");
-      return;
-    }
-    for (int64_t i = lo; i < last; ++i) {
-      pkt_read_mask_ |= uint64_t{1} << i;
-    }
+  // Clears purity. The first reason recorded per pc wins (a pc is impure
+  // for one reason only).
+  void NoteImpurity(size_t pc, std::string reason) {
+    pure_ = false;
+    impurities_.emplace(pc, std::move(reason));
   }
 
   // Validates a memory access through `ptr` whose offset may span
@@ -1254,7 +1230,6 @@ class Verifier {
                           std::to_string(st.pkt_range) +
                           " (missing bounds check against pkt_end?)");
         }
-        NotePacketRead(pc, lo, hi + size);
         return OkStatus();
       }
       case RegKind::kStackPtr: {
@@ -1303,14 +1278,12 @@ class Verifier {
         }
         if (is_write) {
           // In-place map mutation (stores or atomics through the value
-          // pointer) makes the program observable-state-changing: the
-          // flow-decision cache must never skip running it.
-          pure_ = false;
+          // pointer) changes observable state, so no memo may skip it.
           write_maps_.insert(ptr.map_index);
           if (is_atomic) {
             atomic_maps_.insert(ptr.map_index);
           }
-          NoteCacheBlocker(
+          NoteImpurity(
               pc, is_atomic
                       ? "atomic add through a map value pointer (in-place "
                         "map write)"
@@ -1730,26 +1703,21 @@ class Verifier {
       case HelperId::kMapLookupBatch:  // pure read, like a single lookup
         break;
       case HelperId::kMapUpdateElem:
-        pure_ = false;
-        NoteCacheBlocker(pc, "map_update_elem (map write)");
+        NoteImpurity(pc, "map_update_elem (map write)");
         break;
       case HelperId::kMapDeleteElem:
-        pure_ = false;
-        NoteCacheBlocker(pc, "map_delete_elem (map write)");
+        NoteImpurity(pc, "map_delete_elem (map write)");
         break;
       case HelperId::kGetPrandomU32:
-        pure_ = false;
-        NoteCacheBlocker(pc, "get_prandom_u32 (nondeterministic result)");
+        NoteImpurity(pc, "get_prandom_u32 (nondeterministic result)");
         break;
       case HelperId::kKtimeGetNs:
-        pure_ = false;
-        NoteCacheBlocker(pc, "ktime_get_ns (time-dependent result)");
+        NoteImpurity(pc, "ktime_get_ns (time-dependent result)");
         break;
       case HelperId::kTailCall:
-        pure_ = false;
         has_tail_call_ = true;
-        NoteCacheBlocker(pc, "tail_call (target program outside this "
-                             "analysis)");
+        NoteImpurity(pc, "tail_call (target program outside this "
+                         "analysis)");
         break;
     }
 
@@ -1987,13 +1955,11 @@ class Verifier {
   // explored path (soundness wants the union over all paths, so plain
   // member state that only ever grows is exactly right).
   bool pure_ = true;
-  bool pkt_keyable_ = true;  // every packet read inside the flow-key window
-  uint64_t pkt_read_mask_ = 0;
   std::set<int32_t> read_maps_;
   std::set<int32_t> write_maps_;
   std::set<int32_t> atomic_maps_;
   bool has_tail_call_ = false;
-  std::map<size_t, std::string> cache_blockers_;    // pc -> first reason
+  std::map<size_t, std::string> impurities_;        // pc -> first reason
   std::map<size_t, size_t> redundant_lookups_;      // pc -> earlier pc
 
   // Cost pass state (untouched outside cost mode).

@@ -86,28 +86,21 @@ struct VerifierStats {
 // rewritten to an unconditional jump (or dropped). Both vectors are sized
 // to the program; `edges` is meaningful for conditional jumps only.
 //
-// The purity summary feeds two memos. A program is `pure` iff its result
-// is a function of its arguments (the packet bytes it reads, or the tid)
-// plus the current contents of the maps it reads: no map writes/deletes,
-// no randomness, no clock reads, no tail calls. The ghOSt agent classifies
-// each thread once per pass with a pure thread program (DESIGN.md "ghOSt
-// agent"). A packet program is `cacheable` by the flow-decision cache iff
-// it is pure and every packet read sits at a statically bounded offset
-// below 64 bytes.
-// `pkt_read_mask` (bit i set = packet byte i may be read on some path)
-// plus the packet length then form an exact memoization key, and
-// `read_maps` names the program map indices whose version stamps must be
-// folded into each cached entry's invalidation signature.
+// The purity summary feeds the ghOSt agent's memo. A program is `pure`
+// iff its result is a function of its arguments (the packet bytes it
+// reads, or the tid) plus the current contents of the maps it reads: no
+// map writes/deletes, no randomness, no clock reads, no tail calls. The
+// agent classifies each thread once per pass with a pure thread program
+// (DESIGN.md "ghOSt agent").
 //
 // NOTE: `read_maps` is NOT the complete map footprint — it only names
 // lookup targets. The full footprint is read_maps + write_maps +
-// atomic_maps; consumers reasoning about side effects (the flow cache's
-// purity check, the deployment interference analysis) must consult the
-// write sets explicitly.
+// atomic_maps; consumers reasoning about side effects (the deployment
+// interference analysis) must consult the write sets explicitly.
 //
-// One reason a program's decision cannot be memoized, anchored to the
-// instruction that introduced the impurity.
-struct CacheBlocker {
+// One reason a program is not pure, anchored to the instruction that
+// introduced the impurity.
+struct Impurity {
   uint32_t pc = 0;
   std::string reason;
 };
@@ -115,31 +108,24 @@ struct CacheBlocker {
 struct AnalysisFacts {
   static constexpr uint8_t kEdgeFall = 1;   // fall-through edge feasible
   static constexpr uint8_t kEdgeTaken = 2;  // taken edge feasible
-  // Packet offsets the read-set summary can express. Programs touching
-  // bytes at or past this offset are conservatively uncacheable.
-  static constexpr int64_t kMaxTrackedPktBytes = 64;
 
   std::vector<uint8_t> visited;  // reached on some verified path
   std::vector<uint8_t> edges;    // OR of feasible edges per cond jump
 
-  // --- purity / read-set summary (flow cache, agent memo) ----------------
+  // --- purity / read-set summary (agent memo) -----------------------------
   bool pure = false;               // no side effects, no hidden inputs
-  bool cacheable = false;          // packet decision memoizable per flow key
-  uint64_t pkt_read_mask = 0;      // bit i: packet byte i may be read
   std::vector<int32_t> read_maps;  // program map indices read via lookup
 
   // --- side-effect summary (deployment interference analysis) ------------
   // Map indices mutated via map_update_elem/map_delete_elem or stores
   // through looked-up value pointers; `atomic_maps` is the subset mutated
-  // with lock xadd through value pointers (in-place, bypasses version
-  // stamps). Sorted, deduplicated, may overlap read_maps.
+  // with lock xadd through value pointers (in place). Sorted, deduplicated,
+  // may overlap read_maps.
   std::vector<int32_t> write_maps;
   std::vector<int32_t> atomic_maps;
-  // Why this program's decision cannot be memoized: every impurity, in
-  // either context, plus packet reads past the flow-key window. Empty when
-  // cacheable (packet) or pure (thread); `cacheable` is false for every
-  // thread program whatever this holds, since a thread has no flow key.
-  std::vector<CacheBlocker> cache_blockers;
+  // Why this program is not pure, one entry per impure instruction. Empty
+  // exactly when `pure` holds.
+  std::vector<Impurity> impurities;
 
   // --- cost summary (post-acceptance WCET pass, see cost_model.h) --------
   // cost.bounded is false when the pass was skipped (compute_cost off),

@@ -65,17 +65,6 @@ class SyrupClient {
     return MapHandle(&daemon_, fd, access, path);
   }
 
-  // --- Flow-decision cache ------------------------------------------------
-
-  // One typed knob surface for the daemon's flow cache (capacity,
-  // admission, adaptive sizing); replaces the old enabled-only bool.
-  void SetFlowCacheConfig(const FlowCacheConfig& config) {
-    daemon_.set_flow_cache_config(config);
-  }
-  const FlowCacheConfig& FlowCacheConfiguration() const {
-    return daemon_.flow_cache_config();
-  }
-
   // --- Paper-named shims (Table 1) ----------------------------------------
 
   StatusOr<int> syr_deploy_policy(std::string_view policy_file, Hook hook) {

@@ -126,11 +126,6 @@ Syrupd::Syrupd(Simulator& sim, HostStack* stack, uint64_t seed)
         metrics_.GetCounter("syrupd", hook, "decision_pass");
     hook_cells_[i].decision_drop =
         metrics_.GetCounter("syrupd", hook, "decision_drop");
-    hook_cells_[i].flow_cache =
-        FlowCacheCounters::InRegistry(metrics_, hook);
-    // The cache bumps its eviction/admission/resize accounting through the
-    // same registry-backed cells, so StatsSnapshot sees one coherent set.
-    flow_cache_[i].BindCounters(hook_cells_[i].flow_cache);
   }
   if (stack_ != nullptr) {
     stack_->BindMetrics(metrics_);
@@ -411,20 +406,8 @@ StatusOr<int> Syrupd::DeployPolicyFile(AppId app,
       program, MakeExecEnv(),
       PolicyMetrics::InRegistry(metrics_, app_name, HookName(hook)),
       compiled);
-  // Memoized per flow only when the verifier's purity summary allows it and
-  // the worst case at the tier the program really runs on costs more than
-  // the probe that would replace it; the binding resolves the read-set map
-  // observers.
-  const bpf::ExecMode tier = bpf::EffectiveExecMode(compiled.get());
-  FlowCacheBinding cache_binding;
-  if (bpf::FlowCachePays(vfacts.cost, tier)) {
-    cache_binding = FlowCacheBinding::ForProgram(vfacts, *program);
-  }
-  metrics_.GetGauge(app_name, HookName(hook), "policy.cacheable")
-      ->Set(cache_binding.cacheable ? 1 : 0);
   SYRUP_RETURN_IF_ERROR(AttachPolicy(app, std::move(policy), hook,
-                                     static_cast<int>(prog_id),
-                                     std::move(cache_binding)));
+                                     static_cast<int>(prog_id)));
   return static_cast<int>(prog_id);
 }
 
@@ -437,8 +420,7 @@ StatusOr<int> Syrupd::DeployNativePolicy(AppId app,
 }
 
 Status Syrupd::AttachPolicy(AppId app, std::shared_ptr<PacketPolicy> policy,
-                            Hook hook, int prog_id,
-                            FlowCacheBinding cache_binding) {
+                            Hook hook, int prog_id) {
   auto it = apps_.find(app);
   if (it == apps_.end()) {
     return NotFoundError("unknown app");
@@ -460,33 +442,14 @@ Status Syrupd::AttachPolicy(AppId app, std::shared_ptr<PacketPolicy> policy,
     entry.policy_raw = policy.get();
     entry.prog_id = prog_id;
     entry.app_dispatched = app_dispatched;
-    entry.cache = cache_binding;
     dispatch_[HookIndex(hook)][port] = std::move(entry);
     SYRUP_TRACE(sim_.Now(), "syrupd",
                 "deploy app=" << it->second.name << " policy="
                               << policy->name() << " hook="
                               << HookName(hook) << " port=" << port);
   }
-  // New deployment epoch: cached decisions from the replaced policy (and
-  // raw policy observers readers may have derived) are dead from here on.
-  ++hook_epoch_[HookIndex(hook)];
-  AllocateFlowCache(HookIndex(hook));
   SYRUP_RETURN_IF_ERROR(InstallStackHook(hook));
   return OkStatus();
-}
-
-void Syrupd::AllocateFlowCache(size_t hook_index) {
-  const auto& table = dispatch_[hook_index];
-  if (!flow_cache_config_.enabled ||
-      std::none_of(table.begin(), table.end(), [](const auto& port_entry) {
-        return port_entry.second.cache.cacheable;
-      })) {
-    return;
-  }
-  flow_cache_[hook_index].Allocate();
-  for (auto& lanes : shard_lanes_) {
-    (*lanes)[hook_index].cache.Allocate();
-  }
 }
 
 Status Syrupd::RemovePolicy(AppId app, Hook hook, int only_prog_id) {
@@ -510,7 +473,6 @@ Status Syrupd::RemovePolicy(AppId app, Hook hook, int only_prog_id) {
   if (!removed) {
     return NotFoundError("no policy deployed at hook");
   }
-  ++hook_epoch_[HookIndex(hook)];  // flush this hook's cached decisions
   MaybeUninstallStackHook(hook);
   return OkStatus();
 }
@@ -684,215 +646,54 @@ Decision Syrupd::Dispatch(Hook hook, const PacketView& pkt) {
 void Syrupd::DispatchBatch(Hook hook, std::span<const PacketView> pkts,
                            std::span<Decision> out) {
   SYRUP_CHECK_EQ(pkts.size(), out.size());
-  const size_t hook_index = HookIndex(hook);
   for (size_t offset = 0; offset < pkts.size();
        offset += kMaxDispatchBatch) {
     const size_t n = std::min(kMaxDispatchBatch, pkts.size() - offset);
-    DispatchChunk<false>(hook, pkts.subspan(offset, n),
-                         out.subspan(offset, n), hook_cells_[hook_index],
-                         flow_cache_[hook_index]);
+    DispatchChunk(hook, pkts.subspan(offset, n), out.subspan(offset, n));
   }
 }
 
-void Syrupd::ConfigureSharding(int shards) {
-  SYRUP_CHECK_GE(shards, 1);
-  shard_lanes_.clear();
-  shard_lanes_.reserve(static_cast<size_t>(shards - 1));
-  for (int s = 1; s < shards; ++s) {
-    auto lanes = std::make_unique<std::array<HookLane, kNumHooks>>();
-    for (size_t i = 0; i < kNumHooks; ++i) {
-      const std::string_view hook = HookName(HookFromIndex(i));
-      HookLane& lane = (*lanes)[i];
-      lane.cells.dispatched =
-          metrics_.GetCounterShard("syrupd", hook, "dispatched", s);
-      lane.cells.no_policy =
-          metrics_.GetCounterShard("syrupd", hook, "no_policy", s);
-      lane.cells.decision_steer =
-          metrics_.GetCounterShard("syrupd", hook, "decision_steer", s);
-      lane.cells.decision_pass =
-          metrics_.GetCounterShard("syrupd", hook, "decision_pass", s);
-      lane.cells.decision_drop =
-          metrics_.GetCounterShard("syrupd", hook, "decision_drop", s);
-      lane.cells.flow_cache =
-          FlowCacheCounters::InRegistryShard(metrics_, hook, s);
-      lane.cache.BindCounters(lane.cells.flow_cache);
-      lane.cache.Configure(flow_cache_config_);
-    }
-    shard_lanes_.push_back(std::move(lanes));
-  }
-  for (size_t i = 0; i < kNumHooks; ++i) {
-    AllocateFlowCache(i);
-  }
-}
-
-void Syrupd::DispatchBatch(Hook hook, std::span<const PacketView> pkts,
-                           std::span<Decision> out, int shard) {
-  SYRUP_CHECK_EQ(pkts.size(), out.size());
-  SYRUP_CHECK_GE(shard, 0);
-  SYRUP_CHECK_LT(shard, dispatch_shards());
-  const size_t hook_index = HookIndex(hook);
-  // Shard 0 reuses the base tables but — unlike the unsharded entry point —
-  // bumps through the sharded counter discipline (IncRelaxed + batched
-  // atomic app counts), so every shard-qualified dispatch, shard 0
-  // included, is race-free against concurrent snapshots and lane dispatch.
-  HookCells& cells =
-      shard == 0
-          ? hook_cells_[hook_index]
-          : (*shard_lanes_[static_cast<size_t>(shard - 1)])[hook_index].cells;
-  FlowDecisionCache& cache =
-      shard == 0
-          ? flow_cache_[hook_index]
-          : (*shard_lanes_[static_cast<size_t>(shard - 1)])[hook_index].cache;
-  for (size_t offset = 0; offset < pkts.size();
-       offset += kMaxDispatchBatch) {
-    const size_t n = std::min(kMaxDispatchBatch, pkts.size() - offset);
-    DispatchChunk<true>(hook, pkts.subspan(offset, n), out.subspan(offset, n),
-                        cells, cache);
-  }
-}
-
-template <bool kSharded>
 void Syrupd::DispatchChunk(Hook hook, std::span<const PacketView> pkts,
-                           std::span<Decision> out, HookCells& cells,
-                           FlowDecisionCache& cache) {
+                           std::span<Decision> out) {
   // Pin the reclamation epoch once per chunk: every lock-free map lookup a
-  // policy performs below (including LookupBatch on the flow-cache miss
-  // path) reads slot and slab memory that writers may only recycle after
-  // this guard drops. One pin per ≤64-packet chunk keeps the epoch-advance
-  // rate bounded by batch rate, not packet rate.
+  // policy performs below reads slot and slab memory that writers may only
+  // recycle after this guard drops. One pin per ≤64-packet chunk keeps the
+  // epoch-advance rate bounded by batch rate, not packet rate.
   epoch::ReadGuard epoch_guard;
   const size_t hook_index = HookIndex(hook);
-  auto& table = dispatch_[hook_index];
-  const bool cache_enabled = flow_cache_config_.enabled;
-
-  // Phase 1 — hoisted per-packet prep. Only work that is a pure function
-  // of the packet bytes and the (batch-stable) routing tables may move
-  // here: port-entry resolution (policies cannot attach or detach from
-  // inside a policy, so the table cannot change mid-batch), flow-key
-  // derivation, and warming the cache line each key will probe. Version
-  // sums, cache probes, policy executions, and counters all stay in the
-  // in-order phase — an uncacheable policy early in the burst may write a
-  // map a later packet's cacheable policy reads.
-  // Trivial on purpose: the array stays uninitialized and only the first
-  // pkts.size() elements are written. Zero-constructing 64 of these
-  // (~100 bytes each) would cost more than a whole batch-of-1 dispatch.
-  struct Probe {
-    PortEntry* entry;
-    bool cached;
-    FlowDecisionCache::Key key;
-  };
-  Probe probes[kMaxDispatchBatch];
+  const auto& table = dispatch_[hook_index];
+  HookCells& cells = hook_cells_[hook_index];
   uint16_t last_port = 0;
-  PortEntry* last_entry = nullptr;
+  const PortEntry* last_entry = nullptr;
   bool have_last = false;
   for (size_t i = 0; i < pkts.size(); ++i) {
     const uint16_t port = pkts[i].DstPort();
-    Probe& probe = probes[i];
-    if (have_last && port == last_port) {
-      probe.entry = last_entry;  // bursts are usually one flow's port
-    } else {
+    if (!have_last || port != last_port) {
+      // Bursts are usually one flow's port, so most packets skip the find.
+      // Policies cannot attach or detach from inside a policy, so the
+      // table, and the memoized entry, are stable for the whole chunk.
       auto it = table.find(port);
-      probe.entry = it == table.end() ? nullptr : &it->second;
+      last_entry = it == table.end() ? nullptr : &it->second;
       last_port = port;
-      last_entry = probe.entry;
       have_last = true;
     }
-    probe.cached = probe.entry != nullptr && cache_enabled &&
-                   probe.entry->cache.cacheable;
-    if (probe.cached) {
-      probe.key =
-          FlowDecisionCache::MakeKey(pkts[i], probe.entry->cache.pkt_read_mask);
-      cache.PrefetchSlot(probe.key.hash);
-    }
-  }
-
-  // Phase 2 — in-order decide: identical, bump for bump, to dispatching
-  // each packet alone.
-  //
-  // Counter discipline: shard 0's cells are single-writer with the
-  // simulation thread, so a plain bump stays exact and free; sharded lanes
-  // bump their own (shard-local) cells with IncRelaxed — race-free against
-  // a concurrent snapshot Load() — and batch the one genuinely shared cell,
-  // the per-app dispatched count, into a single atomic add per port run.
-  auto bump = [](const std::shared_ptr<obs::Counter>& c) {
-    if constexpr (kSharded) {
-      c->IncRelaxed();
-    } else {
-      c->value += 1;
-    }
-  };
-  PortEntry* app_run = nullptr;
-  uint64_t app_run_len = 0;
-  auto flush_app_run = [&] {
-    if constexpr (kSharded) {
-      if (app_run != nullptr && app_run_len > 0) {
-        app_run->app_dispatched->IncAtomic(app_run_len);
-      }
-      app_run_len = 0;
-    }
-  };
-  for (size_t i = 0; i < pkts.size(); ++i) {
-    PortEntry* entry = probes[i].entry;
+    const PortEntry* entry = last_entry;
     if (entry == nullptr) {
-      bump(cells.no_policy);
+      cells.no_policy->value += 1;
       out[i] = kPass;
       continue;
     }
-    bump(cells.dispatched);
-    if constexpr (kSharded) {
-      if (entry != app_run) {
-        flush_app_run();
-        app_run = entry;
-      }
-      app_run_len += 1;
-    } else {
-      entry->app_dispatched->value += 1;
-    }
-
-    Decision d;
-    if (probes[i].cached) {
-      // Version sum captured before the policy may run: a map update
-      // racing the execution leaves the entry we insert below already
-      // stale, so it can never validate later (see flow_cache.h).
-      const uint64_t version_sum = entry->cache.VersionSum();
-      const uint64_t epoch = hook_epoch_[hook_index];
-      bool stale = false;
-      if (cache.Lookup(probes[i].key, epoch, version_sum, &d, &stale)) {
-        bump(cells.flow_cache.hits);
-      } else {
-        if (stale) {
-          bump(cells.flow_cache.invalidations);
-        }
-        bump(cells.flow_cache.misses);
-        d = entry->policy_raw->Schedule(pkts[i]);
-        cache.Insert(probes[i].key, d, epoch, version_sum);
-      }
-    } else {
-      if (cache_enabled) {
-        bump(cells.flow_cache.uncacheable);
-      }
-      d = entry->policy_raw->Schedule(pkts[i]);
-    }
+    cells.dispatched->value += 1;
+    entry->app_dispatched->value += 1;
+    const Decision d = entry->policy_raw->Schedule(pkts[i]);
     if (d == kPass) {
-      bump(cells.decision_pass);
+      cells.decision_pass->value += 1;
     } else if (d == kDrop) {
-      bump(cells.decision_drop);
+      cells.decision_drop->value += 1;
     } else {
-      bump(cells.decision_steer);
+      cells.decision_steer->value += 1;
     }
     out[i] = d;
-  }
-  flush_app_run();
-}
-
-void Syrupd::set_flow_cache_config(const FlowCacheConfig& config) {
-  flow_cache_config_ = config;
-  for (size_t i = 0; i < kNumHooks; ++i) {
-    flow_cache_[i].Configure(config);
-    for (auto& lanes : shard_lanes_) {
-      (*lanes)[i].cache.Configure(config);
-    }
-    AllocateFlowCache(i);
   }
 }
 
@@ -1086,43 +887,22 @@ DeploymentAnalysis Syrupd::AnalyzeDeployments() const {
               "invisible to this analysis)"});
     }
   }
+  // A pure thread classifier is memoized per agent pass; an impure one
+  // pays a VM run on every agent query.
   for (const auto& [id, rec] : recs) {
-    std::string reasons;
-    auto add_reason = [&reasons](const std::string& reason) {
-      reasons += (reasons.empty() ? "" : "; ") + reason;
-    };
-    for (const bpf::CacheBlocker& blocker : rec.facts->cache_blockers) {
-      add_reason("insn " + std::to_string(blocker.pc) + ": " +
-                 blocker.reason);
-    }
-    // The cost half of the deploy gate, at the tier the program runs on.
-    // Thread programs never reach the cache, so only purity applies there.
-    const bpf::CostFacts& cost = rec.facts->cost;
-    const bpf::ExecMode tier = bpf::EffectiveExecMode(CompiledById(id));
-    if (rec.packet && !bpf::FlowCachePays(cost, tier)) {
-      add_reason(
-          !cost.bounded
-              ? "the cost analysis could not bound its worst case"
-              : "worst case " +
-                    FormatNs(cost.wcet_ns[static_cast<size_t>(tier)]) +
-                    " ns at the " + std::string(bpf::ExecModeName(tier)) +
-                    " tier does not exceed the " +
-                    FormatNs(bpf::DefaultCostModel().flow_cache_probe_ns) +
-                    " ns flow-cache probe");
-    }
-    if (reasons.empty()) {
+    if (rec.packet || rec.facts->impurities.empty()) {
       continue;
     }
-    // A pure thread classifier is memoized per agent pass instead; an
-    // impure one pays a VM run on every agent query.
     std::string detail =
-        rec.label +
-        (rec.packet ? " is not flow-cacheable: "
-                    : " runs its classifier on every agent query: ") +
-        reasons;
+        rec.label + " runs its classifier on every agent query: ";
+    for (size_t i = 0; i < rec.facts->impurities.size(); ++i) {
+      const bpf::Impurity& impurity = rec.facts->impurities[i];
+      detail += (i == 0 ? "" : "; ") + std::string("insn ") +
+                std::to_string(impurity.pc) + ": " + impurity.reason;
+    }
     out.findings.push_back(InterferenceFinding{
-        InterferenceFinding::Level::kInfo,
-        rec.packet ? "uncacheable" : "unmemoized", "", std::move(detail)});
+        InterferenceFinding::Level::kInfo, "unmemoized", "",
+        std::move(detail)});
   }
   std::stable_sort(out.findings.begin(), out.findings.end(),
                    [](const InterferenceFinding& a,

@@ -14,7 +14,6 @@
 #ifndef SYRUP_SRC_CORE_SYRUPD_H_
 #define SYRUP_SRC_CORE_SYRUPD_H_
 
-#include <array>
 #include <map>
 #include <memory>
 #include <span>
@@ -28,7 +27,6 @@
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/obs/metrics.h"
-#include "src/core/flow_cache.h"
 #include "src/core/hook.h"
 #include "src/core/policy.h"
 #include "src/ghost/ghost.h"
@@ -57,6 +55,11 @@ struct DispatchStats {
   uint64_t dispatched = 0;  // packets matched to an app policy
   uint64_t no_policy = 0;   // packets passed through (no matching port)
 };
+
+// Read only by bench/e2e's host copy, which still passes one to
+// Syrupd::set_flow_cache_config and keeps one in its experiment configs.
+// It holds no settings: the flow-decision cache is retired (DESIGN.md).
+struct FlowCacheConfig {};
 
 // Deploy-time worst-case-latency budget policy. Every bytecode deployment's
 // verifier-computed wcet_ns (at the tier the program will actually run on)
@@ -97,15 +100,14 @@ struct MapInterferenceRow {
 // AnalyzeDeployments. Severities: write-write sharing across applications
 // is an error (unsynchronized last-writer-wins across trust domains);
 // dead-telemetry / stale-input are warnings (userspace readers and writers
-// are invisible to this analysis, so either may be intentional);
-// per-program memo blockers are informational: a packet program's
-// flow-cache blockers (purity or cost), or a thread program's impurities,
-// which make the agent re-run it on every query.
+// are invisible to this analysis, so either may be intentional); a
+// thread program's impurities are informational: they make the agent
+// re-run it on every query.
 struct InterferenceFinding {
   enum class Level { kError, kWarning, kInfo };
   Level level = Level::kInfo;
   std::string category;  // write-write | dead-telemetry | stale-input |
-                         // uncacheable | unmemoized
+                         // unmemoized
   std::string map;       // subject map; "" for per-program findings
   std::string detail;
 };
@@ -188,68 +190,18 @@ class Syrupd {
 
   // The one dispatch entry point: routes a burst of inputs arriving at
   // `hook` to their owning applications' policies and writes one Decision
-  // per input. Exactly equivalent to dispatching the packets one at a
-  // time, in order — batching hoists only pure per-packet work (port
-  // routing, flow-key derivation, cache-slot prefetch) ahead of the
-  // in-order decide phase, so policy executions, version captures, and
-  // every counter bump happen in the same order either way. The stack's
-  // single-packet hooks wrap this with a batch of one.
+  // per input, in order — exactly what dispatching the packets one at a
+  // time does. The stack's single-packet hooks wrap this with a batch of
+  // one.
   void DispatchBatch(Hook hook, std::span<const PacketView> pkts,
                      std::span<Decision> out);
 
-  // Bursts are chunked to this many packets so the hoisted per-packet
-  // state lives on the stack and prefetches land just ahead of use.
+  // Bursts are chunked to this many packets; each chunk pins the map
+  // reclamation epoch once.
   static constexpr size_t kMaxDispatchBatch = 64;
 
-  // --- Sharded dispatch ----------------------------------------------------
-
-  // Gives each of `shards` dispatch shards its own flow-cache tables and
-  // dispatcher counter cells (shard 0 keeps the pre-existing per-hook
-  // state, so an unsharded daemon is exactly ConfigureSharding(1)). The
-  // shard-qualified DispatchBatch below may then be called concurrently
-  // from distinct shards' threads without sharing a cache table or a
-  // counter cache line; the registry folds the per-shard cells back into
-  // each hook's single StatsSnapshot() entry.
-  //
-  // Concurrency contract: concurrent shard dispatch is only valid when the
-  // attached policies are safe to execute in parallel — verifier-proven
-  // cacheable bytecode (pure by construction) or stateless native
-  // policies. Stateful native policies (e.g. round-robin) must instead run
-  // on per-shard Syrupd instances, which is what the sharded experiment
-  // paths do. Attach/remove and reconfiguration must be quiesced while
-  // shard threads are dispatching.
-  void ConfigureSharding(int shards);
-  int dispatch_shards() const {
-    return static_cast<int>(shard_lanes_.size()) + 1;
-  }
-
-  // Dispatches on behalf of dispatch shard `shard` (0-based; shard 0 uses
-  // the base tables). Identical decisions to the unsharded entry point —
-  // only the cache table consulted and the cells bumped differ. Every
-  // shard-qualified call, shard 0 included, uses the concurrent-safe
-  // counter discipline (IncRelaxed + batched atomic app counts), so any
-  // mix of shards may dispatch concurrently under the contract above.
-  void DispatchBatch(Hook hook, std::span<const PacketView> pkts,
-                     std::span<Decision> out, int shard);
-
-  // --- Flow-decision cache -------------------------------------------------
-
-  // Per-hook memoization of bytecode policies that are verifier-proven
-  // pure and priced above a warm probe at their deployed tier (see
-  // src/core/flow_cache.h). On by default; disabling is an ablation knob —
-  // cacheable programs are pure, so results are bit-identical either way.
-  // Reconfiguring flushes every hook's cached decisions (always safe); the
-  // hooks that have a cacheable deployment get fresh tables right away.
-  void set_flow_cache_config(const FlowCacheConfig& config);
-  const FlowCacheConfig& flow_cache_config() const {
-    return flow_cache_config_;
-  }
-
-  // The hook's deployment epoch: bumped on every attach/remove, which
-  // flushes that hook's cached decisions in O(1).
-  uint64_t hook_epoch(Hook hook) const {
-    return hook_epoch_[HookIndex(hook)];
-  }
+  // Read only by bench/e2e's host copy, which still calls it: a no-op.
+  void set_flow_cache_config(const FlowCacheConfig&) {}
 
   // Detaches the app's policy from `hook`; traffic reverts to the default.
   // With `only_prog_id` >= 0 the detach is conditional: it only removes
@@ -295,13 +247,7 @@ class Syrupd {
 
   DispatchStats dispatch_stats(Hook hook) const {
     const HookCells& cells = hook_cells_[HookIndex(hook)];
-    DispatchStats s{cells.dispatched->value, cells.no_policy->value};
-    for (const auto& lanes : shard_lanes_) {
-      const HookCells& lane = (*lanes)[HookIndex(hook)].cells;
-      s.dispatched += lane.dispatched->Load();
-      s.no_policy += lane.no_policy->Load();
-    }
-    return s;
+    return DispatchStats{cells.dispatched->value, cells.no_policy->value};
   }
   const GhostScheduler* ghost_scheduler() const { return ghost_.get(); }
 
@@ -328,10 +274,10 @@ class Syrupd {
   // Deployment-wide map-interference report across every attached bytecode
   // policy (packet hooks and the thread hook): who reads/writes each map,
   // cross-application write-write sharing, dead telemetry (written but
-  // never read), stale inputs (read but never written), and why a program
-  // is not flow-cached: purity blockers, or a worst case at the deployed
-  // tier too cheap to beat a probe. Userspace map users (syr_map_* fds)
-  // are outside the verifier's view and are not counted.
+  // never read), stale inputs (read but never written), and the
+  // impurities that keep a thread classifier from being memoized per agent
+  // pass. Userspace map users (syr_map_* fds) are outside the verifier's
+  // view and are not counted.
   DeploymentAnalysis AnalyzeDeployments() const;
 
   // Execution environment handed to bytecode policies (simulated time,
@@ -354,14 +300,13 @@ class Syrupd {
   // One deployed policy behind a port: the per-app dispatched cell is
   // resolved once at attach time so the packet path bumps a pointer.
   // `policy_raw` is the hot-path observer into `policy` — dispatch never
-  // touches the shared_ptr control block; the entry's lifetime (guarded by
-  // the hook epoch, which also flushes cached decisions) keeps it alive.
+  // touches the shared_ptr control block; the entry keeps it alive, and
+  // policies cannot attach or detach from inside a dispatch.
   struct PortEntry {
     std::shared_ptr<PacketPolicy> policy;
     PacketPolicy* policy_raw = nullptr;
     int prog_id = -1;
     std::shared_ptr<obs::Counter> app_dispatched;
-    FlowCacheBinding cache;  // empty (uncacheable) for native policies
   };
 
   // Per-hook dispatcher counters under {"syrupd", <hook>, ...}.
@@ -371,12 +316,10 @@ class Syrupd {
     std::shared_ptr<obs::Counter> decision_steer;
     std::shared_ptr<obs::Counter> decision_pass;
     std::shared_ptr<obs::Counter> decision_drop;
-    FlowCacheCounters flow_cache;
   };
 
   Status AttachPolicy(AppId app, std::shared_ptr<PacketPolicy> policy,
-                      Hook hook, int prog_id,
-                      FlowCacheBinding cache_binding = {});
+                      Hook hook, int prog_id);
   // Translates a just-verified program per the active exec mode. `facts`
   // (when the caller kept them from its Verify call) lets the compiler drop
   // verifier-proven-dead code and decided branches.
@@ -404,31 +347,13 @@ class Syrupd {
                            const bpf::Program& prog,
                            const bpf::AnalysisFacts& facts,
                            const bpf::CompiledProgram* compiled);
-  // One dispatch shard's per-hook state beyond shard 0 (which lives in
-  // hook_cells_/flow_cache_): its own cache table plus shard-local counter
-  // cells, so concurrent shards never share a line on the bump path.
-  struct HookLane {
-    HookCells cells;
-    FlowDecisionCache cache;
-  };
-
-  // Allocates the hook's flow-cache table on every dispatch shard when the
-  // cache is enabled and a cacheable deployment is attached there; a no-op
-  // otherwise. Runs after each attach, ConfigureSharding and
-  // set_flow_cache_config, so whichever comes last allocates.
-  void AllocateFlowCache(size_t hook_index);
   Status InstallStackHook(Hook hook);
   void MaybeUninstallStackHook(Hook hook);
   // Batch-of-1 wrapper around DispatchBatch (the single-packet hooks).
   Decision Dispatch(Hook hook, const PacketView& pkt);
-  // One ≤kMaxDispatchBatch chunk of a DispatchBatch call. kSharded selects
-  // the thread-safe counter discipline: shard-local cells bump with
-  // IncRelaxed and the (cross-shard) per-app cell with one batched atomic
-  // add per port run, instead of shard 0's plain single-writer bumps.
-  template <bool kSharded>
+  // One ≤kMaxDispatchBatch chunk of a DispatchBatch call.
   void DispatchChunk(Hook hook, std::span<const PacketView> pkts,
-                     std::span<Decision> out, HookCells& cells,
-                     FlowDecisionCache& cache);
+                     std::span<Decision> out);
   StatusOr<std::vector<std::shared_ptr<Map>>> ResolveMapSlots(
       AppId app, const std::vector<bpf::MapSlot>& slots);
   // ALREADY_EXISTS once a thread policy runs: one ghOSt agent per machine.
@@ -464,19 +389,6 @@ class Syrupd {
   std::map<uint16_t, PortEntry> dispatch_[kNumHooks];
   HookCells hook_cells_[kNumHooks];
 
-  // Flow-decision caches, one per hook (the simulator serializes each
-  // hook's dispatch, mirroring a per-core megaflow table). Tables stay
-  // unallocated until AllocateFlowCache finds a cacheable deployment. The
-  // epoch is bumped on every attach/remove at the hook: stale-epoch entries
-  // never hit, so redeploys flush without touching the table.
-  FlowDecisionCache flow_cache_[kNumHooks];
-  uint64_t hook_epoch_[kNumHooks] = {};
-  FlowCacheConfig flow_cache_config_;
-
-  // Dispatch shards 1..N-1 (ConfigureSharding). unique_ptr keeps lane
-  // addresses stable and each lane's tables well apart in memory.
-  std::vector<std::unique_ptr<std::array<HookLane, kNumHooks>>> shard_lanes_;
-
   std::map<uint64_t, std::shared_ptr<const bpf::Program>> programs_;
   // Per-prog-id compiled cache: filled at attach time, consulted by every
   // hook and by compiled tail calls (ExecEnv::resolve_compiled). Tail-call
@@ -486,8 +398,8 @@ class Syrupd {
   bpf::ExecMode exec_mode_ = bpf::ExecMode::kCompiled;
   CostBudgetConfig cost_budget_config_;
   // Verifier facts per deployed bytecode program, retained for the
-  // deployment interference analysis (read/write/atomic map sets, cache
-  // blockers, cost summary).
+  // deployment interference analysis (read/write/atomic map sets,
+  // impurities, cost summary).
   std::map<uint64_t, bpf::AnalysisFacts> facts_;
 
   std::map<int, FdEntry> fds_;

@@ -58,10 +58,8 @@ class ArrayMap : public Map {
   }
 
   // Publishes an updated value. For the standard u64 shape the store is a
-  // single atomic release, so lock-free concurrent readers (policies, the
-  // flow-decision cache's version protocol) never observe a torn value and
-  // a reader ordered after the subsequent version bump observes the value:
-  // Map::Update bumps version_ (release) only after this store.
+  // single atomic release, so lock-free concurrent readers (policies on
+  // other threads, userspace LookupU64) never observe a torn value.
   static void StoreValue(void* slot, const void* value, uint32_t size) {
     if (size == sizeof(uint64_t)) {
       uint64_t v;

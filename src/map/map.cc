@@ -43,6 +43,18 @@ StatusOr<std::shared_ptr<Map>> CreateMap(const MapSpec& spec) {
   if (spec.key_size == 0 || spec.value_size == 0) {
     return InvalidArgumentError("map key/value sizes must be > 0");
   }
+  const uint64_t copies = spec.type == MapType::kPerCpuArray
+                              ? PerCpuArrayMap::DefaultShards()
+                              : 1;
+  const uint64_t entry_bytes =
+      uint64_t{spec.key_size} + uint64_t{spec.value_size} * copies;
+  if (entry_bytes > kMaxMapBytes / spec.max_entries) {
+    return InvalidArgumentError(
+        "map '" + spec.name + "' needs " + std::to_string(spec.max_entries) +
+        " entries x " + std::to_string(entry_bytes) +
+        " bytes, over the " + std::to_string(kMaxMapBytes) +
+        "-byte limit per map");
+  }
   switch (spec.type) {
     case MapType::kArray:
       if (spec.key_size != sizeof(uint32_t)) {

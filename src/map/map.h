@@ -136,8 +136,8 @@ class Map {
   // `keys` is n contiguous keys of spec().key_size bytes each. Equivalent
   // to n Lookup() calls — same pointers, same counter accounting — but
   // implementations overlap hashing, probing, and memory prefetch across
-  // the batch (HashMap software-pipelines it), which is what
-  // Syrupd::DispatchBatch rides on flow-cache misses.
+  // the batch (HashMap software-pipelines it). Policies reach it through
+  // the map_lookup_batch helper.
   void LookupBatch(uint32_t n, const void* keys, void** out) {
     counters_.lookups->IncAtomic(n);
     DoLookupBatch(n, keys, out);
@@ -178,35 +178,13 @@ class Map {
 
   Status Update(const void* key, const void* value, UpdateFlag flag) {
     counters_.updates->IncAtomic();
-    Status status = DoUpdate(key, value, flag);
-    if (status.ok()) {
-      BumpVersion();
-    }
-    return status;
+    return DoUpdate(key, value, flag);
   }
 
   Status Delete(const void* key) {
     counters_.deletes->IncAtomic();
-    Status status = DoDelete(key);
-    if (status.ok()) {
-      BumpVersion();
-    }
-    return status;
+    return DoDelete(key);
   }
-
-  // Monotonic content-version stamp, bumped after every successful Update
-  // or Delete. The flow-decision cache folds the versions of a program's
-  // read-set maps into each cached entry; any change strictly increases
-  // the sum, so a stale entry can never validate. The bump is a release
-  // and the read an acquire: a reader that observes version N also
-  // observes the value writes of every update numbered <= N. Note that
-  // direct in-place value mutation (AtomicFetchAdd through a Lookup
-  // pointer) bypasses this stamp — but every program doing that is marked
-  // uncacheable by the verifier, so no cached decision can depend on it.
-  uint64_t version() const {
-    return version_.load(std::memory_order_acquire);
-  }
-  void BumpVersion() { version_.fetch_add(1, std::memory_order_release); }
 
   // Re-homes this map's accounting into registry-owned cells (called by
   // syrupd when the map is created or pinned). First binding wins so two
@@ -312,9 +290,15 @@ class Map {
  private:
   MapSpec spec_;
   MapOpCounters counters_;
-  std::atomic<uint64_t> version_{0};
   bool bound_ = false;
 };
+
+// Largest preallocation CreateMap accepts for one map: max_entries x
+// (key_size + value_size), with every per-CPU copy of the value counted.
+// Specs arrive from untrusted policy files, so a map that does not fit is
+// an INVALID_ARGUMENT, never an allocation failure. Every in-tree spec
+// needs under 16 MiB.
+inline constexpr uint64_t kMaxMapBytes = uint64_t{256} << 20;
 
 // Factory: validates the spec and builds the matching concrete map.
 StatusOr<std::shared_ptr<Map>> CreateMap(const MapSpec& spec);

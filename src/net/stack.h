@@ -179,9 +179,9 @@ class HostStack {
   // Burst entry point: a NIC DMA burst arrives at the current sim time.
   // All packets traverse the XDP Offload hook (batched through the
   // installed BatchSteerHook when present) before any enters its RX
-  // queue — the hardware model of a descriptor burst, and the surface
-  // that lets the offload stage amortize flow-cache probes. Per-queue
-  // processing order matches per-packet Rx exactly.
+  // queue — the hardware model of a descriptor burst, which lets the
+  // offload stage amortize dispatch over the burst. Per-queue processing
+  // order matches per-packet Rx exactly.
   void RxBurst(std::span<Packet> pkts);
 
   // Busy-fraction of each softirq core over the run (for reports/tests).

@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "src/common/logging.h"
-
 namespace syrup::obs {
 
 uint64_t LatencyHistogram::Percentile(double pct) const {
@@ -251,113 +249,40 @@ std::shared_ptr<LatencyHistogram> MetricsRegistry::GetHistogram(
   return cell.histogram;
 }
 
-std::shared_ptr<Counter> MetricsRegistry::GetCounterShard(
-    std::string_view app, std::string_view hook, std::string_view metric,
-    int shard) {
-  SYRUP_CHECK_GE(shard, 0);
-  std::lock_guard<std::mutex> lock(mu_);
-  Cell& cell =
-      cells_[Key{std::string(app), std::string(hook), std::string(metric)}];
-  auto& shards = cell.counter_shards;
-  if (shards.size() <= static_cast<size_t>(shard)) {
-    shards.resize(static_cast<size_t>(shard) + 1);
-  }
-  if (shards[static_cast<size_t>(shard)] == nullptr) {
-    shards[static_cast<size_t>(shard)] = std::make_shared<Counter>();
-  }
-  return shards[static_cast<size_t>(shard)];
-}
-
-std::shared_ptr<Gauge> MetricsRegistry::GetGaugeShard(std::string_view app,
-                                                      std::string_view hook,
-                                                      std::string_view metric,
-                                                      int shard) {
-  SYRUP_CHECK_GE(shard, 0);
-  std::lock_guard<std::mutex> lock(mu_);
-  Cell& cell =
-      cells_[Key{std::string(app), std::string(hook), std::string(metric)}];
-  auto& shards = cell.gauge_shards;
-  if (shards.size() <= static_cast<size_t>(shard)) {
-    shards.resize(static_cast<size_t>(shard) + 1);
-  }
-  if (shards[static_cast<size_t>(shard)] == nullptr) {
-    shards[static_cast<size_t>(shard)] = std::make_shared<Gauge>();
-  }
-  return shards[static_cast<size_t>(shard)];
-}
-
-std::shared_ptr<LatencyHistogram> MetricsRegistry::GetHistogramShard(
-    std::string_view app, std::string_view hook, std::string_view metric,
-    int shard) {
-  SYRUP_CHECK_GE(shard, 0);
-  std::lock_guard<std::mutex> lock(mu_);
-  Cell& cell =
-      cells_[Key{std::string(app), std::string(hook), std::string(metric)}];
-  auto& shards = cell.histogram_shards;
-  if (shards.size() <= static_cast<size_t>(shard)) {
-    shards.resize(static_cast<size_t>(shard) + 1);
-  }
-  if (shards[static_cast<size_t>(shard)] == nullptr) {
-    shards[static_cast<size_t>(shard)] = std::make_shared<LatencyHistogram>();
-  }
-  return shards[static_cast<size_t>(shard)];
-}
-
 Snapshot MetricsRegistry::TakeSnapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   Snapshot snap;
   for (const auto& [key, cell] : cells_) {
     Snapshot::MetricMap& metrics = snap.apps[key.app][key.hook];
-    const bool has_counter =
-        cell.counter != nullptr || !cell.counter_shards.empty();
-    const bool has_gauge = cell.gauge != nullptr || !cell.gauge_shards.empty();
     // A key can (by convention doesn't) hold several kinds; suffix any
-    // beyond the first so none is silently dropped. Shard-local cells fold
-    // into the key's single entry: counters/gauges sum, histograms merge.
-    if (has_counter) {
+    // beyond the first so none is silently dropped.
+    if (cell.counter != nullptr) {
       SnapshotMetric m;
       m.kind = SnapshotMetric::Kind::kCounter;
-      m.counter = cell.counter != nullptr ? cell.counter->Load() : 0;
-      for (const auto& shard : cell.counter_shards) {
-        if (shard != nullptr) {
-          m.counter += shard->Load();
-        }
-      }
+      m.counter = cell.counter->Load();
       metrics[key.metric] = m;
     }
-    if (has_gauge) {
+    if (cell.gauge != nullptr) {
       SnapshotMetric m;
       m.kind = SnapshotMetric::Kind::kGauge;
-      m.gauge = cell.gauge != nullptr ? cell.gauge->Load() : 0;
-      for (const auto& shard : cell.gauge_shards) {
-        if (shard != nullptr) {
-          m.gauge += shard->Load();
-        }
-      }
-      metrics[has_counter ? key.metric + ".gauge" : key.metric] = m;
+      m.gauge = cell.gauge->Load();
+      metrics[cell.counter == nullptr ? key.metric : key.metric + ".gauge"] = m;
     }
-    if (cell.histogram != nullptr || !cell.histogram_shards.empty()) {
-      LatencyHistogram merged;
-      if (cell.histogram != nullptr) {
-        merged.MergeFrom(*cell.histogram);
-      }
-      for (const auto& shard : cell.histogram_shards) {
-        if (shard != nullptr) {
-          merged.MergeFrom(*shard);
-        }
-      }
+    if (cell.histogram != nullptr) {
+      const LatencyHistogram& h = *cell.histogram;
       SnapshotMetric m;
       m.kind = SnapshotMetric::Kind::kHistogram;
-      m.histogram.count = merged.count();
-      m.histogram.min = merged.min();
-      m.histogram.max = merged.max();
-      m.histogram.mean = merged.Mean();
-      m.histogram.p50 = merged.Percentile(50.0);
-      m.histogram.p90 = merged.Percentile(90.0);
-      m.histogram.p99 = merged.Percentile(99.0);
-      m.histogram.p999 = merged.Percentile(99.9);
-      metrics[has_counter || has_gauge ? key.metric + ".histogram"
-                                       : key.metric] = m;
+      m.histogram.count = h.count();
+      m.histogram.min = h.min();
+      m.histogram.max = h.max();
+      m.histogram.mean = h.Mean();
+      m.histogram.p50 = h.Percentile(50.0);
+      m.histogram.p90 = h.Percentile(90.0);
+      m.histogram.p99 = h.Percentile(99.0);
+      m.histogram.p999 = h.Percentile(99.9);
+      metrics[cell.counter == nullptr && cell.gauge == nullptr
+                  ? key.metric
+                  : key.metric + ".histogram"] = m;
     }
   }
   return snap;

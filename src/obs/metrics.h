@@ -31,7 +31,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace syrup::obs {
 
@@ -46,15 +45,6 @@ struct Counter {
   void IncAtomic(uint64_t delta = 1) {
     std::atomic_ref<uint64_t>(value).fetch_add(delta,
                                                std::memory_order_relaxed);
-  }
-
-  // Single-writer increment for shard-local cells: race-free against a
-  // concurrent Load() without the lock-prefixed RMW IncAtomic pays. Only
-  // valid when exactly one thread ever writes this cell (the owning shard).
-  void IncRelaxed(uint64_t delta = 1) {
-    std::atomic_ref<uint64_t> ref(value);
-    ref.store(ref.load(std::memory_order_relaxed) + delta,
-              std::memory_order_relaxed);
   }
 
   uint64_t Load() const {
@@ -192,24 +182,6 @@ class MetricsRegistry {
                                                  std::string_view hook,
                                                  std::string_view metric);
 
-  // Shard-local cells, mirroring PerCpuArrayMap: shard `s` gets a cell of
-  // its own under the same {app, hook, metric} key, distinct from the base
-  // cell and from every other shard's, so concurrent shard threads never
-  // share a cache line on the bump path. TakeSnapshot() folds base + all
-  // shards into the key's single snapshot entry (counters/gauges summed,
-  // histograms merged). Shard threads should bump with IncRelaxed() so a
-  // snapshot taken while they run stays race-free.
-  std::shared_ptr<Counter> GetCounterShard(std::string_view app,
-                                           std::string_view hook,
-                                           std::string_view metric, int shard);
-  std::shared_ptr<Gauge> GetGaugeShard(std::string_view app,
-                                       std::string_view hook,
-                                       std::string_view metric, int shard);
-  std::shared_ptr<LatencyHistogram> GetHistogramShard(std::string_view app,
-                                                      std::string_view hook,
-                                                      std::string_view metric,
-                                                      int shard);
-
   Snapshot TakeSnapshot() const;
 
   size_t NumMetrics() const;
@@ -225,10 +197,6 @@ class MetricsRegistry {
     std::shared_ptr<Counter> counter;
     std::shared_ptr<Gauge> gauge;
     std::shared_ptr<LatencyHistogram> histogram;
-    // Indexed by shard id; entries are created lazily by Get*Shard.
-    std::vector<std::shared_ptr<Counter>> counter_shards;
-    std::vector<std::shared_ptr<Gauge>> gauge_shards;
-    std::vector<std::shared_ptr<LatencyHistogram>> histogram_shards;
   };
 
   mutable std::mutex mu_;

@@ -203,6 +203,20 @@ TEST(AssemblerErrors, BadMapType) {
   EXPECT_FALSE(Assemble(".map m ring 4 8 1\nexit\n").ok());
 }
 
+TEST(AssemblerErrors, MapSizeMustFitItsField) {
+  // Truncated to uint32_t, 99999999999 would be 1,215,752,191 entries.
+  auto result = Assemble(".map m array 4 8 99999999999\nexit\n");
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find(
+                "line 1: map size 99999999999 does not fit in 32 bits"),
+            std::string::npos)
+      << result.status();
+  EXPECT_FALSE(Assemble(".map m hash 4294967296 8 1\nexit\n").ok());
+  auto largest = Assemble(".map m array 4 4294967295 1\nexit\n");
+  ASSERT_TRUE(largest.ok()) << largest.status();
+  EXPECT_EQ(largest->map_slots[0].spec.value_size, UINT32_MAX);
+}
+
 TEST(AssemblerErrors, BadDirective) {
   EXPECT_FALSE(Assemble(".wat 1\nexit\n").ok());
 }

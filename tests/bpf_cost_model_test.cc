@@ -6,8 +6,8 @@
 //    widens it;
 //  * boundedness — every builtin policy and every shipping example policy
 //    verifies with a finite wcet_insns and a concrete hottest path, and the
-//    side-effect facts (write/atomic sets, cache blockers, lints) say what
-//    the programs actually do;
+//    side-effect facts (write/atomic sets, impurities, lints) say what the
+//    programs actually do;
 //  * cost-vs-reality — for JIT-able policies, the measured per-decision
 //    time at the deployment's effective tier must not exceed the
 //    calibrated wcet_ns for that tier (the soundness direction operators
@@ -115,8 +115,6 @@ TEST(CostModelTest, CalibratedModelNeverCheaperThanDefault) {
   }
   EXPECT_GE(cal.random_ns, def.random_ns);
   EXPECT_GE(cal.ktime_ns, def.ktime_ns);
-  EXPECT_GT(def.flow_cache_probe_ns, 0.0);
-  EXPECT_GE(cal.flow_cache_probe_ns, def.flow_cache_probe_ns);
 }
 
 // --- boundedness over the builtin catalog ------------------------------------
@@ -199,8 +197,8 @@ TEST(CostModelTest, WriteAndAtomicSetsNameTheMutatedMaps) {
         Verify(prog, ProgramContext::kPacket, {}, nullptr, &facts).ok());
     EXPECT_FALSE(facts.write_maps.empty());
     EXPECT_FALSE(facts.atomic_maps.empty());
-    EXPECT_FALSE(facts.cacheable);
-    EXPECT_FALSE(facts.cache_blockers.empty());
+    EXPECT_FALSE(facts.pure);
+    EXPECT_FALSE(facts.impurities.empty());
   }
   // Round robin bumps its cursor with a plain store through the looked-up
   // value pointer: a write, but not an atomic one.
@@ -211,13 +209,13 @@ TEST(CostModelTest, WriteAndAtomicSetsNameTheMutatedMaps) {
         Verify(prog, ProgramContext::kPacket, {}, nullptr, &facts).ok());
     EXPECT_FALSE(facts.write_maps.empty());
     EXPECT_TRUE(facts.atomic_maps.empty());
-    EXPECT_FALSE(facts.cacheable);
-    ASSERT_FALSE(facts.cache_blockers.empty());
-    EXPECT_NE(facts.cache_blockers[0].reason.find("map value pointer"),
+    EXPECT_FALSE(facts.pure);
+    ASSERT_FALSE(facts.impurities.empty());
+    EXPECT_NE(facts.impurities[0].reason.find("map value pointer"),
               std::string::npos);
   }
-  // MICA home steering is a pure function of the packet: cacheable, no
-  // writes, no blockers.
+  // MICA home steering is a pure function of the packet: no writes, no
+  // impurities.
   {
     const Program prog = BuildProgram(MicaHomePolicyAsm(4));
     AnalysisFacts facts;
@@ -225,15 +223,56 @@ TEST(CostModelTest, WriteAndAtomicSetsNameTheMutatedMaps) {
         Verify(prog, ProgramContext::kPacket, {}, nullptr, &facts).ok());
     EXPECT_TRUE(facts.write_maps.empty());
     EXPECT_TRUE(facts.atomic_maps.empty());
-    EXPECT_TRUE(facts.cacheable);
-    EXPECT_TRUE(facts.cache_blockers.empty());
+    EXPECT_TRUE(facts.pure);
+    EXPECT_TRUE(facts.impurities.empty());
   }
 }
 
 TEST(CostModelTest, PurityIsAFactInBothContexts) {
-  // The GET-priority classifier only reads its map: pure, which is what
-  // lets the ghOSt agent memoize it per pass, yet never flow-cacheable,
-  // since a thread has no flow key.
+  // Packet programs whose decision is a function of the packet bytes and
+  // the maps they read: pure, with nothing to explain. least_loaded reads
+  // its load map, which the interference analysis still needs to know.
+  for (const auto& [source, reads_map] :
+       {std::pair{MicaHomePolicyAsm(4), false},
+        std::pair{HashPolicyAsm(4), false},
+        std::pair{VarHeaderPolicyAsm(4), false},
+        std::pair{LeastLoadedPolicyAsm(4, "/syrup/test/load"), true}}) {
+    const Program prog = BuildProgram(source);
+    AnalysisFacts facts;
+    ASSERT_TRUE(
+        Verify(prog, ProgramContext::kPacket, {}, nullptr, &facts).ok());
+    EXPECT_TRUE(facts.pure) << prog.name;
+    EXPECT_TRUE(facts.impurities.empty()) << prog.name;
+    EXPECT_EQ(facts.read_maps, reads_map ? std::vector<int32_t>{0}
+                                         : std::vector<int32_t>{})
+        << prog.name;
+  }
+  // Impure packet programs, each with the reason: round robin stores its
+  // cursor back through the value pointer, token consumes a token with an
+  // atomic add, power-of-two draws random probes, and so does SCAN Avoid,
+  // so two identical packets may legitimately get different decisions.
+  for (const auto& [source, reason] :
+       {std::pair{RoundRobinPolicyAsm(4),
+                  "store through a map value pointer"},
+        std::pair{TokenPolicyAsm(), "atomic add through a map value pointer"},
+        std::pair{PowerOfTwoPolicyAsm(4, "/syrup/test/load"),
+                  "get_prandom_u32 (nondeterministic result)"},
+        std::pair{ScanAvoidPolicyAsm(4),
+                  "get_prandom_u32 (nondeterministic result)"}}) {
+    const Program prog = BuildProgram(source);
+    AnalysisFacts facts;
+    ASSERT_TRUE(
+        Verify(prog, ProgramContext::kPacket, {}, nullptr, &facts).ok());
+    EXPECT_FALSE(facts.pure) << prog.name;
+    std::string reasons;
+    for (const Impurity& impurity : facts.impurities) {
+      reasons += impurity.reason + "\n";
+    }
+    EXPECT_NE(reasons.find(reason), std::string::npos)
+        << prog.name << " lacks '" << reason << "' in:\n" << reasons;
+  }
+  // Thread context. The GET-priority classifier only reads its map: pure,
+  // which is what lets the ghOSt agent memoize it per pass.
   {
     const Program prog =
         BuildProgram(GetPriorityThreadPolicyAsm("/syrup/test/types"));
@@ -241,10 +280,9 @@ TEST(CostModelTest, PurityIsAFactInBothContexts) {
     ASSERT_TRUE(
         Verify(prog, ProgramContext::kThread, {}, nullptr, &facts).ok());
     EXPECT_TRUE(facts.pure);
-    EXPECT_FALSE(facts.cacheable);
-    EXPECT_TRUE(facts.cache_blockers.empty());
+    EXPECT_TRUE(facts.impurities.empty());
   }
-  // A thread classifier that draws randomness keeps its blocker.
+  // A thread classifier that draws randomness keeps its impurity.
   {
     const Program prog = BuildProgram(R"(
 .name coin
@@ -257,22 +295,10 @@ TEST(CostModelTest, PurityIsAFactInBothContexts) {
     ASSERT_TRUE(
         Verify(prog, ProgramContext::kThread, {}, nullptr, &facts).ok());
     EXPECT_FALSE(facts.pure);
-    EXPECT_FALSE(facts.cacheable);
-    ASSERT_EQ(facts.cache_blockers.size(), 1u);
-    EXPECT_EQ(facts.cache_blockers[0].pc, 0u);
-    EXPECT_EQ(facts.cache_blockers[0].reason,
+    ASSERT_EQ(facts.impurities.size(), 1u);
+    EXPECT_EQ(facts.impurities[0].pc, 0u);
+    EXPECT_EQ(facts.impurities[0].reason,
               "get_prandom_u32 (nondeterministic result)");
-  }
-  // Packet programs: cacheable implies pure; a store is neither.
-  for (const auto& [source, pure] :
-       {std::pair{MicaHomePolicyAsm(4), true},
-        std::pair{RoundRobinPolicyAsm(4), false}}) {
-    const Program prog = BuildProgram(source);
-    AnalysisFacts facts;
-    ASSERT_TRUE(
-        Verify(prog, ProgramContext::kPacket, {}, nullptr, &facts).ok());
-    EXPECT_EQ(facts.pure, pure) << prog.name;
-    EXPECT_EQ(facts.cacheable, pure) << prog.name;
   }
 }
 

@@ -1,13 +1,15 @@
 // Batched dispatch differential tests: Syrupd::DispatchBatch must be
 // observably identical to per-packet dispatch — same decisions in the same
 // order, same counters — for every packet hook, every chunking, and every
-// mix of cacheable/uncacheable/absent policies. The batch API is allowed
-// to hoist pure work (port resolution, key derivation, prefetch), never to
-// reorder or coalesce effects.
+// mix of pure/stateful/absent policies; and its native port routing must
+// decide exactly what the literal root-dispatcher program (paper §4.3)
+// decides through tail calls.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -17,6 +19,7 @@
 #include "src/net/stack.h"
 #include "src/policies/builtin.h"
 #include "src/sim/simulator.h"
+#include "tests/oracles/root_dispatcher.h"
 
 namespace syrup {
 namespace {
@@ -51,11 +54,6 @@ SteerHook& SingleHook(HostStack& stack, Hook hook) {
 struct Side {
   Side() : stack(sim, StackConfig{}), syrupd(sim, &stack) {
     app = syrupd.RegisterApp("a", 1000, 9000).value();
-  }
-
-  uint64_t Counter(Hook hook, const char* name) {
-    return syrupd.StatsSnapshot().CounterValue(
-        "syrupd", HookName(hook), std::string("flow_cache.") + name);
   }
 
   Simulator sim;
@@ -120,7 +118,7 @@ void RunDifferential(Hook hook, const std::string& policy_asm,
         packets.size() - pos, size_t{1} + chunks.NextBounded(63));
     if (with_load_map && chunks.NextBounded(4) == 0) {
       // Shift the load between chunks — same update on both sides, so
-      // version-sum invalidation fires at the same packet index.
+      // the policy sees the same load at the same packet index.
       const uint32_t idx = static_cast<uint32_t>(chunks.NextBounded(6));
       const uint64_t value = 1 + chunks.NextBounded(100);
       ASSERT_TRUE(single_load.Update(idx, value).ok());
@@ -139,12 +137,7 @@ void RunDifferential(Hook hook, const std::string& policy_asm,
     ASSERT_EQ(single_out[i], batch_out[i]) << "packet " << i;
   }
   // Counter-for-counter equality: the batch path may not change *when*
-  // policies run or cache entries move, only amortize the bookkeeping.
-  for (const char* name : {"hits", "misses", "invalidations", "uncacheable",
-                           "evictions", "admission_rejects", "resizes"}) {
-    EXPECT_EQ(single.Counter(hook, name), batch.Counter(hook, name))
-        << "flow_cache." << name;
-  }
+  // policies run, only amortize the bookkeeping.
   EXPECT_EQ(single.syrupd.dispatch_stats(hook).dispatched,
             batch.syrupd.dispatch_stats(hook).dispatched);
   EXPECT_EQ(single.syrupd.dispatch_stats(hook).no_policy,
@@ -159,13 +152,13 @@ constexpr Hook kPacketHooks[] = {Hook::kXdpOffload, Hook::kXdpDrv,
                                  Hook::kXdpSkb, Hook::kCpuRedirect,
                                  Hook::kSocketSelect};
 
-TEST(DispatchBatch, CacheablePolicyMatchesSingleOnAllHooks) {
+TEST(DispatchBatch, PurePolicyMatchesSingleOnAllHooks) {
   for (Hook hook : kPacketHooks) {
     RunDifferential(hook, MicaHomePolicyAsm(6), /*with_load_map=*/false, 1);
   }
 }
 
-TEST(DispatchBatch, UncacheableStatefulPolicyMatchesSingleOnAllHooks) {
+TEST(DispatchBatch, StatefulPolicyMatchesSingleOnAllHooks) {
   // Round robin mutates map state on every decision: the batch must
   // execute it per packet, in order.
   for (Hook hook : kPacketHooks) {
@@ -176,63 +169,93 @@ TEST(DispatchBatch, UncacheableStatefulPolicyMatchesSingleOnAllHooks) {
 TEST(DispatchBatch, MapReadingPolicyWithChurnMatchesSingle) {
   // least_loaded reads the pinned load map through map_lookup_batch (its
   // asm twin batches the whole register scan); chunk-boundary updates
-  // force invalidations at identical packet indices on both sides. All
-  // packet hooks: the batched miss path must stay bit-identical to
-  // single-packet dispatch everywhere.
+  // change the load at identical packet indices on both sides. All packet
+  // hooks: batched dispatch must stay bit-identical to single-packet
+  // dispatch everywhere.
   for (Hook hook : kPacketHooks) {
     RunDifferential(hook, LeastLoadedPolicyAsm(6, "/syrup/a/load"),
                     /*with_load_map=*/true, 3);
   }
 }
 
-TEST(DispatchBatch, TinyAdaptiveCacheStillMatchesSingle) {
-  // Same differential under a deliberately churning cache config.
-  FlowCacheConfig config;
-  config.capacity = 64;
-  config.admission = true;
-  config.adaptive = true;
-  Side single, batch;
-  single.syrupd.set_flow_cache_config(config);
-  batch.syrupd.set_flow_cache_config(config);
-  ASSERT_TRUE(single.syrupd
-                  .DeployPolicyFile(single.app, MicaHomePolicyAsm(6),
-                                    Hook::kSocketSelect)
-                  .ok());
-  ASSERT_TRUE(batch.syrupd
-                  .DeployPolicyFile(batch.app, MicaHomePolicyAsm(6),
-                                    Hook::kSocketSelect)
-                  .ok());
-  Rng traffic(11);
+TEST(DispatchBatch, RoutesLikeTheRootDispatcherProgram) {
+  // Four apps on distinct ports, each running a pure bytecode policy. The
+  // oracle is the paper's root program: a port-map lookup, then a tail
+  // call into the owner's policy, run by the interpreter with the
+  // daemon's own execution environment. Bursts mix owned ports, unowned
+  // ports and runts (too short to carry a port), so every routing branch
+  // meets every other at a burst boundary and inside one.
+  Simulator sim;
+  HostStack stack(sim, StackConfig{});
+  Syrupd syrupd(sim, &stack);
+  auto dispatcher = BuildRootDispatcher(8);
+  ASSERT_TRUE(dispatcher.ok()) << dispatcher.status();
+  const std::pair<uint16_t, std::string> apps[] = {
+      {9000, MicaHomePolicyAsm(6)},
+      {9001, HashPolicyAsm(4)},
+      {9002, VarHeaderPolicyAsm(5)},
+      {9003, ConstIndexPolicyAsm(3)},
+  };
+  std::vector<RouteHandle> routes;
+  for (uint32_t i = 0; i < std::size(apps); ++i) {
+    const auto& [port, policy] = apps[i];
+    const AppId app = syrupd
+                          .RegisterApp("app" + std::to_string(i), 1000 + i,
+                                       port)
+                          .value();
+    const StatusOr<int> prog_id =
+        syrupd.DeployPolicyFile(app, policy, Hook::kXdpDrv);
+    ASSERT_TRUE(prog_id.ok()) << prog_id.status();
+    StatusOr<RouteHandle> route =
+        dispatcher->AddRoute(port, i, static_cast<uint64_t>(*prog_id));
+    ASSERT_TRUE(route.ok()) << route.status();
+    routes.push_back(std::move(route).value());
+  }
+  bpf::Interpreter oracle(syrupd.MakeExecEnv());
+
+  Rng rng(21);
+  const uint16_t ports[] = {9000, 9001, 9002, 9003, 9004, 80};
   std::vector<Packet> packets;
-  for (int i = 0; i < 4000; ++i) {
-    packets.push_back(MakePacket(
-        9000, static_cast<uint32_t>(traffic.NextBounded(500)) * 2654435761u));
-  }
   std::vector<PacketView> views;
-  for (const Packet& pkt : packets) {
-    views.push_back(PacketView::Of(pkt));
+  packets.reserve(2000);
+  views.reserve(2000);
+  for (int i = 0; i < 2000; ++i) {
+    packets.push_back(MakePacket(
+        ports[rng.NextBounded(std::size(ports))],
+        static_cast<uint32_t>(rng.Next()),
+        static_cast<uint16_t>(20'000 + rng.NextBounded(64))));
+    const PacketView view = PacketView::Of(packets.back());
+    // One packet in eight is a runt of 0-3 bytes.
+    views.push_back(rng.NextBounded(8) == 0
+                        ? PacketView{view.start,
+                                     view.start + rng.NextBounded(4)}
+                        : view);
   }
-  std::vector<Decision> batch_out(packets.size(), 0);
-  Rng chunks(12);
+
+  std::vector<Decision> got(views.size(), 0);
+  std::vector<Decision> want(views.size(), 0);
   size_t pos = 0;
-  while (pos < packets.size()) {
-    const size_t n = std::min(
-        packets.size() - pos, size_t{1} + chunks.NextBounded(63));
-    batch.syrupd.DispatchBatch(
-        Hook::kSocketSelect, std::span<const PacketView>(&views[pos], n),
-        std::span<Decision>(&batch_out[pos], n));
+  while (pos < views.size()) {
+    const size_t n =
+        std::min(views.size() - pos,
+                 size_t{1} + rng.NextBounded(2 * Syrupd::kMaxDispatchBatch));
+    const std::span<const PacketView> burst(&views[pos], n);
+    syrupd.DispatchBatch(Hook::kXdpDrv, burst,
+                         std::span<Decision>(&got[pos], n));
+    const Status oracle_status = dispatcher->DispatchBatch(
+        oracle, burst, std::span<Decision>(&want[pos], n));
+    ASSERT_TRUE(oracle_status.ok()) << oracle_status;
     pos += n;
   }
-  for (size_t i = 0; i < packets.size(); ++i) {
-    const Decision d = single.stack.hooks().socket_select(views[i]);
-    ASSERT_EQ(d, batch_out[i]) << "packet " << i;
+  for (size_t i = 0; i < views.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << "packet " << i << " (" << views[i].size()
+                               << " bytes, port " << views[i].DstPort()
+                               << ")";
   }
-  for (const char* name : {"hits", "misses", "evictions",
-                           "admission_rejects", "resizes"}) {
-    EXPECT_EQ(single.Counter(Hook::kSocketSelect, name),
-              batch.Counter(Hook::kSocketSelect, name))
-        << "flow_cache." << name;
-  }
+  const DispatchStats stats = syrupd.dispatch_stats(Hook::kXdpDrv);
+  EXPECT_EQ(stats.dispatched + stats.no_policy, views.size());
+  EXPECT_GT(stats.dispatched, 0u);
+  EXPECT_GT(stats.no_policy, 0u);
 }
 
 TEST(DispatchBatch, OversizedBatchIsChunkedTransparently) {

@@ -134,41 +134,6 @@ TEST(ArrayMap, StructValues) {
   EXPECT_EQ(out.b, 2u);
 }
 
-// --- Map versioning (flow-decision cache invalidation) ------------------------
-
-TEST(MapVersion, UpdateAndDeleteBumpTheStamp) {
-  ArrayMap array(ArraySpec(4));
-  EXPECT_EQ(array.version(), 0u);
-  EXPECT_TRUE(array.UpdateU64(0, 1).ok());
-  EXPECT_EQ(array.version(), 1u);
-  EXPECT_TRUE(array.UpdateU64(0, 2).ok());
-  EXPECT_EQ(array.version(), 2u);
-
-  HashMap hash(HashSpec(16));
-  EXPECT_TRUE(hash.UpdateU64(5, 7).ok());
-  const uint64_t after_insert = hash.version();
-  EXPECT_EQ(after_insert, 1u);
-  uint32_t key = 5;
-  EXPECT_TRUE(hash.Delete(&key).ok());
-  EXPECT_EQ(hash.version(), after_insert + 1);
-}
-
-TEST(MapVersion, FailedOpsDontBump) {
-  ArrayMap map(ArraySpec(4));
-  EXPECT_FALSE(map.UpdateU64(9, 1).ok());  // out of bounds
-  uint32_t key = 0;
-  EXPECT_FALSE(map.Delete(&key).ok());  // arrays never delete
-  EXPECT_EQ(map.version(), 0u);
-}
-
-TEST(MapVersion, LookupsDontBump) {
-  ArrayMap map(ArraySpec(4));
-  (void)map.LookupU64(0);
-  uint32_t key = 1;
-  (void)map.Lookup(&key);
-  EXPECT_EQ(map.version(), 0u);
-}
-
 // --- PerCpuArrayMap -----------------------------------------------------------
 
 MapSpec PerCpuSpec(uint32_t entries) {
@@ -238,9 +203,25 @@ TEST(PerCpuArrayMap, ArraySemanticsPreserved) {
   uint64_t value = 1;
   EXPECT_EQ(map.Update(&key, &value, UpdateFlag::kNoExist).code(),
             StatusCode::kAlreadyExists);
-  // Updates bump the shared version stamp exactly like flat arrays.
   EXPECT_TRUE(map.UpdateU64(1, 9).ok());
-  EXPECT_EQ(map.version(), 1u);
+  EXPECT_EQ(map.LookupU64(1).value(), 9u);
+}
+
+TEST(CreateMap, RejectsSpecsOverTheByteLimit) {
+  // max_entries x (key_size + value_size), counted in 64 bits so no
+  // product wraps; a rejected spec allocates nothing.
+  const auto fits_once = static_cast<uint32_t>(kMaxMapBytes / 12);
+  EXPECT_EQ(CreateMap(ArraySpec(fits_once + 1)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(CreateMap(HashSpec(UINT32_MAX, UINT32_MAX, UINT32_MAX))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // Every per-CPU copy of the value counts.
+  if (PerCpuArrayMap::DefaultShards() > 1) {
+    EXPECT_EQ(CreateMap(PerCpuSpec(fits_once)).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 // --- HashMap ------------------------------------------------------------------

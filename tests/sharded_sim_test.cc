@@ -1,17 +1,13 @@
-// Sharded-simulation tests: the SPSC channel and its epoch fence, the
-// conservative-window protocol's delivery/ordering guarantees, and the
-// multi-thread counter discipline (registry shard cells, Syrupd's
-// shard-qualified dispatch). The determinism tests run the same workload
-// twice and require bit-identical traces — the contract is exact equality,
-// never tolerance. This suite also runs under TSan in CI, so every
-// cross-thread access here must be genuinely race-free, not just lucky.
+// Sharded-simulation tests: the SPSC channel and its epoch fence, and the
+// conservative-window protocol's delivery/ordering guarantees and output
+// bounds. The determinism tests run the same workload twice and require
+// bit-identical traces — the contract is exact equality, never tolerance.
+// This suite also runs under TSan in CI, so every cross-thread access here
+// must be genuinely race-free, not just lucky.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <span>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -21,11 +17,6 @@
 #include <sched.h>
 #endif
 
-#include "src/core/syrup_api.h"
-#include "src/core/syrupd.h"
-#include "src/net/stack.h"
-#include "src/obs/metrics.h"
-#include "src/policies/builtin.h"
 #include "src/sim/sharded.h"
 #include "src/sim/simulator.h"
 
@@ -510,142 +501,6 @@ TEST(ShardedSimDeathTest, OutputBoundAtTheWindowStartDies) {
         sharded.RunUntil(5000);
       },
       "output bound does not exceed the window start");
-}
-
-// --- Registry shard cells ---------------------------------------------------
-
-TEST(MetricsSharding, ConcurrentShardBumpsFoldIntoOneEntry) {
-  obs::MetricsRegistry registry;
-  registry.GetCounter("app", "hook", "events")->Inc();  // base cell: 1
-  constexpr int kShards = 4;
-  constexpr uint64_t kPerShard = 200'000;
-  std::vector<std::shared_ptr<obs::Counter>> cells;
-  cells.reserve(kShards);
-  for (int s = 0; s < kShards; ++s) {
-    cells.push_back(registry.GetCounterShard("app", "hook", "events", s));
-  }
-  std::vector<std::thread> threads;
-  threads.reserve(kShards);
-  for (int s = 0; s < kShards; ++s) {
-    threads.emplace_back([cell = cells[static_cast<size_t>(s)]] {
-      for (uint64_t i = 0; i < kPerShard; ++i) {
-        cell->IncRelaxed();
-      }
-    });
-  }
-  // Snapshots taken mid-run must be race-free and monotone.
-  uint64_t prev = 0;
-  for (int i = 0; i < 100; ++i) {
-    const uint64_t now =
-        registry.TakeSnapshot().CounterValue("app", "hook", "events");
-    EXPECT_GE(now, prev);
-    prev = now;
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  EXPECT_EQ(registry.TakeSnapshot().CounterValue("app", "hook", "events"),
-            1 + kShards * kPerShard);
-}
-
-// --- Syrupd shard-qualified dispatch ----------------------------------------
-
-Packet MakePacket(uint16_t dst_port, uint32_t key_hash) {
-  Packet pkt;
-  pkt.tuple.src_ip = 0x0a000001;
-  pkt.tuple.dst_ip = 0x0a0000ff;
-  pkt.tuple.src_port = 20'000;
-  pkt.tuple.dst_port = dst_port;
-  pkt.SetHeader(ReqType::kGet, 1, key_hash, 1, 0);
-  return pkt;
-}
-
-// Concurrent shard dispatch of a verifier-proven cacheable policy: all
-// lanes are warmed single-threaded first, so the concurrent phase is
-// hits-only (the policy VM itself never runs concurrently — that is the
-// documented contract for sharing one Syrupd across shard threads).
-TEST(SyrupdSharding, ConcurrentWarmDispatchIsRaceFreeAndFolds) {
-  constexpr int kShards = 4;
-  constexpr size_t kFlows = 32;
-  constexpr int kIters = 2'000;
-  constexpr Hook kHook = Hook::kXdpSkb;
-
-  Simulator sim;
-  HostStack stack(sim, StackConfig{});
-  Syrupd syrupd(sim, &stack);
-  FlowCacheConfig cache_config;
-  cache_config.adaptive = false;  // no resizes evicting warm entries mid-run
-  syrupd.set_flow_cache_config(cache_config);
-  const AppId app = syrupd.RegisterApp("mica", 1000, 9100).value();
-  ASSERT_TRUE(
-      syrupd.DeployPolicyFile(app, MicaHomePolicyAsm(6), kHook).ok());
-  syrupd.ConfigureSharding(kShards);
-  ASSERT_EQ(syrupd.dispatch_shards(), kShards);
-
-  std::vector<Packet> packets;
-  packets.reserve(kFlows);
-  for (size_t i = 0; i < kFlows; ++i) {
-    packets.push_back(
-        MakePacket(9100, static_cast<uint32_t>(i + 1) * 2654435761u));
-  }
-  std::vector<PacketView> views;
-  views.reserve(packets.size());
-  for (const Packet& pkt : packets) {
-    views.push_back(PacketView::Of(pkt));
-  }
-
-  // Warm every lane's cache single-threaded; every shard must reach the
-  // same decisions (the cached policy is pure).
-  std::vector<Decision> expected(kFlows, 0);
-  syrupd.DispatchBatch(kHook, views, std::span<Decision>(expected), 0);
-  for (int s = 1; s < kShards; ++s) {
-    std::vector<Decision> warm(kFlows, 0);
-    syrupd.DispatchBatch(kHook, views, std::span<Decision>(warm), s);
-    EXPECT_EQ(warm, expected) << "shard " << s;
-  }
-
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kShards);
-  for (int s = 0; s < kShards; ++s) {
-    threads.emplace_back([&syrupd, &views, &expected, &mismatches, s] {
-      std::vector<Decision> out(views.size(), 0);
-      for (int iter = 0; iter < kIters; ++iter) {
-        syrupd.DispatchBatch(kHook, views, std::span<Decision>(out), s);
-        if (out != expected) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  // Concurrent snapshots: the dispatched count must fold all lanes and
-  // stay monotone while they bump.
-  uint64_t prev = 0;
-  for (int i = 0; i < 200; ++i) {
-    const uint64_t now = syrupd.StatsSnapshot().CounterValue(
-        "syrupd", HookName(kHook), "dispatched");
-    EXPECT_GE(now, prev);
-    prev = now;
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  EXPECT_EQ(mismatches.load(), 0);
-
-  const obs::Snapshot snap = syrupd.StatsSnapshot();
-  const uint64_t dispatched =
-      snap.CounterValue("syrupd", HookName(kHook), "dispatched");
-  const uint64_t hits =
-      snap.CounterValue("syrupd", HookName(kHook), "flow_cache.hits");
-  const uint64_t misses =
-      snap.CounterValue("syrupd", HookName(kHook), "flow_cache.misses");
-  EXPECT_EQ(dispatched, kFlows * kShards * (kIters + 1));
-  EXPECT_EQ(hits + misses, dispatched);
-  // Exactly one cold pass per lane; everything after warms from its own
-  // shard-local table.
-  EXPECT_EQ(misses, uint64_t{kFlows} * kShards);
-  EXPECT_EQ(snap.CounterValue("mica", HookName(kHook), "dispatched"),
-            dispatched);
 }
 
 }  // namespace

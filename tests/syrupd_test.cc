@@ -5,13 +5,13 @@
 #include <cstdlib>
 
 #include "src/bpf/jit.h"
-#include "src/core/root_dispatcher.h"
 #include "src/core/syrup_api.h"
 #include "src/core/syrupd.h"
 #include "src/net/stack.h"
 #include "src/policies/builtin.h"
 #include "src/sched/machine.h"
 #include "src/sim/simulator.h"
+#include "tests/oracles/root_dispatcher.h"
 
 namespace syrup {
 namespace {
@@ -87,6 +87,28 @@ TEST_F(SyrupdTest, RejectsSyntacticallyBrokenPolicy) {
   auto app = syrupd_.RegisterApp("a", 1000, 9000).value();
   SyrupClient client(syrupd_, app);
   EXPECT_FALSE(client.syr_deploy_policy("not a program", Hook::kXdpDrv).ok());
+}
+
+// A tenant's map declaration is untrusted input. A size that does not fit
+// its field, a spec CreateMap rejects, and a map too large to preallocate
+// each come back as a Status; none aborts the daemon or deploys.
+TEST_F(SyrupdTest, RejectsMapDeclarationsThatDoNotFit) {
+  auto app = syrupd_.RegisterApp("a", 1000, 9000).value();
+  for (const char* map_line :
+       {".map m array 4 8 99999999999",   // truncated: 1.2G entries
+        ".map m array 4 8 4294967297",    // truncated: 1 entry
+        ".map m array 8 8 1",             // array keys are u32
+        ".map m array 4 8 30000000"}) {   // over CreateMap's byte limit
+    const std::string source = std::string(".name p\n.ctx packet\n") +
+                               map_line + "\n  mov r0, PASS\n  exit\n";
+    const StatusOr<int> deployed =
+        syrupd_.DeployPolicyFile(app, source, Hook::kSocketSelect);
+    ASSERT_FALSE(deployed.ok()) << map_line;
+    EXPECT_EQ(deployed.status().code(), StatusCode::kInvalidArgument)
+        << map_line;
+  }
+  EXPECT_TRUE(syrupd_.ListDeployments().empty());
+  EXPECT_TRUE(syrupd_.registry().ListPaths().empty());
 }
 
 TEST_F(SyrupdTest, DeclaredMapsArePinnedUnderAppPath) {
@@ -932,62 +954,22 @@ TEST_F(SyrupdTest, AnalyzeDeploymentsSingleAppIsErrorFree) {
                   .ok());
   const DeploymentAnalysis analysis = syrupd_.AnalyzeDeployments();
   EXPECT_FALSE(analysis.HasErrors());
-  // Round robin reads and writes its own cursor map: one row, no
-  // write-write finding, but an uncacheable info naming the store.
+  // Round robin reads and writes its own cursor map: one row and no
+  // finding. A packet program's impurity is no finding; only a thread
+  // classifier's, which the agent would otherwise memoize.
   ASSERT_EQ(analysis.rows.size(), 1u);
   EXPECT_EQ(analysis.rows[0].readers.size(), 1u);
   EXPECT_EQ(analysis.rows[0].writers.size(), 1u);
-  bool uncacheable = false;
-  for (const InterferenceFinding& f : analysis.findings) {
-    if (f.category == "uncacheable") {
-      uncacheable = true;
-      EXPECT_EQ(f.level, InterferenceFinding::Level::kInfo);
-      EXPECT_NE(f.detail.find("insn"), std::string::npos);
-    }
-  }
-  EXPECT_TRUE(uncacheable);
+  EXPECT_TRUE(analysis.findings.empty());
 }
 
-TEST_F(SyrupdTest, AnalyzeDeploymentsExplainsTheCostGate) {
-  // mica_home is pure, so only the price can keep it out of the cache: a
-  // finding at the tier it runs on, none where it is memoized.
-  auto app = syrupd_.RegisterApp("a", 1000, 9000).value();
-  auto uncacheable_findings = [this] {
-    std::vector<std::string> details;
-    for (const InterferenceFinding& f :
-         syrupd_.AnalyzeDeployments().findings) {
-      if (f.category == "uncacheable") {
-        details.push_back(f.detail);
-      }
-    }
-    return details;
-  };
-  ASSERT_TRUE(
-      syrupd_.DeployPolicyFile(app, MicaHomePolicyAsm(4), Hook::kXdpSkb).ok());
-  EXPECT_TRUE(uncacheable_findings().empty());  // compiled: cached
-
-  if (!bpf::JitAvailable()) {
-    GTEST_SKIP() << "JIT unavailable: native deployments run compiled";
-  }
-  syrupd_.set_exec_mode(bpf::ExecMode::kNative);
-  ASSERT_TRUE(
-      syrupd_.DeployPolicyFile(app, MicaHomePolicyAsm(4), Hook::kXdpSkb).ok());
-  const std::vector<std::string> details = uncacheable_findings();
-  ASSERT_EQ(details.size(), 1u);
-  EXPECT_NE(details[0].find("a/xdp_skb/mica_home is not flow-cacheable: "
-                            "worst case 44.5 ns at the native tier does not "
-                            "exceed the 50.0 ns flow-cache probe"),
-            std::string::npos)
-      << details[0];
-}
-
-// A thread classifier has no flow key, so analyze reports whether the
-// ghOSt agent can memoize it per pass instead, never flow-cacheability.
+// Analyze reports whether the ghOSt agent can memoize a thread classifier
+// per pass, and which instruction keeps it from doing so.
 TEST_F(SyrupdTest, AnalyzeDeploymentsNamesUnmemoizedThreadClassifier) {
   auto memo_findings = [](const Syrupd& syrupd) {
     std::vector<InterferenceFinding> out;
     for (const InterferenceFinding& f : syrupd.AnalyzeDeployments().findings) {
-      if (f.category == "unmemoized" || f.category == "uncacheable") {
+      if (f.category == "unmemoized") {
         out.push_back(f);
       }
     }
