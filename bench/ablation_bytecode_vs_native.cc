@@ -5,26 +5,25 @@
 // bytecode tier (interpret, compiled, native machine code) produce
 // identical *simulation results*, and (b) quantifies the per-decision
 // execution cost gap and how much of it the compiled and native-JIT tiers
-// recover.
+// recover. Each tier's wall clock is the best of 3 interleaved runs.
 //
-//   --quick  single policy / single load / short windows (CI smoke run)
+//   --quick  one policy and load, short windows, one run per tier: only the
+//            simulated columns and `ident`, too short to time the tiers
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
+#include "bench/harness.h"
 #include "src/apps/experiments.h"
 
 namespace syrup {
 namespace {
 
-struct Timed {
-  RocksDbResult result;
-  double wall_seconds;
-};
-
-Timed RunTimed(SocketPolicyKind policy, bool bytecode, bpf::ExecMode mode,
-               double load, Duration measure) {
+// Runs one tier into `*result`; returns its wall-clock seconds.
+double RunTimed(SocketPolicyKind policy, bool bytecode, bpf::ExecMode mode,
+                double load, Duration measure, RocksDbResult* result) {
   RocksDbExperimentConfig config;
   config.socket_policy = policy;
   config.use_bytecode = bytecode;
@@ -34,9 +33,9 @@ Timed RunTimed(SocketPolicyKind policy, bool bytecode, bpf::ExecMode mode,
   config.measure = measure;
   config.seed = 11;
   const auto start = std::chrono::steady_clock::now();
-  const RocksDbResult result = RunRocksDbExperiment(config);
+  *result = RunRocksDbExperiment(config);
   const auto stop = std::chrono::steady_clock::now();
-  return {result, std::chrono::duration<double>(stop - start).count()};
+  return std::chrono::duration<double>(stop - start).count();
 }
 
 bool SameResults(const RocksDbResult& a, const RocksDbResult& b) {
@@ -48,11 +47,13 @@ void Run(bool quick) {
   const Duration measure = quick ? 150 * kMillisecond : 600 * kMillisecond;
   std::printf("# Ablation: native policy mirrors vs verified bytecode via "
               "syrupd (Fig. 6 workload)%s\n", quick ? " [--quick]" : "");
-  std::printf("%-12s %9s | %11s %11s | %11s %11s | %7s %7s %7s | %9s "
-              "%9s %5s\n",
-              "policy", "load_rps", "native_p99", "bcode_p99", "native_tput",
-              "bcode_tput", "interp", "compld", "jit", "cmp_recov",
-              "jit_recov", "ident");
+  std::printf("%-12s %9s | %11s %11s | %11s %11s |", "policy", "load_rps",
+              "native_p99", "bcode_p99", "native_tput", "bcode_tput");
+  if (!quick) {
+    std::printf(" %7s %7s %7s | %9s %9s |", "interp", "compld", "jit",
+                "cmp_recov", "jit_recov");
+  }
+  std::printf(" %5s\n", "ident");
   bool all_identical = true;
   const auto policies =
       quick ? std::vector<SocketPolicyKind>{SocketPolicyKind::kRoundRobin}
@@ -63,50 +64,52 @@ void Run(bool quick) {
                            : std::vector<double>{100'000.0, 250'000.0};
   for (SocketPolicyKind policy : policies) {
     for (double load : loads) {
-      const Timed native = RunTimed(policy, /*bytecode=*/false,
-                                    bpf::ExecMode::kCompiled, load, measure);
-      const Timed interp = RunTimed(policy, /*bytecode=*/true,
-                                    bpf::ExecMode::kInterpret, load, measure);
-      const Timed compiled = RunTimed(policy, /*bytecode=*/true,
-                                      bpf::ExecMode::kCompiled, load, measure);
-      const Timed jit = RunTimed(policy, /*bytecode=*/true,
-                                 bpf::ExecMode::kNative, load, measure);
-
-      // Wall-clock slowdown of each bytecode tier over the native mirror,
-      // and the share of the interpreter-vs-native gap the compiled and
-      // machine-code tiers recover (1.0 = as cheap as the C++ mirror).
-      const double interp_slow = interp.wall_seconds / native.wall_seconds;
-      const double compiled_slow =
-          compiled.wall_seconds / native.wall_seconds;
-      const double jit_slow = jit.wall_seconds / native.wall_seconds;
-      const double gap = interp.wall_seconds - native.wall_seconds;
-      const double recovered =
-          gap > 0 ? (interp.wall_seconds - compiled.wall_seconds) / gap : 0;
-      const double jit_recovered =
-          gap > 0 ? (interp.wall_seconds - jit.wall_seconds) / gap : 0;
+      // The native C++ mirror, then the three bytecode tiers.
+      RocksDbResult native, interp, compiled, jit;
+      auto tier = [&](bool bytecode, bpf::ExecMode mode, RocksDbResult* out) {
+        return [=] {
+          return RunTimed(policy, bytecode, mode, load, measure, out);
+        };
+      };
+      const std::vector<bench::Series> wall = bench::Interleave(
+          {tier(false, bpf::ExecMode::kCompiled, &native),
+           tier(true, bpf::ExecMode::kInterpret, &interp),
+           tier(true, bpf::ExecMode::kCompiled, &compiled),
+           tier(true, bpf::ExecMode::kNative, &jit)},
+          quick ? 1 : 3);
 
       // Same seed, same decisions: every bytecode tier must land on the
       // same simulated outcome to the bit.
-      const bool identical = SameResults(interp.result, compiled.result) &&
-                             SameResults(compiled.result, jit.result);
+      const bool identical =
+          SameResults(interp, compiled) && SameResults(compiled, jit);
       all_identical = all_identical && identical;
 
-      std::printf("%-12s %9.0f | %11.1f %11.1f | %11.0f %11.0f | %6.2fx "
-                  "%6.2fx %6.2fx | %8.0f%% %8.0f%% %5s\n",
+      std::printf("%-12s %9.0f | %11.1f %11.1f | %11.0f %11.0f |",
                   std::string(SocketPolicyName(policy)).c_str(), load,
-                  native.result.p99_us, compiled.result.p99_us,
-                  native.result.throughput_rps,
-                  compiled.result.throughput_rps, interp_slow, compiled_slow,
-                  jit_slow, recovered * 100, jit_recovered * 100,
-                  identical ? "yes" : "NO");
+                  native.p99_us, compiled.p99_us, native.throughput_rps,
+                  compiled.throughput_rps);
+      if (!quick) {
+        // Wall-clock slowdown of each bytecode tier over the native
+        // mirror, and the share of the interpreter-vs-native gap the
+        // compiled and machine-code tiers recover (1.0 = as cheap as the
+        // C++ mirror).
+        const double base = wall[0].Best();
+        const double slow = wall[1].Best();
+        const double gap = slow - base;
+        std::printf(" %6.2fx %6.2fx %6.2fx | %8.0f%% %8.0f%% |",
+                    slow / base, wall[2].Best() / base, wall[3].Best() / base,
+                    gap > 0 ? (slow - wall[2].Best()) / gap * 100 : 0,
+                    gap > 0 ? (slow - wall[3].Best()) / gap * 100 : 0);
+      }
+      std::printf(" %5s\n", identical ? "yes" : "NO");
     }
   }
   std::printf(
-      "# interp/compld/jit: simulation wall-clock vs the native mirror per "
-      "execution tier.\n"
-      "# cmp_recov/jit_recov: share of the interpreter-vs-native cost gap "
-      "the compiled / machine-code tier closes.\n"
-      "# ident: all three bytecode tiers produced bit-identical results.\n");
+      "%s# ident: all three bytecode tiers produced bit-identical results.\n",
+      quick ? "" : "# interp/compld/jit: simulation wall-clock vs the native "
+                   "mirror per tier, best of 3 interleaved runs each.\n"
+                   "# cmp_recov/jit_recov: share of the interpreter-vs-native "
+                   "cost gap the compiled / machine-code tier closes.\n");
   if (!all_identical) {
     std::printf("# FAILURE: execution tiers disagreed on simulation "
                 "results\n");

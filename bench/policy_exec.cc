@@ -1,26 +1,21 @@
-// Per-decision policy execution cost, by tier, machine-readable.
-//
-// Runs each builtin socket policy through the three bytecode execution tiers
-// (interpret, compiled, native machine code) and the trusted C++ mirror
-// ("cpp"), then writes `BENCH_policy_exec.json` (mode -> ns/decision per
-// policy) so the perf trajectory is tracked across PRs. Human-readable
-// numbers go to stdout.
-//
-// Gates (exit 1 on failure):
-//   * --baseline <file>: each policy's compiled and native ns/decision may
-//     not regress more than 25% against the checked-in baseline
-//     (bench/policy_exec_baseline.json), mirroring sim_events.
-//   * always, when the JIT engaged: native must not be slower than the
-//     compiled tier beyond noise (native <= compiled * 1.10) — the tier
-//     exists to be faster, and this gate is machine-independent.
+// Per-decision policy execution cost, by tier: each builtin socket policy
+// through the three bytecode tiers (interpret, compiled, native machine
+// code) and the trusted C++ mirror ("cpp"), interleaved, best of
+// bench::kReps each. Writes `BENCH_policy_exec.json`. Gates (`--baseline`,
+// flags in bench/harness.h): where the JIT exists (x86-64 Linux,
+// SYRUP_JIT_DISABLE unset) it publishes code for every builtin
+// (`jit_published`) and native stays within noise of the compiled tier it
+// replaces (`native_vs_compiled`); per policy, one bound on the compiled
+// tier: a floor on its speedup over the interpreter (`interpret_vs_compiled`)
+// where that ratio separates a slower compiled loop from noise, else the
+// old ceiling on its ns/decision (`compiled`).
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/bpf/assembler.h"
 #include "src/bpf/compiler.h"
 #include "src/bpf/interpreter.h"
@@ -45,9 +40,10 @@ bpf::Program LoadProgram(const std::string& source) {
   for (const bpf::MapSlot& slot : assembled.map_slots) {
     prog.maps.push_back(CreateMap(slot.spec).value());
     // The policies that read maps expect the owning app to have seeded
-    // them; give every slot a few plausible entries so lookups hit.
+    // them; give every slot a few plausible entries so lookups hit. Token's
+    // user 1 holds enough tokens that no rep of any tier drains it.
     for (uint32_t key = 1; key <= 4; ++key) {
-      (void)prog.maps.back()->UpdateU64(key, key == 2 ? 1 : 1'000'000);
+      (void)prog.maps.back()->UpdateU64(key, key == 2 ? 1 : 1'000'000'000);
     }
   }
   return prog;
@@ -85,11 +81,11 @@ double MeasureNs(const std::vector<Packet>& packets, int iters,
                  Decide&& decide) {
   volatile uint64_t sink = 0;
   for (int i = 0; i < kWarmupIters; ++i) {
-    sink += decide(packets[i % packets.size()]);
+    sink = sink + decide(packets[i % packets.size()]);
   }
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < iters; ++i) {
-    sink += decide(packets[i % packets.size()]);
+    sink = sink + decide(packets[i % packets.size()]);
   }
   const auto stop = std::chrono::steady_clock::now();
   (void)sink;
@@ -97,35 +93,17 @@ double MeasureNs(const std::vector<Packet>& packets, int iters,
          iters;
 }
 
-// Pulls `"<mode>": <number>` out of the named policy's baseline block. The
-// file is small, checked in, and written by this binary's own formatter, so
-// an ad-hoc two-level scan beats a JSON parser (same stance as sim_events).
-bool BaselineFor(const std::string& text, const std::string& policy,
-                 const char* mode, double* out) {
-  const std::string policy_needle = "\"" + policy + "\":";
-  const size_t policy_pos = text.find(policy_needle);
-  if (policy_pos == std::string::npos) {
-    return false;
-  }
-  const std::string mode_needle = std::string("\"") + mode + "\":";
-  const size_t mode_pos = text.find(mode_needle, policy_pos);
-  if (mode_pos == std::string::npos) {
-    return false;
-  }
-  return std::sscanf(text.c_str() + mode_pos + mode_needle.size(), " %lf",
-                     out) == 1;
-}
-
-int Run(bool quick, const char* out_path, const char* baseline_path) {
+int Run(const bench::Flags& flags) {
   struct PolicyUnderTest {
     const char* name;
     std::string asm_source;
     std::shared_ptr<PacketPolicy> cpp;
+    bool compiled_ceiling = false;  // gate `compiled`, not the speedup
   };
   auto rng = std::make_shared<Rng>(3);
   std::vector<PolicyUnderTest> policies;
   policies.push_back({"round_robin", RoundRobinPolicyAsm(6),
-                      std::make_shared<RoundRobinPolicy>(6)});
+                      std::make_shared<RoundRobinPolicy>(6), true});
   policies.push_back(
       {"sita", SitaPolicyAsm(6), std::make_shared<SitaPolicy>(6)});
   {
@@ -134,11 +112,10 @@ int Run(bool quick, const char* out_path, const char* baseline_path) {
     scan_spec.max_entries = 6;
     auto scan_map = CreateMap(scan_spec).value();
     (void)scan_map->UpdateU64(2, static_cast<uint64_t>(ReqType::kScan));
-    policies.push_back(
-        {"scan_avoid", ScanAvoidPolicyAsm(6),
-         std::make_shared<ScanAvoidPolicy>(6, scan_map, [rng]() {
-           return static_cast<uint32_t>(rng->Next());
-         })});
+    auto random = [rng]() { return static_cast<uint32_t>(rng->Next()); };
+    policies.push_back({"scan_avoid", ScanAvoidPolicyAsm(6),
+                        std::make_shared<ScanAvoidPolicy>(6, scan_map, random),
+                        true});
   }
   {
     MapSpec token_spec;
@@ -149,18 +126,18 @@ int Run(bool quick, const char* out_path, const char* baseline_path) {
       (void)token_map->UpdateU64(user, 1'000'000'000);
     }
     policies.push_back({"token", TokenPolicyAsm(),
-                        std::make_shared<TokenPolicy>(token_map)});
+                        std::make_shared<TokenPolicy>(token_map), true});
   }
 
   const auto workload = MakeWorkload();
-  const int iters = quick ? kMeasureIters / 10 : kMeasureIters;
-  // policy -> mode -> ns/decision (std::map keeps the JSON key order
-  // deterministic across runs).
-  std::map<std::string, std::map<std::string, double>> results;
-  bool jit_engaged = bpf::JitAvailable();
+  const int iters = flags.quick ? kMeasureIters / 10 : kMeasureIters;
+  const std::string jit_off =
+      bpf::JitAvailable() ? "" : "JIT unavailable (host or SYRUP_JIT_DISABLE)";
+  double published = 0;
+  bench::Report report("policy_exec", "ns_per_decision", flags.quick);
 
-  std::printf("# policy_exec: per-decision cost by execution tier (%s)\n",
-              quick ? "quick" : "full");
+  std::printf("# policy_exec: per-decision cost by execution tier (%s, best "
+              "of %d)\n", flags.quick ? "quick" : "full", bench::kReps);
   std::printf("%-12s %10s %10s %10s %10s\n", "policy", "interpret",
               "compiled", "native", "cpp");
   for (const auto& put : policies) {
@@ -169,178 +146,88 @@ int Run(bool quick, const char* out_path, const char* baseline_path) {
     bpf::CompiledExecutor exec(BenchEnv());
     bpf::CompiledProgram compiled =
         bpf::Compile(prog, bpf::ProgramContext::kPacket).value();
-    // The native tier: same artifact with machine code attached. On an
-    // unsupported host the JIT refuses and the column degrades to the
-    // compiled tier, exactly like a syrupd deployment.
+    // The native tier: same artifact with machine code attached. When the
+    // JIT refuses, the column runs the compiled tier, exactly like a syrupd
+    // deployment.
     bpf::CompiledProgram native = compiled;
     auto jit = bpf::JitCompile(native);
     if (jit.ok()) {
       native.native = std::move(jit).value();
+      ++published;
     } else {
-      jit_engaged = false;
+      std::printf("# %s: %s\n", put.name, jit.status().ToString().c_str());
     }
 
-    auto run_tier = [&](const bpf::CompiledProgram& artifact) {
-      return MeasureNs(workload, iters, [&](const Packet& pkt) {
-        return exec
-            .Run(artifact, reinterpret_cast<uint64_t>(pkt.wire.data()),
-                 reinterpret_cast<uint64_t>(pkt.wire.data() + kWireSize),
-                 true)
-            .value()
-            .r0;
-      });
+    // Every bytecode tier decides on the packet's wire bytes.
+    auto tier = [&](auto run) {
+      return [&, run] {
+        return MeasureNs(workload, iters, [&](const Packet& pkt) {
+          const auto data = reinterpret_cast<uint64_t>(pkt.wire.data());
+          return run(data, data + kWireSize).value().r0;
+        });
+      };
     };
-    auto& row = results[put.name];
-    row["interpret"] = MeasureNs(workload, iters, [&](const Packet& pkt) {
-      return interp
-          .Run(prog, reinterpret_cast<uint64_t>(pkt.wire.data()),
-               reinterpret_cast<uint64_t>(pkt.wire.data() + kWireSize), true)
-          .value()
-          .r0;
+    const std::vector<bench::Series> reads = bench::Interleave({
+        tier([&](uint64_t a, uint64_t b) {
+          return interp.Run(prog, a, b, true);
+        }),
+        tier([&](uint64_t a, uint64_t b) {
+          return exec.Run(compiled, a, b, true);
+        }),
+        tier([&](uint64_t a, uint64_t b) {
+          return exec.Run(native, a, b, true);
+        }),
+        [&] {
+          return MeasureNs(workload, iters, [&](const Packet& pkt) {
+            return put.cpp->Schedule(PacketView::Of(pkt));
+          });
+        },
     });
-    row["compiled"] = run_tier(compiled);
-    row["native"] = run_tier(native);
-    row["cpp"] = MeasureNs(workload, iters, [&](const Packet& pkt) {
-      return put.cpp->Schedule(PacketView::Of(pkt));
-    });
-    std::printf("%-12s %9.1f %9.1f %9.1f %9.1f   (ns/decision)\n",
-                put.name, row["interpret"], row["compiled"], row["native"],
-                row["cpp"]);
+    const std::string key = std::string("policies.") + put.name + ".";
+    const char* modes[] = {"interpret", "compiled", "native", "cpp"};
+    double best[4];
+    for (int i = 0; i < 4; ++i) {
+      best[i] = reads[i].Best();
+      report.Number(key + modes[i], best[i]);
+    }
+    const bench::Ratio speedup = bench::RatioOf(reads[0], reads[1]);
+    if (put.compiled_ceiling) {
+      report.Gate(key + "compiled", bench::Bound::kCeiling, {best[1], NAN});
+      report.Number(key + "interpret_vs_compiled", speedup.value, 3);
+    } else {
+      report.Gate(key + "interpret_vs_compiled", bench::Bound::kFloor, speedup);
+    }
+    report.Gate(key + "native_vs_compiled", bench::Bound::kCeiling,
+                bench::RatioOf(reads[2], reads[1]), jit_off);
+    std::printf("%-12s %9.1f %9.1f %9.1f %9.1f   (ns/decision)\n", put.name,
+                best[0], best[1], best[2], best[3]);
 
-    // Cross-validation of the static cost model: the verifier's wcet with
-    // the checked-in DefaultCostModel (the deploy gate's tables) next to
-    // what this machine measured. Informational — the hard soundness check
-    // (measured <= calibrated wcet) lives in bpf_cost_model_test; here the
-    // ratio tracks how tight the default tables are over time. The JSON
-    // keys are "wcet."-prefixed so BaselineFor's `"<mode>":` scan never
-    // confuses a bound with a measurement.
+    // The verifier's wcet under the checked-in DefaultCostModel (the deploy
+    // gate's tables) next to what this machine measured. Informational: the
+    // soundness check (measured <= calibrated wcet) is bpf_cost_model_test.
     bpf::AnalysisFacts facts;
     if (bpf::Verify(prog, bpf::ProgramContext::kPacket, {}, nullptr, &facts)
             .ok() &&
         facts.cost.bounded) {
       const double* wcet = facts.cost.wcet_ns;
-      row["wcet.interpret"] = wcet[0];
-      row["wcet.compiled"] = wcet[1];
-      row["wcet.native"] = wcet[2];
+      for (int i = 0; i < 3; ++i) {
+        report.Number(key + "wcet." + modes[i], wcet[i]);
+      }
       std::printf("%-12s %9.1f %9.1f %9.1f           "
                   " (static wcet; measured/wcet %.2f/%.2f/%.2f)\n",
-                  "  wcet", wcet[0], wcet[1], wcet[2],
-                  row["interpret"] / wcet[0], row["compiled"] / wcet[1],
-                  row["native"] / wcet[2]);
+                  "  wcet", wcet[0], wcet[1], wcet[2], best[0] / wcet[0],
+                  best[1] / wcet[1], best[2] / wcet[2]);
     }
   }
-  if (!jit_engaged) {
-    std::printf("# note: JIT unavailable; native column ran the compiled "
-                "tier (fallback)\n");
-  }
-
-  std::FILE* out = std::fopen(out_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path);
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"policy_exec\",\n"
-                    "  \"unit\": \"ns_per_decision\",\n  \"policies\": {\n");
-  size_t policy_index = 0;
-  for (const auto& [policy, modes] : results) {
-    std::fprintf(out, "    \"%s\": {", policy.c_str());
-    size_t mode_index = 0;
-    for (const auto& [mode, ns] : modes) {
-      std::fprintf(out, "%s\"%s\": %.2f",
-                   mode_index++ == 0 ? "" : ", ", mode.c_str(), ns);
-    }
-    std::fprintf(out, "}%s\n", ++policy_index == results.size() ? "" : ",");
-  }
-  std::fprintf(out, "  }\n}\n");
-  std::fclose(out);
-  std::printf("# wrote %s\n", out_path);
-
-  int failures = 0;
-  // Relative gate, no baseline needed: with real machine code published,
-  // native must at least keep up with the bytecode loop it replaces.
-  if (jit_engaged) {
-    constexpr double kNativeVsCompiled = 1.10;
-    for (const auto& [policy, modes] : results) {
-      const double compiled_ns = modes.at("compiled");
-      const double native_ns = modes.at("native");
-      if (native_ns > compiled_ns * kNativeVsCompiled) {
-        std::fprintf(stderr,
-                     "REGRESSION %s: native %.1f ns/decision vs compiled "
-                     "%.1f (limit %.1f)\n",
-                     policy.c_str(), native_ns, compiled_ns,
-                     compiled_ns * kNativeVsCompiled);
-        ++failures;
-      }
-    }
-  }
-
-  if (baseline_path != nullptr) {
-    std::FILE* in = std::fopen(baseline_path, "r");
-    if (in == nullptr) {
-      std::fprintf(stderr, "cannot read baseline %s\n", baseline_path);
-      return 1;
-    }
-    std::string text;
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0) {
-      text.append(buf, n);
-    }
-    std::fclose(in);
-
-    constexpr double kTolerance = 1.25;  // fail on >25% regression
-    // The hot tiers are the ones deployments actually run on; interpret
-    // exists for ablation and as the oracle, and is too slow-moving to gate.
-    const char* gated_modes[] = {"compiled", "native"};
-    for (const auto& [policy, modes] : results) {
-      for (const char* mode : gated_modes) {
-        double baseline_ns;
-        if (!BaselineFor(text, policy, mode, &baseline_ns)) {
-          std::fprintf(stderr, "baseline missing %s/%s\n", policy.c_str(),
-                       mode);
-          ++failures;
-          continue;
-        }
-        const double got = modes.at(mode);
-        if (got > baseline_ns * kTolerance) {
-          std::fprintf(stderr,
-                       "REGRESSION %s/%s: %.1f ns/decision vs baseline %.1f "
-                       "(limit %.1f)\n",
-                       policy.c_str(), mode, got, baseline_ns,
-                       baseline_ns * kTolerance);
-          ++failures;
-        } else {
-          std::printf("# baseline ok %s/%s: %.1f ns/decision <= %.1f\n",
-                      policy.c_str(), mode, got, baseline_ns * kTolerance);
-        }
-      }
-    }
-  }
-  return failures > 0 ? 1 : 0;
+  report.Gate("jit_published", bench::Bound::kFloor, {published, NAN},
+              jit_off);
+  return report.Finish(flags);
 }
 
 }  // namespace
 }  // namespace syrup
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  const char* out_path = "BENCH_policy_exec.json";
-  const char* baseline_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (argv[i][0] != '-') {
-      out_path = argv[i];  // positional output path (pre-flag interface)
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--baseline <file>] [--out <file>]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-  return syrup::Run(quick, out_path, baseline_path);
+  return syrup::Run(
+      syrup::bench::ParseFlags(argc, argv, "BENCH_policy_exec.json"));
 }

@@ -1,30 +1,24 @@
-// Event-engine throughput: timing wheel vs reference heap, machine-readable.
-//
-// Exercises the engine's distinct cost regimes — a depth-1 self-ticking
-// chain, a deep steady-state pending set, schedule+cancel churn, and
-// far-future timers that land in higher wheel levels and the overflow heap —
-// under both the timing wheel (src/sim/simulator.h) and the test-only
-// reference heap engine (tests/oracles/reference_simulator.h), then writes
-// `BENCH_sim_events.json` (scenario -> ns/event per engine, plus the
-// wheel:reference speedup) so the perf trajectory is tracked across PRs.
-//
-// Flags:
-//   --quick            ~10x fewer events per scenario (CI smoke mode)
-//   --baseline <file>  compare the wheel's ns/event against the checked-in
-//                      baseline; exit 1 on a >25% regression
-//   --out <file>       JSON output path (default BENCH_sim_events.json)
+// Event-engine throughput: the timing wheel (src/sim/simulator.h) vs the
+// test-only reference heap (tests/oracles/reference_simulator.h) through the
+// engine's cost regimes — a depth-1 self-ticking chain, deep steady-state
+// pending sets, schedule+cancel churn, and far-future timers in the higher
+// wheel levels and the overflow heap — interleaved, best of bench::kReps
+// each. Writes `BENCH_sim_events.json`; `--baseline` (flags in
+// bench/harness.h) gates each scenario's wheel ns/event under a ceiling
+// and zero allocations in the steady-state windows; the wheel:reference
+// speedup is recorded beside them.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <functional>
-#include <map>
+#include <new>
 #include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/common/time.h"
 #include "src/sim/simulator.h"
 #include "tests/oracles/reference_simulator.h"
@@ -34,9 +28,13 @@ namespace {
 
 struct ScenarioResult {
   double ns_per_event = 0;
-  uint64_t events = 0;
   uint64_t internal_allocs = 0;  // wheel engine's slab/heap/growth count
+  uint64_t heap_allocs = 0;      // the steady window's, counted or not
 };
+
+// Heap allocations by this thread, counted by the global operator new at
+// the end of this file: it sees an allocation the engine does not count.
+thread_local uint64_t t_heap_allocs = 0;
 
 double ElapsedNs(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::nano>(
@@ -78,11 +76,8 @@ ScenarioResult RunSelfTick(uint64_t events) {
   sim.ScheduleAfter(100, SelfTick<Engine>{&sim, &remaining});
   const auto start = std::chrono::steady_clock::now();
   sim.RunToCompletion();
-  ScenarioResult r;
-  r.events = events;
-  r.ns_per_event = ElapsedNs(start) / static_cast<double>(events);
-  r.internal_allocs = InternalAllocs(sim);
-  return r;
+  return {ElapsedNs(start) / static_cast<double>(events),
+          InternalAllocs(sim)};
 }
 
 // 1024 events in flight, each rescheduling itself at a varied (but
@@ -115,23 +110,24 @@ ScenarioResult RunSteady(uint64_t events, uint64_t pending,
   for (uint64_t i = 0; i < pending; ++i) {
     sim.ScheduleAfter(100 + i, tick);
   }
-  // Warmup: let the pool/wheel grow to steady state before timing.
+  // Warmup: let the pool/wheel grow to steady state before timing, in steps
+  // short enough to stop near the target: 1 ms of steady_state dispatches
+  // ~200k events, a whole --quick run.
   const uint64_t warmup = events / 10;
   uint64_t dispatched_target = sim.engine_stats().dispatched + warmup;
   while (sim.engine_stats().dispatched < dispatched_target &&
          sim.pending_events() > 0) {
-    sim.RunUntil(sim.Now() + 1 * kMillisecond);
+    sim.RunUntil(sim.Now() + 10 * kMicrosecond);
   }
   const uint64_t allocs_before = InternalAllocs(sim);
+  const uint64_t heap_before = t_heap_allocs;
   const uint64_t dispatched_before = sim.engine_stats().dispatched;
   const auto start = std::chrono::steady_clock::now();
   sim.RunToCompletion();
   const double elapsed = ElapsedNs(start);
-  ScenarioResult r;
-  r.events = sim.engine_stats().dispatched - dispatched_before;
-  r.ns_per_event = elapsed / static_cast<double>(r.events > 0 ? r.events : 1);
-  r.internal_allocs = InternalAllocs(sim) - allocs_before;
-  return r;
+  const uint64_t run = sim.engine_stats().dispatched - dispatched_before;
+  return {elapsed / static_cast<double>(run > 0 ? run : 1),
+          InternalAllocs(sim) - allocs_before, t_heap_allocs - heap_before};
 }
 
 template <typename Engine>
@@ -148,13 +144,12 @@ ScenarioResult RunSteadyDeep(uint64_t events) {
   return RunSteady<Engine>(events, 16'384, 1'000'000);
 }
 
-// The steady-state workload with three more engines running the same thing
-// concurrently on their own threads — the per-shard shape of
-// src/sim/sharded.h. Each engine's alloc accounting is per instance
-// (EngineStats lives on the Simulator), so the measured engine's
-// internal_allocs delta must stay zero even while its neighbors warm up
-// and allocate; a nonzero count here means some engine state regressed to
-// process-global.
+// The steady-state workload beside three wheel engines on their own threads
+// — the per-shard shape of src/sim/sharded.h — so both engines are timed
+// under one load. Alloc accounting is per instance (EngineStats lives on
+// the Simulator): the measured engine's internal_allocs delta stays zero
+// while its neighbors warm up and allocate, unless engine state regressed
+// to process-global.
 template <typename Engine>
 ScenarioResult RunSteadyConcurrent(uint64_t events) {
   constexpr int kNoise = 3;
@@ -164,7 +159,7 @@ ScenarioResult RunSteadyConcurrent(uint64_t events) {
   for (int i = 0; i < kNoise; ++i) {
     noise.emplace_back([events, &stop]() {
       while (!stop.load(std::memory_order_relaxed)) {
-        RunSteady<Engine>(events / 4, 1024, 10'000);
+        RunSteady<Simulator>(events / 4, 1024, 10'000);
       }
     });
   }
@@ -199,11 +194,8 @@ ScenarioResult RunScheduleCancel(uint64_t events) {
     }
     sim.RunToCompletion();
   }
-  ScenarioResult r;
-  r.events = scheduled;
-  r.ns_per_event = ElapsedNs(start) / static_cast<double>(scheduled);
-  r.internal_allocs = InternalAllocs(sim);
-  return r;
+  return {ElapsedNs(start) / static_cast<double>(scheduled),
+          InternalAllocs(sim)};
 }
 
 // Timers across every wheel level plus the >4.3s overflow heap: delays are
@@ -228,154 +220,93 @@ ScenarioResult RunFarTimers(uint64_t events) {
     scheduled += kBatch;
     sim.RunToCompletion();
   }
-  ScenarioResult r;
-  r.events = scheduled;
-  r.ns_per_event = ElapsedNs(start) / static_cast<double>(scheduled);
-  r.internal_allocs = InternalAllocs(sim);
-  return r;
+  return {ElapsedNs(start) / static_cast<double>(scheduled),
+          InternalAllocs(sim)};
 }
 
 struct Scenario {
   const char* name;
   ScenarioResult (*wheel)(uint64_t);
   ScenarioResult (*reference)(uint64_t);
-  uint64_t events;  // full-mode event count; --quick divides by 10
+  uint64_t events;       // full-mode events per rep; --quick divides by 10
+  bool allocation_free;  // its measured window must not allocate
 };
 
-// Pulls `"<name>": <number>` out of the baseline JSON. Ad-hoc on purpose:
-// the baseline file is small, checked in, and written by this binary's own
-// formatter, so a full JSON parser would be dead weight.
-bool BaselineFor(const std::string& text, const char* name, double* out) {
-  const std::string needle = std::string("\"") + name + "\":";
-  const size_t pos = text.find(needle);
-  if (pos == std::string::npos) {
-    return false;
-  }
-  return std::sscanf(text.c_str() + pos + needle.size(), " %lf", out) == 1;
-}
-
-int Run(bool quick, const char* out_path, const char* baseline_path) {
+int Run(const bench::Flags& flags) {
   using Ref = ReferenceSimulator;
   const Scenario scenarios[] = {
-      {"self_tick", RunSelfTick<Simulator>, RunSelfTick<Ref>, 2'000'000},
+      {"self_tick", RunSelfTick<Simulator>, RunSelfTick<Ref>, 2'000'000,
+       false},
       {"steady_state", RunSteadyState<Simulator>, RunSteadyState<Ref>,
-       2'000'000},
+       2'000'000, true},
       {"steady_deep", RunSteadyDeep<Simulator>, RunSteadyDeep<Ref>,
-       2'000'000},
+       2'000'000, true},
       {"schedule_cancel", RunScheduleCancel<Simulator>,
-       RunScheduleCancel<Ref>, 1'000'000},
-      {"far_timers", RunFarTimers<Simulator>, RunFarTimers<Ref>, 480'000},
+       RunScheduleCancel<Ref>, 1'000'000, false},
+      {"far_timers", RunFarTimers<Simulator>, RunFarTimers<Ref>, 480'000,
+       false},
       {"steady_concurrent", RunSteadyConcurrent<Simulator>,
-       RunSteadyConcurrent<Ref>, 1'000'000},
+       RunSteadyConcurrent<Ref>, 1'000'000, true},
   };
 
-  struct Row {
-    double wheel_ns;
-    double reference_ns;
-    uint64_t wheel_allocs;
-  };
-  std::map<std::string, Row> results;
-
-  std::printf("# sim_events: event engine throughput (%s mode)\n",
-              quick ? "quick" : "full");
+  bench::Report report("sim_events", "ns_per_event", flags.quick);
+  std::printf("# sim_events: event engine throughput (%s mode, best of %d)\n",
+              flags.quick ? "quick" : "full", bench::kReps);
   std::printf("%-16s %12s %12s %9s %13s\n", "scenario", "wheel", "reference",
               "speedup", "wheel_allocs");
   for (const Scenario& s : scenarios) {
-    const uint64_t events = quick ? s.events / 10 : s.events;
-    const ScenarioResult wheel = s.wheel(events);
-    const ScenarioResult ref = s.reference(events);
-    results[s.name] = {wheel.ns_per_event, ref.ns_per_event,
-                       wheel.internal_allocs};
-    std::printf("%-16s %9.1f ns %9.1f ns %8.2fx %13llu\n", s.name,
-                wheel.ns_per_event, ref.ns_per_event,
-                ref.ns_per_event / wheel.ns_per_event,
-                static_cast<unsigned long long>(wheel.internal_allocs));
-  }
-
-  std::FILE* out = std::fopen(out_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out_path);
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n  \"bench\": \"sim_events\",\n"
-               "  \"unit\": \"ns_per_event\",\n"
-               "  \"mode\": \"%s\",\n  \"scenarios\": {\n",
-               quick ? "quick" : "full");
-  size_t index = 0;
-  for (const auto& [name, row] : results) {
-    std::fprintf(out,
-                 "    \"%s\": {\"wheel\": %.2f, \"reference\": %.2f, "
-                 "\"speedup\": %.3f, \"wheel_internal_allocs\": %llu}%s\n",
-                 name.c_str(), row.wheel_ns, row.reference_ns,
-                 row.reference_ns / row.wheel_ns,
-                 static_cast<unsigned long long>(row.wheel_allocs),
-                 ++index == results.size() ? "" : ",");
-  }
-  std::fprintf(out, "  }\n}\n");
-  std::fclose(out);
-  std::printf("# wrote %s\n", out_path);
-
-  if (baseline_path == nullptr) {
-    return 0;
-  }
-  std::FILE* in = std::fopen(baseline_path, "r");
-  if (in == nullptr) {
-    std::fprintf(stderr, "cannot read baseline %s\n", baseline_path);
-    return 1;
-  }
-  std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0) {
-    text.append(buf, n);
-  }
-  std::fclose(in);
-
-  constexpr double kTolerance = 1.25;  // fail on >25% regression
-  int failures = 0;
-  for (const auto& [name, row] : results) {
-    double baseline_ns;
-    if (!BaselineFor(text, name.c_str(), &baseline_ns)) {
-      std::fprintf(stderr, "baseline missing scenario %s\n", name.c_str());
-      ++failures;
-      continue;
-    }
-    if (row.wheel_ns > baseline_ns * kTolerance) {
-      std::fprintf(stderr,
-                   "REGRESSION %s: wheel %.1f ns/event vs baseline %.1f "
-                   "(limit %.1f)\n",
-                   name.c_str(), row.wheel_ns, baseline_ns,
-                   baseline_ns * kTolerance);
-      ++failures;
+    const uint64_t events = flags.quick ? s.events / 10 : s.events;
+    uint64_t allocs = 0;  // the wheel's most in any rep
+    uint64_t heap = 0;
+    const std::vector<bench::Series> reads = bench::Interleave({
+        [&] {
+          const ScenarioResult r = s.wheel(events);
+          allocs = std::max(allocs, r.internal_allocs);
+          heap = std::max(heap, r.heap_allocs);
+          return r.ns_per_event;
+        },
+        [&] { return s.reference(events).ns_per_event; },
+    });
+    const bench::Ratio speedup = bench::RatioOf(reads[1], reads[0]);
+    const std::string key = std::string("scenarios.") + s.name + ".";
+    // No speedup floor separates a per-schedule allocation from noise, so
+    // the wheel keeps its ns/event ceiling and the speedup is only recorded;
+    // the counts catch allocations.
+    report.Gate(key + "wheel", bench::Bound::kCeiling,
+                {reads[0].Best(), NAN});
+    report.Number(key + "reference", reads[1].Best());
+    report.Number(key + "speedup", speedup.value, 3);
+    if (s.allocation_free) {
+      report.Gate(key + "wheel_internal_allocs", bench::Bound::kCeiling,
+                  {static_cast<double>(allocs), NAN});
+      report.Gate(key + "wheel_heap_allocs", bench::Bound::kCeiling,
+                  {static_cast<double>(heap), NAN});
     } else {
-      std::printf("# baseline ok %s: %.1f ns/event <= %.1f\n", name.c_str(),
-                  row.wheel_ns, baseline_ns * kTolerance);
+      report.Number(key + "wheel_internal_allocs", allocs, 0);
     }
+    std::printf("%-16s %9.1f ns %9.1f ns %8.2fx %13llu\n", s.name,
+                reads[0].Best(), reads[1].Best(), speedup.value,
+                static_cast<unsigned long long>(allocs));
   }
-  return failures > 0 ? 1 : 0;
+  return report.Finish(flags);
 }
 
 }  // namespace
 }  // namespace syrup
 
+// Out of line, so the compiler never pairs an inlined malloc or free with
+// the other operator and warns of a mismatch.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  ++syrup::t_heap_allocs;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 int main(int argc, char** argv) {
-  bool quick = false;
-  const char* out_path = "BENCH_sim_events.json";
-  const char* baseline_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--baseline <file>] [--out <file>]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-  return syrup::Run(quick, out_path, baseline_path);
+  return syrup::Run(
+      syrup::bench::ParseFlags(argc, argv, "BENCH_sim_events.json"));
 }
