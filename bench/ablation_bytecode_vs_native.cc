@@ -1,11 +1,10 @@
 // Ablation (DESIGN.md #1): bytecode policy execution vs native mirrors.
 //
 // The simulation hot path uses native C++ policies; real deployments run
-// verified bytecode. This ablation (a) confirms the C++ mirror and every
-// bytecode tier (interpret, compiled, native machine code) produce
-// identical *simulation results*, and (b) quantifies the per-decision
-// execution cost gap and how much of it the compiled and native-JIT tiers
-// recover. Each tier's wall clock is the best of 3 interleaved runs.
+// verified bytecode. This ablation (a) confirms both bytecode tiers
+// (compiled, native machine code) produce bit-identical *simulation
+// results*, and (b) quantifies what each costs over the C++ mirror in
+// simulation wall clock. Each wall clock is the best of 3 interleaved runs.
 //
 //   --quick  one policy and load, short windows, one run per tier: only the
 //            simulated columns and `ident`, too short to time the tiers
@@ -50,8 +49,7 @@ void Run(bool quick) {
   std::printf("%-12s %9s | %11s %11s | %11s %11s |", "policy", "load_rps",
               "native_p99", "bcode_p99", "native_tput", "bcode_tput");
   if (!quick) {
-    std::printf(" %7s %7s %7s | %9s %9s |", "interp", "compld", "jit",
-                "cmp_recov", "jit_recov");
+    std::printf(" %7s %7s |", "compld", "jit");
   }
   std::printf(" %5s\n", "ident");
   bool all_identical = true;
@@ -64,8 +62,8 @@ void Run(bool quick) {
                            : std::vector<double>{100'000.0, 250'000.0};
   for (SocketPolicyKind policy : policies) {
     for (double load : loads) {
-      // The native C++ mirror, then the three bytecode tiers.
-      RocksDbResult native, interp, compiled, jit;
+      // The native C++ mirror, then the two bytecode tiers.
+      RocksDbResult native, compiled, jit;
       auto tier = [&](bool bytecode, bpf::ExecMode mode, RocksDbResult* out) {
         return [=] {
           return RunTimed(policy, bytecode, mode, load, measure, out);
@@ -73,15 +71,13 @@ void Run(bool quick) {
       };
       const std::vector<bench::Series> wall = bench::Interleave(
           {tier(false, bpf::ExecMode::kCompiled, &native),
-           tier(true, bpf::ExecMode::kInterpret, &interp),
            tier(true, bpf::ExecMode::kCompiled, &compiled),
            tier(true, bpf::ExecMode::kNative, &jit)},
           quick ? 1 : 3);
 
-      // Same seed, same decisions: every bytecode tier must land on the
+      // Same seed, same decisions: both bytecode tiers must land on the
       // same simulated outcome to the bit.
-      const bool identical =
-          SameResults(interp, compiled) && SameResults(compiled, jit);
+      const bool identical = SameResults(compiled, jit);
       all_identical = all_identical && identical;
 
       std::printf("%-12s %9.0f | %11.1f %11.1f | %11.0f %11.0f |",
@@ -89,27 +85,19 @@ void Run(bool quick) {
                   native.p99_us, compiled.p99_us, native.throughput_rps,
                   compiled.throughput_rps);
       if (!quick) {
-        // Wall-clock slowdown of each bytecode tier over the native
-        // mirror, and the share of the interpreter-vs-native gap the
-        // compiled and machine-code tiers recover (1.0 = as cheap as the
-        // C++ mirror).
+        // Wall-clock slowdown of each bytecode tier over the native mirror
+        // (1.00x = as cheap as the C++ mirror).
         const double base = wall[0].Best();
-        const double slow = wall[1].Best();
-        const double gap = slow - base;
-        std::printf(" %6.2fx %6.2fx %6.2fx | %8.0f%% %8.0f%% |",
-                    slow / base, wall[2].Best() / base, wall[3].Best() / base,
-                    gap > 0 ? (slow - wall[2].Best()) / gap * 100 : 0,
-                    gap > 0 ? (slow - wall[3].Best()) / gap * 100 : 0);
+        std::printf(" %6.2fx %6.2fx |", wall[1].Best() / base,
+                    wall[2].Best() / base);
       }
       std::printf(" %5s\n", identical ? "yes" : "NO");
     }
   }
   std::printf(
-      "%s# ident: all three bytecode tiers produced bit-identical results.\n",
-      quick ? "" : "# interp/compld/jit: simulation wall-clock vs the native "
-                   "mirror per tier, best of 3 interleaved runs each.\n"
-                   "# cmp_recov/jit_recov: share of the interpreter-vs-native "
-                   "cost gap the compiled / machine-code tier closes.\n");
+      "%s# ident: both bytecode tiers produced bit-identical results.\n",
+      quick ? "" : "# compld/jit: simulation wall-clock vs the native mirror "
+                   "per tier, best of 3 interleaved runs each.\n");
   if (!all_identical) {
     std::printf("# FAILURE: execution tiers disagreed on simulation "
                 "results\n");

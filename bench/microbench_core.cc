@@ -1,5 +1,6 @@
 // Google-benchmark microbenchmarks for the framework's building blocks:
-// VM interpretation, verification, map operations, histogram recording,
+// VM execution (the compiled tier beside the interpreter oracle it is
+// checked against), verification, map operations, histogram recording,
 // event dispatch, and native policy decisions. These are the costs behind
 // Table 2/3 and the simulator's own throughput.
 #include <benchmark/benchmark.h>
@@ -8,7 +9,6 @@
 
 #include "src/bpf/assembler.h"
 #include "src/bpf/compiler.h"
-#include "src/bpf/interpreter.h"
 #include "src/bpf/verifier.h"
 #include "src/common/histogram.h"
 #include "src/common/rng.h"
@@ -19,6 +19,7 @@
 #include "src/obs/metrics.h"
 #include "src/policies/builtin.h"
 #include "src/sim/simulator.h"
+#include "tests/oracles/interpreter.h"
 #include "tests/oracles/reference_simulator.h"
 
 namespace syrup {

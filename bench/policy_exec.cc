@@ -1,12 +1,13 @@
-// Per-decision policy execution cost, by tier: each builtin socket policy
-// through the three bytecode tiers (interpret, compiled, native machine
-// code) and the trusted C++ mirror ("cpp"), interleaved, best of
-// bench::kReps each. Writes `BENCH_policy_exec.json`. Gates (`--baseline`,
+// Per-decision policy execution cost: each builtin socket policy through
+// the interpreter oracle ("interpret", tests/oracles/interpreter.h), the
+// two bytecode tiers (compiled, native machine code) and the trusted C++
+// mirror ("cpp"), interleaved, best of bench::kReps each. Writes
+// `BENCH_policy_exec.json`. Gates (`--baseline`,
 // flags in bench/harness.h): where the JIT exists (x86-64 Linux,
 // SYRUP_JIT_DISABLE unset) it publishes code for every builtin
 // (`jit_published`) and native stays within noise of the compiled tier it
 // replaces (`native_vs_compiled`); per policy, one bound on the compiled
-// tier: a floor on its speedup over the interpreter (`interpret_vs_compiled`)
+// tier: a floor on its speedup over the oracle (`interpret_vs_compiled`)
 // where that ratio separates a slower compiled loop from noise, else the
 // old ceiling on its ns/decision (`compiled`).
 #include <chrono>
@@ -18,13 +19,13 @@
 #include "bench/harness.h"
 #include "src/bpf/assembler.h"
 #include "src/bpf/compiler.h"
-#include "src/bpf/interpreter.h"
 #include "src/bpf/jit.h"
 #include "src/bpf/verifier.h"
 #include "src/common/rng.h"
 #include "src/map/map.h"
 #include "src/net/packet.h"
 #include "src/policies/builtin.h"
+#include "tests/oracles/interpreter.h"
 
 namespace syrup {
 namespace {
@@ -158,7 +159,7 @@ int Run(const bench::Flags& flags) {
       std::printf("# %s: %s\n", put.name, jit.status().ToString().c_str());
     }
 
-    // Every bytecode tier decides on the packet's wire bytes.
+    // The oracle and both tiers decide on the packet's wire bytes.
     auto tier = [&](auto run) {
       return [&, run] {
         return MeasureNs(workload, iters, [&](const Packet& pkt) {
@@ -202,21 +203,28 @@ int Run(const bench::Flags& flags) {
     std::printf("%-12s %9.1f %9.1f %9.1f %9.1f   (ns/decision)\n", put.name,
                 best[0], best[1], best[2], best[3]);
 
-    // The verifier's wcet under the checked-in DefaultCostModel (the deploy
-    // gate's tables) next to what this machine measured. Informational: the
-    // soundness check (measured <= calibrated wcet) is bpf_cost_model_test.
+    // The verifier's wcet per deployment tier under the checked-in
+    // DefaultCostModel (the deploy gate's tables) next to what this machine
+    // measured. Informational: the soundness check (measured <= calibrated
+    // wcet) is bpf_cost_model_test.
     bpf::AnalysisFacts facts;
     if (bpf::Verify(prog, bpf::ProgramContext::kPacket, {}, nullptr, &facts)
             .ok() &&
         facts.cost.bounded) {
       const double* wcet = facts.cost.wcet_ns;
-      for (int i = 0; i < 3; ++i) {
-        report.Number(key + "wcet." + modes[i], wcet[i]);
+      for (bpf::ExecMode mode : {bpf::ExecMode::kCompiled,
+                                 bpf::ExecMode::kNative}) {
+        report.Number(key + "wcet." + std::string(bpf::ExecModeName(mode)),
+                      wcet[static_cast<size_t>(mode)]);
       }
-      std::printf("%-12s %9.1f %9.1f %9.1f           "
-                  " (static wcet; measured/wcet %.2f/%.2f/%.2f)\n",
-                  "  wcet", wcet[0], wcet[1], wcet[2], best[0] / wcet[0],
-                  best[1] / wcet[1], best[2] / wcet[2]);
+      const double compiled_wcet =
+          wcet[static_cast<size_t>(bpf::ExecMode::kCompiled)];
+      const double native_wcet =
+          wcet[static_cast<size_t>(bpf::ExecMode::kNative)];
+      std::printf("%-12s %9s %9.1f %9.1f           "
+                  " (static wcet; measured/wcet %.2f/%.2f)\n",
+                  "  wcet", "", compiled_wcet, native_wcet,
+                  best[1] / compiled_wcet, best[2] / native_wcet);
     }
   }
   report.Gate("jit_published", bench::Bound::kFloor, {published, NAN},

@@ -4,11 +4,13 @@
 //
 // LoC counts the policy-file source lines (directives/labels excluded, as
 // the paper counts C statements). Instructions is the mean VM instruction
-// count per scheduling decision, measured by deploying each policy through
-// syrupd (the real path: assemble, pin maps, verify, attach) and reading
-// the per-app policy counters back from Syrupd::StatsSnapshot() — the
-// same observability surface syrupctl exposes. Cycles has two parts, as in
-// the paper ("most of this time is spent on enforcing ... rather than
+// count per scheduling decision: each policy deploys through syrupd (the
+// real path: assemble, pin maps, verify, compile, attach), then the
+// interpreter oracle (tests/oracles/interpreter.h) runs the deployed
+// program's source instructions (Syrupd::ProgramById) over the workload
+// with the daemon's own maps and environment. The deployed tiers fold
+// instructions away, so their policy.insns counters read fewer. Cycles has
+// two parts, as in the paper ("most of this time is spent on enforcing ... rather than
 // making ... each scheduling decision"): the measured native decision cost,
 // plus a fixed enforcement cost (packet redirect + dispatch) modeled at
 // 1400 cycles. Wall-clock is converted at 2.3 GHz (the paper's Xeon E5-2630
@@ -24,6 +26,7 @@
 #include "src/common/rng.h"
 #include "src/core/syrup_api.h"
 #include "src/policies/builtin.h"
+#include "tests/oracles/interpreter.h"
 
 namespace syrup {
 namespace {
@@ -177,11 +180,9 @@ void Run() {
                       std::make_shared<HashPolicy>(6)});
 
   std::printf("# Table 2: overhead of different Syrup policies\n");
-  std::printf("%-12s %5s %13s | %10s %10s %10s %8s %10s %10s | %18s "
-              "%10s\n",
-              "Policy", "LoC", "Instructions", "native_ns", "interp_ns",
-              "compiled_ns", "speedup", "jit_ns", "batched_ns",
-              "DecisionCycles", "Cycles");
+  std::printf("%-12s %5s %13s | %10s %10s %10s %10s | %18s %10s\n",
+              "Policy", "LoC", "Instructions", "native_ns", "compiled_ns",
+              "jit_ns", "batched_ns", "DecisionCycles", "Cycles");
   uint16_t next_port = 9000;
   for (auto& put : policies) {
     const uint16_t port = next_port++;
@@ -206,47 +207,34 @@ void Run() {
       }
     };
 
-    // Interpreter tier: the real deployment path (assemble, pin maps,
-    // verify, attach) with the attach-time compile disabled. The scoped
-    // handle detaches at the end so the compiled tier can redeploy.
-    double interp_ns = 0;
+    // Compiled tier (the default deployment mode): the real deployment
+    // path. The batched column measures the same deployment end to end
+    // through the dispatcher. The scoped handle detaches at the end so the
+    // native tier can redeploy.
     double mean_insns = 0;
-    syrupd.set_exec_mode(bpf::ExecMode::kInterpret);
+    double compiled_ns = 0;
+    double batched_ns = 0;
     {
       PolicyHandle deployed =
           client.DeployPolicy(put.asm_source, Hook::kSocketSelect).value();
       seed_maps();
-      std::shared_ptr<PacketPolicy> attached =
-          syrupd.PolicyAt(Hook::kSocketSelect, port);
-      // Drive the attached policy object over the workload (the dispatcher
-      // would do exactly this per matching packet).
+      // Source instructions per decision: the oracle runs the deployed
+      // program over the workload on the daemon's maps and environment,
+      // the decisions the attached policy would make.
+      const bpf::Program& program = *syrupd.ProgramById(deployed.prog_id());
+      bpf::Interpreter oracle(syrupd.MakeExecEnv());
+      uint64_t insns = 0;
       for (int i = 0; i < kDecisionIters; ++i) {
-        attached->Schedule(PacketView::Of(workload[
-            static_cast<size_t>(i) % workload.size()]));
+        const PacketView view = PacketView::Of(
+            workload[static_cast<size_t>(i) % workload.size()]);
+        insns += oracle
+                     .Run(program, reinterpret_cast<uint64_t>(view.start),
+                          reinterpret_cast<uint64_t>(view.end),
+                          /*args_are_packet=*/true)
+                     .value()
+                     .insns_executed;
       }
-      // Instructions per decision, read back from the daemon's snapshot:
-      // the registry is the single source for this column.
-      const obs::Snapshot snap = syrupd.StatsSnapshot();
-      const uint64_t insns =
-          snap.CounterValue(put.app, "socket_select", "policy.insns");
-      const uint64_t decisions =
-          snap.CounterValue(put.app, "socket_select", "policy.invocations");
-      mean_insns =
-          decisions == 0
-              ? 0.0
-              : static_cast<double>(insns) / static_cast<double>(decisions);
-      interp_ns = MeasureNs(*attached, workload, kBytecodeIters);
-    }
-
-    // Compiled tier (the default deployment mode): same program, same
-    // maps, pre-decoded execution. The batched column measures the same
-    // deployment end to end through the dispatcher.
-    double compiled_ns = 0;
-    double batched_ns = 0;
-    syrupd.set_exec_mode(bpf::ExecMode::kCompiled);
-    {
-      PolicyHandle deployed =
-          client.DeployPolicy(put.asm_source, Hook::kSocketSelect).value();
+      mean_insns = static_cast<double>(insns) / kDecisionIters;
       std::shared_ptr<PacketPolicy> attached =
           syrupd.PolicyAt(Hook::kSocketSelect, port);
       compiled_ns = MeasureNs(*attached, workload, kBytecodeIters);
@@ -271,18 +259,19 @@ void Run() {
     const double decision_ns = MeasureNs(*put.native, workload);
     const double decision_cycles = decision_ns * kGhz;
     const double total_cycles = decision_cycles + kEnforcementCycles;
-    std::printf("%-12s %5d %13.0f | %10.1f %10.1f %10.1f %7.2fx %10.1f "
-                "%10.1f | %18.0f %10.0f\n",
+    std::printf("%-12s %5d %13.0f | %10.1f %10.1f %10.1f %10.1f | %18.0f "
+                "%10.0f\n",
                 put.name, CountLoc(put.asm_source), mean_insns, decision_ns,
-                interp_ns, compiled_ns,
-                compiled_ns > 0 ? interp_ns / compiled_ns : 0.0, jit_ns,
-                batched_ns, decision_cycles, total_cycles);
+                compiled_ns, jit_ns, batched_ns, decision_cycles,
+                total_cycles);
   }
   std::printf(
-      "# native_ns/interp_ns/compiled_ns: per-decision cost of the native "
-      "mirror, the decode-per-\n"
-      "# instruction interpreter, and the pre-decoded compiled tier; "
-      "speedup = interp/compiled.\n"
+      "# Instructions: source instructions per decision, counted by the "
+      "interpreter oracle.\n"
+      "# native_ns/compiled_ns: per-decision cost of the native mirror and "
+      "the pre-decoded\n"
+      "# compiled tier (bench/policy_exec times the compiled tier against "
+      "the oracle).\n"
       "# jit_ns: the same deployment on the machine-code tier (ExecMode "
       "native) — x86-64 stencils\n"
       "# emitted at attach time; equals compiled_ns on hosts where the JIT "

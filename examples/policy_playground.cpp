@@ -13,7 +13,7 @@
 #include <string>
 
 #include "src/bpf/assembler.h"
-#include "src/bpf/interpreter.h"
+#include "src/bpf/compiler.h"
 #include "src/bpf/verifier.h"
 #include "src/common/decision.h"
 #include "src/common/rng.h"
@@ -95,8 +95,9 @@ void TryPolicy(const std::string& source) {
   }
 
   bpf::VerifierStats stats;
+  bpf::AnalysisFacts facts;
   const Status verdict =
-      bpf::Verify(*program, bpf::ProgramContext::kPacket, {}, &stats);
+      bpf::Verify(*program, bpf::ProgramContext::kPacket, {}, &stats, &facts);
   if (!verdict.ok()) {
     std::printf("  REJECTED by verifier:\n    %s\n",
                 verdict.ToString().c_str());
@@ -105,21 +106,32 @@ void TryPolicy(const std::string& source) {
   std::printf("  verified OK (%llu abstract instructions explored)\n",
               static_cast<unsigned long long>(stats.visited_insns));
 
-  // Dry-run against sample packets.
+  // Compile it as syrupd's attach step does, then dry-run the compiled
+  // tier against sample packets.
+  bpf::CompileOptions options;
+  options.assume_verified = true;
+  options.facts = &facts;
+  auto compiled =
+      bpf::Compile(*program, bpf::ProgramContext::kPacket, options);
+  if (!compiled.ok()) {
+    std::printf("  compile: %s\n", compiled.status().ToString().c_str());
+    return;
+  }
   Rng rng(1);
   bpf::ExecEnv env;
   env.random_u32 = [&rng]() { return static_cast<uint32_t>(rng.Next()); };
   env.ktime_ns = []() { return 0u; };
-  bpf::Interpreter interp(env);
-  std::printf("  dry run:\n");
+  bpf::CompiledExecutor exec(env);
+  std::printf("  dry run (compiled tier, %zu insns after folding):\n",
+              compiled->stats.output_insns);
   for (int i = 0; i < 8; ++i) {
     Packet pkt;
     pkt.tuple.src_port = static_cast<uint16_t>(20'000 + i);
     pkt.tuple.dst_port = 9000;
     const ReqType type = i % 4 == 3 ? ReqType::kScan : ReqType::kGet;
     pkt.SetHeader(type, 1, static_cast<uint32_t>(rng.Next()), i, 0);
-    auto result = interp.Run(
-        *program, reinterpret_cast<uint64_t>(pkt.wire.data()),
+    auto result = exec.Run(
+        *compiled, reinterpret_cast<uint64_t>(pkt.wire.data()),
         reinterpret_cast<uint64_t>(pkt.wire.data() + kWireSize), true);
     if (!result.ok()) {
       std::printf("    pkt %d: runtime fault: %s\n", i,

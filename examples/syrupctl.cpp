@@ -224,8 +224,7 @@ int main(int argc, char** argv) {
     const auto mode = bpf::ExecModeFromName(argv[2]);
     if (!mode.has_value()) {
       std::fprintf(stderr,
-                   "exec-mode: unknown mode '%s' (interpret, compiled, "
-                   "native)\n",
+                   "exec-mode: unknown mode '%s' (compiled, native)\n",
                    argv[2]);
       return 2;
     }

@@ -59,7 +59,7 @@ bool AluReadsDst(Op op) {
   }
 }
 
-// Evaluates an ALU op exactly as the interpreter would; `operand` is the
+// Evaluates an ALU op exactly as the executor would; `operand` is the
 // src-register value for *Reg flavors and the immediate otherwise (ignored
 // by kNeg / kBe*).
 uint64_t EvalAlu(Op op, uint64_t dst, uint64_t operand) {
@@ -91,7 +91,7 @@ uint64_t EvalAlu(Op op, uint64_t dst, uint64_t operand) {
   }
 }
 
-// Evaluates a conditional-jump predicate exactly as the interpreter would.
+// Evaluates a conditional-jump predicate exactly as the executor would.
 bool EvalCond(Op op, uint64_t dst, uint64_t operand) {
   const auto sd = static_cast<int64_t>(dst);
   const auto so = static_cast<int64_t>(operand);
@@ -161,10 +161,8 @@ bool IsBarrierCOp(COp op) {
 
 }  // namespace
 
-ExecMode EffectiveExecMode(const CompiledProgram* compiled) {
-  if (compiled == nullptr) return ExecMode::kInterpret;
-  if (compiled->native != nullptr) return ExecMode::kNative;
-  return ExecMode::kCompiled;
+ExecMode EffectiveExecMode(const CompiledProgram& compiled) {
+  return compiled.native != nullptr ? ExecMode::kNative : ExecMode::kCompiled;
 }
 
 StatusOr<CompiledProgram> Compile(const Program& prog, ProgramContext context,
@@ -798,8 +796,8 @@ restart:  // tail-call target: rerun with fresh ip but original context args
     const CompiledProgram* target =
         prog_id == 0 ? nullptr : env_.resolve_compiled(prog_id);
     if (target == nullptr) {
-      // Miss: falls through, r0 = -1 (caller decides what to do). Matches
-      // the interpreter, which clobbers r1..r5 on a miss but not on a hit.
+      // Miss: falls through, r0 = -1 (caller decides what to do). A miss
+      // clobbers r1..r5 like any helper call; a hit never returns.
       regs[0] = static_cast<uint64_t>(-1);
       SYRUP_CLOBBER_ARGS();
       ++ip;

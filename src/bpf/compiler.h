@@ -11,11 +11,11 @@
 //   * constant folding and peephole strength reduction over ALU chains
 //     (mul/div/mod by a power of two become shifts/masks, branches with
 //     both sides known become unconditional or disappear),
-//   * the per-access runtime memory re-validation of src/bpf/interpreter.cc
-//     is dropped: the verifier already proved every packet/stack/map-value
-//     access in bounds on every path, so the compiled form loads and stores
-//     directly. An operator who distrusts the verifier deploys the
-//     interpreter, which keeps every check.
+//   * no per-access runtime memory re-validation: the verifier already
+//     proved every packet/stack/map-value access in bounds on every path,
+//     so the compiled form loads and stores directly. The interpreter that
+//     keeps every check is a test oracle (tests/oracles/interpreter.h) the
+//     compiled tiers are differentially checked against, not a tier.
 //
 // The compiled form executes through a direct-threaded (computed-goto)
 // dispatch loop. Syrupd caches one CompiledProgram per deployed program id,
@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "src/bpf/cost_model.h"
-#include "src/bpf/interpreter.h"
 #include "src/bpf/program.h"
 #include "src/bpf/verifier.h"
 #include "src/common/status.h"
@@ -114,17 +113,17 @@ struct CompiledProgram {
   std::vector<std::shared_ptr<Map>> maps;
   CompileStats stats;
   // Machine code published by the native tier (ExecMode::kNative), null on
-  // every other tier and whenever the JIT fell back (non-x86-64 host,
+  // the compiled tier and whenever the JIT fell back (non-x86-64 host,
   // SYRUP_JIT_DISABLE, arena failure, unsupported program). When set,
   // CompiledExecutor::Run dispatches into it instead of the bytecode loop.
   std::shared_ptr<const JitProgram> native;
 };
 
 // The tier a given attach artifact actually executes on: requested native
-// mode degrades to kCompiled when no machine code was published, and a null
-// artifact means the interpreter. This is what the policy.exec_mode gauge
-// and the policies' exec_mode() accessors report.
-ExecMode EffectiveExecMode(const CompiledProgram* compiled);
+// mode degrades to kCompiled when no machine code was published. This is
+// what the policy.exec_mode gauge and the policies' exec_mode() accessors
+// report.
+ExecMode EffectiveExecMode(const CompiledProgram& compiled);
 
 // Translates `prog` into its pre-decoded form. Verifies first (the check
 // elision is only sound for verified programs) unless
@@ -132,24 +131,22 @@ ExecMode EffectiveExecMode(const CompiledProgram* compiled);
 StatusOr<CompiledProgram> Compile(const Program& prog, ProgramContext context,
                                   const CompileOptions& options = {});
 
-// Executes compiled programs. Interchangeable with Interpreter::Run: for a
-// given (program, context args, env) the produced r0 and map side effects
-// are identical; insns_executed counts *compiled* instructions, which
-// folding makes smaller than the interpreter's count.
+// Executes compiled programs. For a given (program, context args, env) the
+// produced r0 and map side effects are exactly those of running the source
+// instructions one by one (the interpreter oracle in tests/ checks this);
+// insns_executed counts *compiled* instructions, which folding makes
+// smaller than the source count.
 //
 // Tail calls resolve through env.resolve_compiled; a missing resolver or a
-// miss degrades to the interpreter's prog-array-miss behavior (r0 = -1).
+// miss behaves like a prog-array miss (r0 = -1).
 class CompiledExecutor {
  public:
   explicit CompiledExecutor(ExecEnv env) : env_(std::move(env)) {}
 
-  // `args_are_packet` mirrors Interpreter::Run's signature; the compiled
-  // form never reads it, since the verifier already fixed the context.
+  // `args_are_packet` is unused: the verifier already fixed the context.
+  // It stays for the callers that pass it.
   StatusOr<ExecResult> Run(const CompiledProgram& prog, uint64_t arg1,
                            uint64_t arg2, bool args_are_packet);
-
-  static constexpr uint64_t kMaxInsns = Interpreter::kMaxInsns;
-  static constexpr uint32_t kMaxTailCalls = Interpreter::kMaxTailCalls;
 
  private:
   ExecEnv env_;

@@ -1,22 +1,12 @@
 #include "src/bpf/cost_model.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <limits>
 #include <sstream>
-#include <utility>
-
-#include "src/bpf/compiler.h"
-#include "src/bpf/interpreter.h"
-#include "src/bpf/jit.h"
-#include "src/bpf/program.h"
 
 namespace syrup::bpf {
 
 std::string_view ExecModeName(ExecMode mode) {
   switch (mode) {
-    case ExecMode::kInterpret: return "interpret";
     case ExecMode::kCompiled: return "compiled";
     case ExecMode::kNative: return "native";
   }
@@ -24,8 +14,7 @@ std::string_view ExecModeName(ExecMode mode) {
 }
 
 std::optional<ExecMode> ExecModeFromName(std::string_view name) {
-  for (ExecMode mode :
-       {ExecMode::kInterpret, ExecMode::kCompiled, ExecMode::kNative}) {
+  for (ExecMode mode : {ExecMode::kCompiled, ExecMode::kNative}) {
     if (name == ExecModeName(mode)) return mode;
   }
   return std::nullopt;
@@ -139,11 +128,6 @@ void FillTier(double* table, const TierCosts& c) {
 CostModel MakeDefaultCostModel() {
   CostModel m;
   // Per-op dispatch costs, upper bounds for an unloaded modern x86-64 host.
-  // interpret: switch dispatch + runtime region checks per memory op.
-  FillTier(m.op_ns[static_cast<size_t>(ExecMode::kInterpret)],
-           {.alu = 4.0, .mul = 5.0, .divmod = 12.0, .mov = 3.5, .swap = 4.0,
-            .mem = 6.0, .atomic = 12.0, .ja = 3.5, .jcc = 4.5, .call = 10.0,
-            .exit = 2.0, .ldmapfd = 4.0});
   // compiled: pre-decoded computed-goto dispatch, checks elided.
   FillTier(m.op_ns[static_cast<size_t>(ExecMode::kCompiled)],
            {.alu = 1.4, .mul = 1.8, .divmod = 8.0, .mov = 1.2, .swap = 1.4,
@@ -155,7 +139,6 @@ CostModel MakeDefaultCostModel() {
            {.alu = 0.5, .mul = 0.8, .divmod = 6.0, .mov = 0.45, .swap = 0.5,
             .mem = 0.9, .atomic = 7.0, .ja = 0.45, .jcc = 0.7, .call = 3.5,
             .exit = 0.5, .ldmapfd = 0.5});
-  m.exec_overhead_ns[static_cast<size_t>(ExecMode::kInterpret)] = 60.0;
   m.exec_overhead_ns[static_cast<size_t>(ExecMode::kCompiled)] = 45.0;
   m.exec_overhead_ns[static_cast<size_t>(ExecMode::kNative)] = 35.0;
 
@@ -180,213 +163,11 @@ CostModel MakeDefaultCostModel() {
   return m;
 }
 
-// ---- Calibration --------------------------------------------------------
-
-// r0 = r1; then `adds` data-dependent additions (r1 is a runtime scalar, so
-// the compiled tier cannot fold the chain away); exit.
-Program MakeAluProgram(std::string name, int adds) {
-  Program p;
-  p.name = std::move(name);
-  p.insns.push_back({Op::kMovReg, 0, 1, 0, 0});
-  for (int i = 0; i < adds; ++i) {
-    p.insns.push_back({Op::kAddReg, 0, 1, 0, 0});
-  }
-  p.insns.push_back({Op::kExit, 0, 0, 0, 0});
-  return p;
-}
-
-// `blocks` repetitions of {ldmapfd r1; r2 = r10 - 4; [call helper]} against
-// map 0, with the 4-byte key at r10-4 (and, for update, an 8-byte value at
-// r10-16) initialized up front. With `with_calls` false the call is replaced
-// by a mov so subtracting the two runs isolates call + helper body cost.
-Program MakeHelperProgram(std::string name, HelperId helper, int blocks,
-                          bool with_calls, std::shared_ptr<Map> map) {
-  Program p;
-  p.name = std::move(name);
-  p.maps.push_back(std::move(map));
-  p.insns.push_back({Op::kStW, 10, 0, -4, 1});     // key = 1
-  p.insns.push_back({Op::kStDW, 10, 0, -16, 5});   // value = 5
-  for (int i = 0; i < blocks; ++i) {
-    p.insns.push_back({Op::kLdMapFd, 1, 0, 0, 0});
-    p.insns.push_back({Op::kMovReg, 2, 10, 0, 0});
-    p.insns.push_back({Op::kAddImm, 2, 0, 0, -4});
-    if (helper == HelperId::kMapUpdateElem) {
-      p.insns.push_back({Op::kMovReg, 3, 10, 0, 0});
-      p.insns.push_back({Op::kAddImm, 3, 0, 0, -16});
-    }
-    if (with_calls) {
-      p.insns.push_back({Op::kCall, 0, 0, 0, static_cast<int64_t>(helper)});
-    } else {
-      p.insns.push_back({Op::kMovImm, 0, 0, 0, 0});
-    }
-  }
-  p.insns.push_back({Op::kMovImm, 0, 0, 0, 0});
-  p.insns.push_back({Op::kExit, 0, 0, 0, 0});
-  return p;
-}
-
-// Best-of-`reps` average ns per call of `run` over `iters` iterations.
-template <typename F>
-double MinNsPerCall(F&& run, int iters, int reps) {
-  double best = std::numeric_limits<double>::max();
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i) run();
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ns =
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                .count()) /
-        iters;
-    best = std::min(best, ns);
-  }
-  return best;
-}
-
-struct TierMeasurement {
-  bool ok = false;
-  double per_insn_ns = 0;
-  double overhead_ns = 0;
-};
-
-TierMeasurement MeasureAluTier(ExecMode tier) {
-  TierMeasurement out;
-  const Program tiny = MakeAluProgram("cal_tiny", 0);     // 2 insns
-  const Program chain = MakeAluProgram("cal_chain", 256); // 258 insns
-  const double n_tiny = 2.0;
-  const double n_chain = 258.0;
-  uint64_t sink = 0;
-  double t_tiny = 0;
-  double t_chain = 0;
-
-  if (tier == ExecMode::kInterpret) {
-    Interpreter interp{ExecEnv{}};
-    auto run = [&](const Program& p) {
-      auto r = interp.Run(p, 3, 7, /*args_are_packet=*/false);
-      if (r.ok()) sink += r->r0;
-    };
-    t_tiny = MinNsPerCall([&] { run(tiny); }, 20000, 3);
-    t_chain = MinNsPerCall([&] { run(chain); }, 2000, 3);
-  } else {
-    auto ct = Compile(tiny, ProgramContext::kThread);
-    auto cc = Compile(chain, ProgramContext::kThread);
-    if (!ct.ok() || !cc.ok()) return out;
-    if (tier == ExecMode::kNative) {
-      auto nt = JitCompile(*ct);
-      auto nc = JitCompile(*cc);
-      if (!nt.ok() || !nc.ok()) return out;  // fall back to compiled numbers
-      ct->native = *nt;
-      cc->native = *nc;
-    }
-    CompiledExecutor exec{ExecEnv{}};
-    auto run = [&](const CompiledProgram& p) {
-      auto r = exec.Run(p, 3, 7, /*args_are_packet=*/false);
-      if (r.ok()) sink += r->r0;
-    };
-    t_tiny = MinNsPerCall([&] { run(*ct); }, 20000, 3);
-    t_chain = MinNsPerCall([&] { run(*cc); }, 2000, 3);
-  }
-  (void)sink;
-  out.per_insn_ns = std::max(0.0, (t_chain - t_tiny) / (n_chain - n_tiny));
-  out.overhead_ns = std::max(0.0, t_tiny - n_tiny * out.per_insn_ns);
-  out.ok = true;
-  return out;
-}
-
-// Measured call-dispatch + helper-body cost at the interpreter tier (bodies
-// are tier-independent host C++). Returns < 0 on failure.
-double MeasureHelperNs(HelperId helper, MapType map_type) {
-  MapSpec spec;
-  spec.type = map_type;
-  spec.key_size = 4;
-  spec.value_size = 8;
-  spec.max_entries = 64;
-  spec.name = "cal_map";
-  auto map = CreateMap(spec);
-  if (!map.ok()) return -1;
-  {
-    // Seed the probed key so lookups measure the hit path.
-    const uint32_t key = 1;
-    const uint64_t value = 5;
-    (void)(*map)->Update(&key, &value, UpdateFlag::kAny);
-  }
-  const int kBlocks = 8;
-  const Program with = MakeHelperProgram("cal_helper", helper, kBlocks,
-                                         /*with_calls=*/true, *map);
-  const Program without = MakeHelperProgram("cal_base", helper, kBlocks,
-                                            /*with_calls=*/false, *map);
-  Interpreter interp{ExecEnv{}};
-  uint64_t sink = 0;
-  auto run = [&](const Program& p) {
-    auto r = interp.Run(p, 0, 0, /*args_are_packet=*/false);
-    if (r.ok()) sink += r->r0;
-  };
-  const double t_with = MinNsPerCall([&] { run(with); }, 4000, 3);
-  const double t_without = MinNsPerCall([&] { run(without); }, 4000, 3);
-  (void)sink;
-  return std::max(0.0, (t_with - t_without) / kBlocks);
-}
-
 }  // namespace
 
 const CostModel& DefaultCostModel() {
   static const CostModel model = MakeDefaultCostModel();
   return model;
-}
-
-CostModel CalibratedCostModel() {
-  CostModel m = DefaultCostModel();
-  constexpr double kMargin = 1.3;
-
-  // Per-tier scale from the straight-line ALU chain: a slow host (or a
-  // sanitizer build) inflates every op class roughly uniformly.
-  for (size_t t = 0; t < kNumExecModes; ++t) {
-    const auto tier = static_cast<ExecMode>(t);
-    TierMeasurement meas = MeasureAluTier(tier);
-    if (!meas.ok && tier == ExecMode::kNative) {
-      meas = MeasureAluTier(ExecMode::kCompiled);  // JIT unavailable
-    }
-    if (!meas.ok) continue;
-    const double default_alu =
-        m.op_ns[t][static_cast<size_t>(Op::kAddReg)];
-    const double scale =
-        std::max(1.0, kMargin * meas.per_insn_ns / default_alu);
-    for (size_t op = 0; op < kNumOps; ++op) m.op_ns[t][op] *= scale;
-    m.exec_overhead_ns[t] =
-        std::max(m.exec_overhead_ns[t], kMargin * meas.overhead_ns);
-  }
-
-  // Helper scale from map microruns: sanitizers instrument the map bodies
-  // (host C++) far more than JIT-emitted code, so bodies get their own
-  // factor. Subtract the (already rescaled) interpreter call-dispatch cost
-  // to isolate the body.
-  const double call_dispatch =
-      m.op_ns[static_cast<size_t>(ExecMode::kInterpret)]
-             [static_cast<size_t>(Op::kCall)];
-  double helper_scale = 1.0;
-  const std::pair<HelperId, MapType> probes[] = {
-      {HelperId::kMapLookupElem, MapType::kArray},
-      {HelperId::kMapLookupElem, MapType::kHash},
-      {HelperId::kMapUpdateElem, MapType::kHash},
-  };
-  for (const auto& [helper, kind] : probes) {
-    const double measured = MeasureHelperNs(helper, kind);
-    if (measured < 0) continue;
-    const double body = std::max(0.0, measured - call_dispatch);
-    const double def = m.HelperNs(helper, kind);
-    if (def > 0) {
-      helper_scale = std::max(helper_scale, kMargin * body / def);
-    }
-  }
-  for (size_t k = 0; k < kNumMapTypes; ++k) {
-    m.lookup_ns[k] *= helper_scale;
-    m.update_ns[k] *= helper_scale;
-    m.delete_ns[k] *= helper_scale;
-  }
-  m.random_ns *= helper_scale;
-  m.ktime_ns *= helper_scale;
-  m.tail_call_ns *= helper_scale;
-  return m;
 }
 
 std::string FormatPath(const std::vector<uint32_t>& path) {

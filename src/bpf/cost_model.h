@@ -20,10 +20,9 @@
 namespace syrup::bpf {
 
 // How a deployed bytecode policy is executed. Each mode runs on its own
-// cost table below, indexed by the enum value.
-//   kInterpret  decodes every instruction and re-checks every memory access
-//               at runtime: the differential oracle, and the tier for an
-//               operator who distrusts the verifier.
+// cost table below, indexed by the enum value. Both trust the verifier: the
+// interpreter that re-checks every access at runtime is a test oracle
+// (tests/oracles/interpreter.h), not a deployment tier.
 //   kCompiled   the default: pre-decoded at attach time (src/bpf/compiler.h),
 //               with the accesses the verifier proved safe left unchecked.
 //   kNative     lowers the pre-decoded form to x86-64 machine code
@@ -31,17 +30,16 @@ namespace syrup::bpf {
 //               back to kCompiled transparently; EffectiveExecMode reports
 //               which tier actually runs.
 enum class ExecMode : uint8_t {
-  kInterpret = 0,
-  kCompiled = 1,
-  kNative = 2,
+  kCompiled = 0,
+  kNative = 1,
 };
 
-inline constexpr size_t kNumExecModes = 3;
+inline constexpr size_t kNumExecModes = 2;
 
 std::string_view ExecModeName(ExecMode mode);
 
-// Parses an ExecModeName back into the mode ("interpret", "compiled",
-// "native"); nullopt for anything else.
+// Parses an ExecModeName back into the mode ("compiled", "native");
+// nullopt for anything else.
 std::optional<ExecMode> ExecModeFromName(std::string_view name);
 
 // Per-tier, per-opcode execution costs in nanoseconds, plus helper-body
@@ -49,10 +47,10 @@ std::optional<ExecMode> ExecModeFromName(std::string_view name);
 // bounds: the soundness direction users rely on is measured <= predicted.
 //
 // Costs are charged per *source* instruction along verifier-explored paths.
-// The compiled and native tiers execute at most as many instructions as the
-// source path (constant folding and check elision only shrink), so a source
-// path priced with the compiled/native tables over-predicts those tiers —
-// conservative in the right direction.
+// Both tiers execute at most as many instructions as the source path
+// (constant folding and dead-code elimination only shrink), so a source path
+// priced with a tier's table over-predicts that tier — conservative in the
+// right direction.
 struct CostModel {
   // Dispatch + execute cost of one opcode at each tier. The kCall entry
   // covers calling-convention overhead only; the helper body is priced
@@ -90,16 +88,10 @@ struct CostModel {
 
 // Checked-in calibration constants: deterministic (identical on every host),
 // used for golden output (`syrupctl cost`), lint thresholds, and deploy-time
-// budget enforcement. Cross-validated against bench/policy_exec.
+// budget enforcement. Cross-validated against bench/policy_exec; the
+// cost-vs-reality test (tests/bpf_cost_model_test.cc) scales them to the
+// host it runs on.
 const CostModel& DefaultCostModel();
-
-// Measures this host with small straight-line calibration programs per tier
-// (and per-map-kind helper microruns), then scales DefaultCostModel up to
-// cover the measurements with margin. Never returns a model cheaper than the
-// default, so calibration only widens bounds. Use for cost-vs-reality
-// differential tests: a sanitizer or slow host inflates calibration and
-// measurement alike.
-CostModel CalibratedCostModel();
 
 // Result of the verifier's cost pass over all feasible paths.
 struct CostFacts {
@@ -111,8 +103,8 @@ struct CostFacts {
   // not the programs it may jump to.
   bool has_tail_call = false;
   // Worst-/best-case executed source-instruction count over feasible paths.
-  // Upper-bounds ExecResult::insns_executed for the interpreter and (because
-  // folding only shrinks) the compiled/native accounting.
+  // Upper-bounds the source instructions any run executes and (because
+  // folding only shrinks) ExecResult::insns_executed at both tiers.
   uint64_t wcet_insns = 0;
   uint64_t best_insns = 0;
   // Worst-/best-case wall time per execution at each tier, including the

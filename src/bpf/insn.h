@@ -67,7 +67,7 @@ enum class Op : uint8_t {
   kExit,
 
   // Pseudo: load a map reference (imm = map fd) into dst. The verifier gives
-  // dst type kConstMapPtr; the interpreter materializes the runtime handle.
+  // dst type kConstMapPtr; the compiler resolves it to the runtime handle.
   kLdMapFd,
 };
 
@@ -105,7 +105,7 @@ struct Insn {
   bool operator==(const Insn&) const = default;
 };
 
-// --- Introspection helpers used by the verifier/interpreter/disassembler ---
+// --- Introspection helpers used by the verifier/compiler/disassembler ---
 
 // Number of bytes accessed by a load/store opcode; 0 for non-memory ops.
 int MemAccessSize(Op op);

@@ -35,7 +35,7 @@
 #include <memory>
 
 #include "src/bpf/compiler.h"
-#include "src/bpf/interpreter.h"
+#include "src/bpf/program.h"
 #include "src/common/status.h"
 
 namespace syrup::bpf {

@@ -272,7 +272,7 @@ bool AluKindOf(Op op, AluKind* out) {
   }
 }
 
-// Exact result for two constants, mirroring interpreter semantics
+// Exact result for two constants, mirroring run-time semantics
 // (divide/mod by zero yield 0, shift amounts masked to 6 bits).
 uint64_t AluConst(AluKind k, uint64_t x, uint64_t y) {
   switch (k) {
@@ -645,6 +645,9 @@ bool Narrow(Cmp c, RegState& a, RegState& b) {
   return SyncBounds(a) && SyncBounds(b);
 }
 
+// Cap on the diagnostics one report collects.
+constexpr size_t kMaxDiagnostics = 64;
+
 struct AbsState {
   std::array<RegState, kNumRegisters> regs;
   int64_t pkt_range = 0;  // bytes of packet proven accessible
@@ -672,9 +675,16 @@ struct AbsState {
 
 class Verifier {
  public:
+  // `keep_going`: keep exploring sibling paths after a path fails so every
+  // distinct error is collected (lint mode); otherwise stop at the first.
   Verifier(const Program& prog, ProgramContext context,
-           const VerifierOptions& options, VerifyReport* report)
-      : prog_(prog), context_(context), options_(options), report_(report) {}
+           const VerifierOptions& options, bool keep_going,
+           VerifyReport* report)
+      : prog_(prog),
+        context_(context),
+        options_(options),
+        keep_going_(keep_going),
+        report_(report) {}
 
   // Switches this instance into the post-acceptance cost pass: same
   // exploration semantics, but pruning additionally requires the coverer
@@ -839,7 +849,7 @@ class Verifier {
     if (!seen_.insert({pc, message}).second) {
       return;
     }
-    if (report_->diagnostics.size() >= options_.max_diagnostics) {
+    if (report_->diagnostics.size() >= kMaxDiagnostics) {
       stop_ = true;
       return;
     }
@@ -856,7 +866,7 @@ class Verifier {
   // Path-level error: in keep_going mode only this path is abandoned.
   Status Fail(size_t pc, const std::string& why) {
     AddDiagnostic(DiagSeverity::kError, pc, why);
-    if (!options_.keep_going) {
+    if (!keep_going_) {
       stop_ = true;
     }
     return InvalidArgumentError("verifier: " + why);
@@ -1930,7 +1940,7 @@ class Verifier {
                        return x.pc < y.pc;
                      });
     for (Diagnostic& d : warnings) {
-      if (report_->diagnostics.size() >= options_.max_diagnostics) {
+      if (report_->diagnostics.size() >= kMaxDiagnostics) {
         break;
       }
       report_->diagnostics.push_back(std::move(d));
@@ -1940,6 +1950,7 @@ class Verifier {
   const Program& prog_;
   ProgramContext context_;
   VerifierOptions options_;
+  bool keep_going_ = false;
   VerifyReport* report_;
   bool stop_ = false;
 
@@ -2016,23 +2027,22 @@ void AppendBudgetLint(VerifyReport& report, ProgramContext context,
 }
 
 VerifyReport Analyze(const Program& prog, ProgramContext context,
-                     const VerifierOptions& options) {
+                     const VerifierOptions& options, bool keep_going) {
   VerifyReport report;
   report.program = prog.name;
   const auto t0 = std::chrono::steady_clock::now();
-  Verifier(prog, context, options, &report).Run();
-  if (report.ok() && options.compute_cost && !report.facts.empty()) {
+  Verifier(prog, context, options, keep_going, &report).Run();
+  if (report.ok() && !report.facts.empty()) {
     // Second exploration with cost accumulation and cost-dominance
     // pruning. Acceptance already happened above: whatever happens here
     // (budget exhaustion included) only affects facts.cost.
     const CostModel* model = options.cost_model != nullptr
                                  ? options.cost_model
                                  : &DefaultCostModel();
-    VerifierOptions cost_options = options;
-    cost_options.keep_going = false;
     VerifyReport cost_report;
     cost_report.program = prog.name;
-    Verifier cost_pass(prog, context, cost_options, &cost_report);
+    Verifier cost_pass(prog, context, options, /*keep_going=*/false,
+                       &cost_report);
     cost_pass.EnableCostMode(model);
     cost_pass.Run();
     report.facts.cost = cost_pass.TakeCostFacts();
@@ -2086,9 +2096,7 @@ Status VerifyReport::status() const {
 Status Verify(const Program& prog, ProgramContext context,
               const VerifierOptions& options, VerifierStats* stats,
               AnalysisFacts* facts) {
-  VerifierOptions opts = options;
-  opts.keep_going = false;
-  VerifyReport report = Analyze(prog, context, opts);
+  VerifyReport report = Analyze(prog, context, options, /*keep_going=*/false);
   if (stats != nullptr) {
     *stats = report.stats;
   }
@@ -2099,9 +2107,8 @@ Status Verify(const Program& prog, ProgramContext context,
 }
 
 VerifyReport VerifyAll(const Program& prog, ProgramContext context,
-                       VerifierOptions options) {
-  options.keep_going = true;
-  return Analyze(prog, context, options);
+                       const VerifierOptions& options) {
+  return Analyze(prog, context, options, /*keep_going=*/true);
 }
 
 }  // namespace syrup::bpf

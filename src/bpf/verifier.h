@@ -58,17 +58,8 @@ struct VerifierOptions {
   // Memory bound: states remembered per join point. Past the cap new
   // states still verify, they just cannot prune later arrivals.
   size_t max_states_per_prune_point = 32;
-  // Keep exploring sibling paths after a path fails so every distinct
-  // error is collected (lint mode). Off: stop at the first error.
-  bool keep_going = false;
-  // Cap on collected diagnostics in keep_going mode.
-  size_t max_diagnostics = 64;
-  // Run the post-acceptance cost pass (fills AnalysisFacts::cost and the
-  // path-over-budget lint). The pass re-explores feasible paths with
-  // cost-dominance-strengthened pruning; if it exhausts the exploration
-  // budget it degrades to cost.bounded = false, never a rejection.
-  bool compute_cost = true;
-  // Cost tables for the pass; null means DefaultCostModel(). Must outlive
+  // Cost tables for the post-acceptance cost pass (AnalysisFacts::cost and
+  // the path-over-budget lint); null means DefaultCostModel(). Must outlive
   // the Verify call.
   const CostModel* cost_model = nullptr;
 };
@@ -128,8 +119,10 @@ struct AnalysisFacts {
   std::vector<Impurity> impurities;
 
   // --- cost summary (post-acceptance WCET pass, see cost_model.h) --------
-  // cost.bounded is false when the pass was skipped (compute_cost off),
-  // gave up, or verification failed.
+  // Every accepted program gets the pass: it re-explores feasible paths with
+  // cost-dominance-strengthened pruning. cost.bounded is false when the
+  // pass exhausted the exploration budget (never a rejection by itself) or
+  // verification failed.
   CostFacts cost;
 
   bool empty() const { return visited.empty(); }
@@ -172,9 +165,11 @@ Status Verify(const Program& prog, ProgramContext context,
               const VerifierOptions& options = {},
               VerifierStats* stats = nullptr, AnalysisFacts* facts = nullptr);
 
-// Lint entry point: forces keep_going and returns everything it found.
+// Lint entry point: keeps exploring sibling paths after a path fails, so
+// every distinct error (at most 64 diagnostics in all) is collected, and
+// returns everything it found. Verify() stops at the first error.
 VerifyReport VerifyAll(const Program& prog, ProgramContext context,
-                       VerifierOptions options = {});
+                       const VerifierOptions& options = {});
 
 }  // namespace syrup::bpf
 

@@ -1,6 +1,7 @@
-// Shared runtime-memory primitives of the two VM execution engines
-// (src/bpf/interpreter.cc and src/bpf/compiler.cc): the unaligned load/store
-// and byte-swap helpers whose semantics both engines must match exactly.
+// Shared runtime-memory primitives of the compiled tier (src/bpf/compiler.cc)
+// and the interpreter it is checked against (tests/oracles/interpreter.h):
+// the unaligned load/store and byte-swap helpers whose semantics both
+// engines must match exactly.
 #ifndef SYRUP_SRC_BPF_VM_RUNTIME_H_
 #define SYRUP_SRC_BPF_VM_RUNTIME_H_
 

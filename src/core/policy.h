@@ -1,12 +1,12 @@
 // Policy execution abstractions.
 //
 // A packet policy is the paper's `schedule(pkt_start, pkt_end)` matching
-// function. Three execution modes are supported and interchangeable:
+// function. Two kinds are supported and interchangeable:
 //
 //   * BytecodePacketPolicy — untrusted policy-file programs, verified by
-//     the src/bpf VM and run either through the decode-per-instruction
-//     interpreter or (the default deployment tier) through the pre-decoded
-//     compiled form of src/bpf/compiler.h.
+//     the src/bpf VM and run as their attach-time compiled artifact
+//     (src/bpf/compiler.h), with machine code when the native tier
+//     published some.
 //   * native C++ implementations of PacketPolicy — trusted mirrors used in
 //     simulation hot loops; tests assert decision-for-decision equivalence
 //     with their bytecode twins.
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "src/bpf/compiler.h"
-#include "src/bpf/interpreter.h"
 #include "src/bpf/program.h"
 #include "src/common/decision.h"
 #include "src/common/status.h"
@@ -75,29 +74,22 @@ class PacketPolicy {
   virtual std::string_view name() const = 0;
 };
 
-// Runs a verified bytecode program as a packet policy. When a compiled
-// artifact is supplied (syrupd's attach-time cache), every decision runs
-// through the direct-threaded executor; otherwise the interpreter.
+// Runs a verified bytecode program as a packet policy: every decision runs
+// its compiled artifact (syrupd's attach-time cache), which must be
+// non-null.
 class BytecodePacketPolicy : public PacketPolicy {
  public:
-  BytecodePacketPolicy(
-      std::shared_ptr<const bpf::Program> program, bpf::ExecEnv env,
-      PolicyMetrics metrics = PolicyMetrics::Detached(),
-      std::shared_ptr<const bpf::CompiledProgram> compiled = nullptr)
-      : program_(std::move(program)),
-        compiled_(std::move(compiled)),
-        interp_(env),
+  BytecodePacketPolicy(std::shared_ptr<const bpf::CompiledProgram> compiled,
+                       bpf::ExecEnv env,
+                       PolicyMetrics metrics = PolicyMetrics::Detached())
+      : compiled_(std::move(compiled)),
         exec_(std::move(env)),
         metrics_(std::move(metrics)) {}
 
   Decision Schedule(const PacketView& pkt) override {
-    const auto arg1 = reinterpret_cast<uint64_t>(pkt.start);
-    const auto arg2 = reinterpret_cast<uint64_t>(pkt.end);
-    auto result = compiled_ != nullptr
-                      ? exec_.Run(*compiled_, arg1, arg2,
-                                  /*args_are_packet=*/true)
-                      : interp_.Run(*program_, arg1, arg2,
-                                    /*args_are_packet=*/true);
+    auto result = exec_.Run(*compiled_, reinterpret_cast<uint64_t>(pkt.start),
+                            reinterpret_cast<uint64_t>(pkt.end),
+                            /*args_are_packet=*/true);
     if (!result.ok()) {
       // A verified program should never fault at runtime; treat a fault as
       // PASS so a buggy policy degrades to the system default rather than
@@ -111,24 +103,22 @@ class BytecodePacketPolicy : public PacketPolicy {
     return static_cast<Decision>(result->r0);
   }
 
-  std::string_view name() const override { return program_->name; }
+  std::string_view name() const override { return compiled_->name; }
 
   // The tier decisions actually run on (native degrades to compiled when
   // the JIT fell back), not the tier that was requested.
   bpf::ExecMode exec_mode() const {
-    return bpf::EffectiveExecMode(compiled_.get());
+    return bpf::EffectiveExecMode(*compiled_);
   }
 
-  const bpf::Program& program() const { return *program_; }
-  const bpf::CompiledProgram* compiled() const { return compiled_.get(); }
   uint64_t invocations() const { return metrics_.invocations->value; }
   uint64_t insns_executed() const { return metrics_.insns->value; }
   uint64_t helper_calls() const { return metrics_.helper_calls->value; }
   uint64_t runtime_faults() const { return metrics_.runtime_faults->value; }
 
-  // Mean VM instructions per decision (Table 2's "Instructions" column).
-  // Compiled runs count pre-decoded instructions, which folding makes
-  // fewer than the interpreter's count for the same decisions.
+  // Mean compiled instructions per decision. Folding makes this fewer than
+  // the source instructions the same decisions execute (Table 2's
+  // Instructions column counts those with the interpreter oracle).
   double MeanInsnsPerDecision() const {
     const uint64_t n = invocations();
     return n == 0 ? 0.0
@@ -137,9 +127,7 @@ class BytecodePacketPolicy : public PacketPolicy {
   }
 
  private:
-  std::shared_ptr<const bpf::Program> program_;
   std::shared_ptr<const bpf::CompiledProgram> compiled_;
-  bpf::Interpreter interp_;
   bpf::CompiledExecutor exec_;
   PolicyMetrics metrics_;
 };
@@ -159,14 +147,12 @@ class BytecodePacketPolicy : public PacketPolicy {
 // query.
 class BytecodeGhostPolicy : public GhostPolicy {
  public:
-  BytecodeGhostPolicy(
-      std::shared_ptr<const bpf::Program> program, bpf::ExecEnv env,
-      PolicyMetrics metrics = PolicyMetrics::Detached(),
-      std::shared_ptr<const bpf::CompiledProgram> compiled = nullptr,
-      bool pure = false)
-      : program_(std::move(program)),
-        compiled_(std::move(compiled)),
-        interp_(env),
+  // `compiled` must be non-null, as for BytecodePacketPolicy.
+  BytecodeGhostPolicy(std::shared_ptr<const bpf::CompiledProgram> compiled,
+                      bpf::ExecEnv env,
+                      PolicyMetrics metrics = PolicyMetrics::Detached(),
+                      bool pure = false)
+      : compiled_(std::move(compiled)),
         exec_(std::move(env)),
         metrics_(std::move(metrics)),
         memoize_(pure) {}
@@ -195,7 +181,7 @@ class BytecodeGhostPolicy : public GhostPolicy {
 
   void BeginPass() override { ++pass_; }
 
-  std::string_view name() const { return program_->name; }
+  std::string_view name() const { return compiled_->name; }
 
   // Classifies one thread. Faults degrade to class 1 (the "urgent" default
   // for unclassified threads), mirroring the native policy's missing-map-
@@ -207,11 +193,7 @@ class BytecodeGhostPolicy : public GhostPolicy {
       return memo->klass;
     }
     const auto arg1 = static_cast<uint64_t>(static_cast<uint32_t>(tid));
-    auto result = compiled_ != nullptr
-                      ? exec_.Run(*compiled_, arg1, 0,
-                                  /*args_are_packet=*/false)
-                      : interp_.Run(*program_, arg1, 0,
-                                    /*args_are_packet=*/false);
+    auto result = exec_.Run(*compiled_, arg1, 0, /*args_are_packet=*/false);
     if (!result.ok()) {
       metrics_.runtime_faults->Inc();
       return 1;
@@ -227,7 +209,7 @@ class BytecodeGhostPolicy : public GhostPolicy {
 
   // Effective tier, same contract as BytecodePacketPolicy::exec_mode().
   bpf::ExecMode exec_mode() const {
-    return bpf::EffectiveExecMode(compiled_.get());
+    return bpf::EffectiveExecMode(*compiled_);
   }
 
  private:
@@ -249,9 +231,7 @@ class BytecodeGhostPolicy : public GhostPolicy {
     return &memo_[slot];
   }
 
-  std::shared_ptr<const bpf::Program> program_;
   std::shared_ptr<const bpf::CompiledProgram> compiled_;
-  bpf::Interpreter interp_;
   bpf::CompiledExecutor exec_;
   PolicyMetrics metrics_;
   bool memoize_ = false;

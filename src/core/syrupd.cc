@@ -165,29 +165,10 @@ bpf::ExecEnv Syrupd::MakeExecEnv() {
   bpf::ExecEnv env;
   env.random_u32 = [this]() { return static_cast<uint32_t>(rng_.Next()); };
   env.ktime_ns = [this]() { return sim_.Now(); };
-  env.resolve_program = [this](uint64_t prog_id) {
-    return ProgramById(prog_id);
-  };
-  // Compiled tail calls resolve against the attach-time cache; a target
-  // loaded before the daemon switched to a compiled mode (so never
-  // compiled) is compiled on first use, keeping tail-call chains on one
-  // tier.
+  // Tail calls resolve against the attach-time cache, which holds every
+  // deployed bytecode program.
   env.resolve_compiled = [this](uint64_t prog_id) {
-    const bpf::CompiledProgram* compiled = CompiledById(prog_id);
-    if (compiled != nullptr) {
-      return compiled;
-    }
-    auto it = programs_.find(prog_id);
-    if (it == programs_.end() || exec_mode_ == bpf::ExecMode::kInterpret) {
-      return static_cast<const bpf::CompiledProgram*>(nullptr);
-    }
-    auto entry = CompileForCurrentMode(*it->second, bpf::ProgramContext::kPacket);
-    if (!entry.ok()) {
-      return static_cast<const bpf::CompiledProgram*>(nullptr);
-    }
-    compiled_[prog_id] = std::move(entry).value();
-    return static_cast<const bpf::CompiledProgram*>(
-        compiled_[prog_id].get());
+    return CompiledById(prog_id);
   };
   return env;
 }
@@ -216,11 +197,11 @@ Syrupd::CompileForCurrentMode(const bpf::Program& program,
 
 void Syrupd::EmitExecTierMetrics(const std::string& app_name,
                                  std::string_view hook_name,
-                                 const bpf::CompiledProgram* compiled) {
+                                 const bpf::CompiledProgram& compiled) {
   metrics_.GetGauge(app_name, hook_name, "policy.exec_mode")
       ->Set(static_cast<int64_t>(bpf::EffectiveExecMode(compiled)));
-  if (compiled != nullptr && compiled->native != nullptr) {
-    const bpf::JitStats& jit = compiled->native->stats();
+  if (compiled.native != nullptr) {
+    const bpf::JitStats& jit = compiled.native->stats();
     metrics_.GetGauge(app_name, hook_name, "policy.jit_ns")
         ->Set(static_cast<int64_t>(jit.jit_ns));
     metrics_.GetGauge(app_name, hook_name, "policy.jit_code_bytes")
@@ -244,14 +225,14 @@ void Syrupd::EmitVerifierMetrics(const std::string& app_name,
 Status Syrupd::EnforceCostBudget(const std::string& app_name, Hook hook,
                                  const bpf::Program& prog,
                                  const bpf::AnalysisFacts& facts,
-                                 const bpf::CompiledProgram* compiled) {
+                                 const bpf::CompiledProgram& compiled) {
   const std::string_view hook_name = HookName(hook);
   const bpf::ExecMode tier = bpf::EffectiveExecMode(compiled);
   const bpf::CostFacts& cost = facts.cost;
   const double wcet_ns =
       cost.bounded ? cost.wcet_ns[static_cast<size_t>(tier)] : 0.0;
-  // -1 on the gauges means "no bound": the cost pass was disabled or gave
-  // up (exploration budget), so no wcet exists to report.
+  // -1 on the gauges means "no bound": the cost pass gave up (exploration
+  // budget), so no wcet exists to report.
   metrics_.GetGauge(app_name, hook_name, "policy.wcet_ns")
       ->Set(cost.bounded ? std::llround(wcet_ns) : -1);
   metrics_.GetGauge(app_name, hook_name, "policy.wcet_insns")
@@ -375,37 +356,29 @@ StatusOr<int> Syrupd::DeployPolicyFile(AppId app,
                                     {}, &vstats, &vfacts));
 
   // Compile once at attach time; every dispatch then runs the pre-decoded
-  // form. Interpret mode (ablation) skips this and keeps the artifact out
-  // of the tail-call cache.
+  // form.
   const std::string& app_name = apps_.at(app).name;
   EmitVerifierMetrics(app_name, HookName(hook), vstats);
-  std::shared_ptr<const bpf::CompiledProgram> compiled;
-  if (exec_mode_ != bpf::ExecMode::kInterpret) {
-    const uint64_t t0 = WallNowNs();
-    SYRUP_ASSIGN_OR_RETURN(
-        compiled,
-        CompileForCurrentMode(*program, bpf::ProgramContext::kPacket,
-                              &vfacts));
-    metrics_.GetGauge(app_name, HookName(hook), "policy.compile_ns")
-        ->Set(static_cast<int64_t>(WallNowNs() - t0));
-  }
-  EmitExecTierMetrics(app_name, HookName(hook), compiled.get());
+  const uint64_t t0 = WallNowNs();
+  SYRUP_ASSIGN_OR_RETURN(
+      std::shared_ptr<const bpf::CompiledProgram> compiled,
+      CompileForCurrentMode(*program, bpf::ProgramContext::kPacket, &vfacts));
+  metrics_.GetGauge(app_name, HookName(hook), "policy.compile_ns")
+      ->Set(static_cast<int64_t>(WallNowNs() - t0));
+  EmitExecTierMetrics(app_name, HookName(hook), *compiled);
   // The budget gate: a program whose verifier-proven worst-case path is
   // too slow for this hook never reaches it (unless overridden).
   SYRUP_RETURN_IF_ERROR(
-      EnforceCostBudget(app_name, hook, *program, vfacts, compiled.get()));
+      EnforceCostBudget(app_name, hook, *program, vfacts, *compiled));
 
   const uint64_t prog_id = next_prog_id_++;
   programs_[prog_id] = program;
-  if (compiled != nullptr) {
-    compiled_[prog_id] = compiled;
-  }
+  compiled_[prog_id] = compiled;
   facts_[prog_id] = vfacts;
 
   auto policy = std::make_shared<BytecodePacketPolicy>(
-      program, MakeExecEnv(),
-      PolicyMetrics::InRegistry(metrics_, app_name, HookName(hook)),
-      compiled);
+      compiled, MakeExecEnv(),
+      PolicyMetrics::InRegistry(metrics_, app_name, HookName(hook)));
   SYRUP_RETURN_IF_ERROR(AttachPolicy(app, std::move(policy), hook,
                                      static_cast<int>(prog_id)));
   return static_cast<int>(prog_id);
@@ -532,32 +505,24 @@ StatusOr<int> Syrupd::DeployThreadPolicyFile(AppId app,
   const std::string& app_name = apps_.at(app).name;
   const std::string_view hook_name = HookName(Hook::kThreadScheduler);
   EmitVerifierMetrics(app_name, hook_name, vstats);
-  std::shared_ptr<const bpf::CompiledProgram> compiled;
-  if (exec_mode_ != bpf::ExecMode::kInterpret) {
-    const uint64_t t0 = WallNowNs();
-    SYRUP_ASSIGN_OR_RETURN(
-        compiled,
-        CompileForCurrentMode(*program, bpf::ProgramContext::kThread,
-                              &vfacts));
-    metrics_.GetGauge(app_name, hook_name, "policy.compile_ns")
-        ->Set(static_cast<int64_t>(WallNowNs() - t0));
-  }
-  EmitExecTierMetrics(app_name, hook_name, compiled.get());
+  const uint64_t t0 = WallNowNs();
+  SYRUP_ASSIGN_OR_RETURN(
+      std::shared_ptr<const bpf::CompiledProgram> compiled,
+      CompileForCurrentMode(*program, bpf::ProgramContext::kThread, &vfacts));
+  metrics_.GetGauge(app_name, hook_name, "policy.compile_ns")
+      ->Set(static_cast<int64_t>(WallNowNs() - t0));
+  EmitExecTierMetrics(app_name, hook_name, *compiled);
   SYRUP_RETURN_IF_ERROR(EnforceCostBudget(app_name, Hook::kThreadScheduler,
-                                          *program, vfacts,
-                                          compiled.get()));
+                                          *program, vfacts, *compiled));
 
   const uint64_t prog_id = next_prog_id_++;
   programs_[prog_id] = program;
-  if (compiled != nullptr) {
-    compiled_[prog_id] = compiled;
-  }
+  compiled_[prog_id] = compiled;
   facts_[prog_id] = vfacts;
 
   auto policy = std::make_shared<BytecodeGhostPolicy>(
-      program, MakeExecEnv(),
-      PolicyMetrics::InRegistry(metrics_, app_name, hook_name), compiled,
-      vfacts.pure);
+      compiled, MakeExecEnv(),
+      PolicyMetrics::InRegistry(metrics_, app_name, hook_name), vfacts.pure);
   SYRUP_RETURN_IF_ERROR(
       DeployThreadPolicy(app, policy.get(), machine, config));
   owned_thread_policy_ = std::move(policy);

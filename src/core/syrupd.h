@@ -170,8 +170,9 @@ class Syrupd {
   // --- Execution tier ------------------------------------------------------
 
   // How subsequent bytecode deployments execute (already-attached policies
-  // keep their tier). Default kCompiled: verified programs are translated
-  // to the pre-decoded form once at attach time.
+  // keep their tier). Every deployment translates its verified program to
+  // the pre-decoded form once at attach time; kNative (default kCompiled)
+  // also lowers that form to machine code where the JIT can.
   void set_exec_mode(bpf::ExecMode mode) { exec_mode_ = mode; }
   bpf::ExecMode exec_mode() const { return exec_mode_; }
 
@@ -256,12 +257,12 @@ class Syrupd {
   // drive it directly.
   std::shared_ptr<PacketPolicy> PolicyAt(Hook hook, uint16_t port) const;
 
-  // Looks up a loaded bytecode program by id (used for tail-call
-  // resolution and by Table 2 instrumentation).
+  // Looks up a deployed bytecode program's source form by id (Table 2
+  // counts its instructions with the interpreter oracle).
   const bpf::Program* ProgramById(uint64_t prog_id) const;
 
-  // The attach-time compiled artifact for a program id (nullptr when the
-  // program was deployed in interpret mode or the id is unknown).
+  // The attach-time compiled artifact for a program id: non-null for every
+  // deployed bytecode program, nullptr for an unknown id.
   const bpf::CompiledProgram* CompiledById(uint64_t prog_id) const;
 
   // Enumerates every attached packet policy (hook, port, owner, name).
@@ -321,11 +322,11 @@ class Syrupd {
   Status AttachPolicy(AppId app, std::shared_ptr<PacketPolicy> policy,
                       Hook hook, int prog_id);
   // Translates a just-verified program per the active exec mode. `facts`
-  // (when the caller kept them from its Verify call) lets the compiler drop
+  // (from the caller's Verify call) lets the compiler drop
   // verifier-proven-dead code and decided branches.
   StatusOr<std::shared_ptr<const bpf::CompiledProgram>> CompileForCurrentMode(
       const bpf::Program& program, bpf::ProgramContext context,
-      const bpf::AnalysisFacts* facts = nullptr);
+      const bpf::AnalysisFacts* facts);
   // Publishes the verifier's exploration cost for a deployed program as
   // verifier.* gauges alongside the policy.* deployment gauges.
   void EmitVerifierMetrics(const std::string& app_name,
@@ -336,7 +337,7 @@ class Syrupd {
   // was published, the policy.jit_ns / policy.jit_code_bytes gauges.
   void EmitExecTierMetrics(const std::string& app_name,
                            std::string_view hook_name,
-                           const bpf::CompiledProgram* compiled);
+                           const bpf::CompiledProgram& compiled);
   // Budget gate for a just-verified deployment: publishes policy.wcet_ns /
   // policy.wcet_insns / policy.over_budget / policy.budget_warn and
   // rejects (or admits with a warning, per CostBudgetConfig) when the
@@ -346,7 +347,7 @@ class Syrupd {
   Status EnforceCostBudget(const std::string& app_name, Hook hook,
                            const bpf::Program& prog,
                            const bpf::AnalysisFacts& facts,
-                           const bpf::CompiledProgram* compiled);
+                           const bpf::CompiledProgram& compiled);
   Status InstallStackHook(Hook hook);
   void MaybeUninstallStackHook(Hook hook);
   // Batch-of-1 wrapper around DispatchBatch (the single-packet hooks).
@@ -390,9 +391,8 @@ class Syrupd {
   HookCells hook_cells_[kNumHooks];
 
   std::map<uint64_t, std::shared_ptr<const bpf::Program>> programs_;
-  // Per-prog-id compiled cache: filled at attach time, consulted by every
-  // hook and by compiled tail calls (ExecEnv::resolve_compiled). Tail-call
-  // targets deployed before the mode switched get compiled on first use.
+  // Per-prog-id compiled cache: filled at attach time for every bytecode
+  // deployment, consulted by tail calls (ExecEnv::resolve_compiled).
   std::map<uint64_t, std::shared_ptr<const bpf::CompiledProgram>> compiled_;
   uint64_t next_prog_id_ = 1;
   bpf::ExecMode exec_mode_ = bpf::ExecMode::kCompiled;

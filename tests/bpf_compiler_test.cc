@@ -2,8 +2,9 @@
 //
 // The contract under test: for any verifier-accepted program, the compiled
 // executor (bytecode loop and native machine code) produces exactly the
-// interpreter's r0, map side effects, and helper/tail-call counts — only
-// insns_executed may differ (folding shrinks it). Unit tests pin the
+// interpreter oracle's (tests/oracles/interpreter.h) r0, map side effects,
+// and helper/tail-call counts — only insns_executed may differ (folding
+// shrinks it). Unit tests pin the
 // individual optimizations; the differential fuzz and the builtin-policy
 // sweep enforce the equivalence wholesale; the experiment test extends it
 // to end-to-end simulation results.
@@ -18,7 +19,6 @@
 #include "src/apps/experiments.h"
 #include "src/bpf/assembler.h"
 #include "src/bpf/compiler.h"
-#include "src/bpf/interpreter.h"
 #include "src/bpf/jit.h"
 #include "src/bpf/verifier.h"
 #include "src/common/rng.h"
@@ -26,6 +26,7 @@
 #include "src/map/prog_array.h"
 #include "src/net/packet.h"
 #include "src/policies/builtin.h"
+#include "tests/oracles/interpreter.h"
 
 namespace syrup {
 namespace {
@@ -107,32 +108,31 @@ bool HasOp(const CompiledProgram& prog, COp op) {
 // --- unit: translation shape --------------------------------------------------
 
 TEST(Compiler, ExecModeNames) {
-  EXPECT_EQ(bpf::ExecModeName(ExecMode::kInterpret), "interpret");
   EXPECT_EQ(bpf::ExecModeName(ExecMode::kCompiled), "compiled");
   EXPECT_EQ(bpf::ExecModeName(ExecMode::kNative), "native");
-  for (ExecMode mode :
-       {ExecMode::kInterpret, ExecMode::kCompiled, ExecMode::kNative}) {
+  for (ExecMode mode : {ExecMode::kCompiled, ExecMode::kNative}) {
     EXPECT_EQ(bpf::ExecModeFromName(bpf::ExecModeName(mode)), mode);
   }
   EXPECT_EQ(bpf::ExecModeFromName("warp-speed"), std::nullopt);
-  // The retired re-checking compiled tier is gone, not aliased.
+  // The retired tiers (the re-checking compiled tier and the interpreter,
+  // now a test oracle) are gone, not aliased.
   EXPECT_EQ(bpf::ExecModeFromName("compiled-paranoid"), std::nullopt);
+  EXPECT_EQ(bpf::ExecModeFromName("interpret"), std::nullopt);
 }
 
 TEST(Compiler, EffectiveExecModeReportsActualTier) {
-  EXPECT_EQ(bpf::EffectiveExecMode(nullptr), ExecMode::kInterpret);
   Loaded l = Load("mov r0, 1\nexit\n");
   CompiledProgram plain = CompileOrDie(l.prog, ProgramContext::kThread);
-  EXPECT_EQ(bpf::EffectiveExecMode(&plain), ExecMode::kCompiled);
+  EXPECT_EQ(bpf::EffectiveExecMode(plain), ExecMode::kCompiled);
   auto native = bpf::JitCompile(plain);
   if (bpf::JitAvailable()) {
     ASSERT_TRUE(native.ok()) << native.status();
     plain.native = std::move(native).value();
-    EXPECT_EQ(bpf::EffectiveExecMode(&plain), ExecMode::kNative);
+    EXPECT_EQ(bpf::EffectiveExecMode(plain), ExecMode::kNative);
   } else {
     // Requested native, nothing published: still the compiled tier.
     EXPECT_FALSE(native.ok());
-    EXPECT_EQ(bpf::EffectiveExecMode(&plain), ExecMode::kCompiled);
+    EXPECT_EQ(bpf::EffectiveExecMode(plain), ExecMode::kCompiled);
   }
 }
 
@@ -469,6 +469,10 @@ void Prepopulate(Map& m) {
   }
 }
 
+// The engines a differential run compares: the interpreter oracle and the
+// two deployment tiers.
+enum class Engine { kOracle, kCompiled, kNative };
+
 struct ModeRun {
   std::vector<uint64_t> decisions;
   uint64_t helper_calls = 0;
@@ -480,7 +484,7 @@ struct ModeRun {
   bool native_engaged = false;
 };
 
-ModeRun RunVariant(const std::string& source, ExecMode mode, uint64_t seed,
+ModeRun RunVariant(const std::string& source, Engine engine, uint64_t seed,
                    int iters) {
   Loaded l = Load(source);
   for (auto& m : l.prog.maps) Prepopulate(*m);
@@ -497,9 +501,9 @@ ModeRun RunVariant(const std::string& source, ExecMode mode, uint64_t seed,
   CompiledExecutor exec(env);
   CompiledProgram compiled;
   bool native_engaged = false;
-  if (mode != ExecMode::kInterpret) {
+  if (engine != Engine::kOracle) {
     compiled = CompileOrDie(l.prog, l.context);
-    if (mode == ExecMode::kNative) {
+    if (engine == Engine::kNative) {
       // JIT failure (disabled, unsupported host/program) is the documented
       // transparent fallback to the compiled tier, same as syrupd's deploy.
       auto native = bpf::JitCompile(compiled);
@@ -528,7 +532,7 @@ ModeRun RunVariant(const std::string& source, ExecMode mode, uint64_t seed,
       arg1 = input_rng.NextBounded(12);  // tid: mixes map hits and misses
     }
     const bool is_packet = l.context == ProgramContext::kPacket;
-    auto result = mode == ExecMode::kInterpret
+    auto result = engine == Engine::kOracle
                       ? interp.Run(l.prog, arg1, arg2, is_packet)
                       : exec.Run(compiled, arg1, arg2, is_packet);
     EXPECT_TRUE(result.ok()) << result.status();
@@ -566,9 +570,9 @@ TEST_P(BuiltinDifferentialTest, AllModesAgreeOnDecisionsAndSideEffects) {
   };
   constexpr int kIters = 200;
   for (const BuiltinCase& c : cases) {
-    ModeRun interp = RunVariant(c.source, ExecMode::kInterpret, seed, kIters);
-    ModeRun compiled = RunVariant(c.source, ExecMode::kCompiled, seed, kIters);
-    ModeRun native = RunVariant(c.source, ExecMode::kNative, seed, kIters);
+    ModeRun interp = RunVariant(c.source, Engine::kOracle, seed, kIters);
+    ModeRun compiled = RunVariant(c.source, Engine::kCompiled, seed, kIters);
+    ModeRun native = RunVariant(c.source, Engine::kNative, seed, kIters);
     EXPECT_EQ(interp.decisions, compiled.decisions) << c.label;
     EXPECT_EQ(interp.decisions, native.decisions) << c.label;
     EXPECT_EQ(interp.helper_calls, compiled.helper_calls) << c.label;
@@ -746,7 +750,7 @@ TEST(Jit, DisableEnvForcesCompiledFallback) {
   auto disabled = bpf::JitCompile(c);
   unsetenv("SYRUP_JIT_DISABLE");
   EXPECT_FALSE(disabled.ok());
-  EXPECT_EQ(bpf::EffectiveExecMode(&c), ExecMode::kCompiled);
+  EXPECT_EQ(bpf::EffectiveExecMode(c), ExecMode::kCompiled);
   const uint64_t compiled_r0 = RunCompiledScalar(c, 0x1234);
   auto native = bpf::JitCompile(c);
   if (native.ok()) {
@@ -770,22 +774,15 @@ TEST(Compiler, ExperimentResultsIdenticalAcrossExecModes) {
   config.measure = 200 * kMillisecond;
   config.seed = 7;
 
-  config.exec_mode = ExecMode::kInterpret;
-  const RocksDbResult interp = RunRocksDbExperiment(config);
   config.exec_mode = ExecMode::kCompiled;
   const RocksDbResult compiled = RunRocksDbExperiment(config);
   config.exec_mode = ExecMode::kNative;
   const RocksDbResult native = RunRocksDbExperiment(config);
 
-  EXPECT_GT(interp.throughput_rps, 0.0);
+  EXPECT_GT(compiled.throughput_rps, 0.0);
   // Same seed, same decisions, same event sequence: results must match to
-  // the bit, not just statistically.
-  EXPECT_EQ(interp.throughput_rps, compiled.throughput_rps);
-  EXPECT_EQ(interp.p50_us, compiled.p50_us);
-  EXPECT_EQ(interp.p99_us, compiled.p99_us);
-  EXPECT_EQ(interp.drop_fraction, compiled.drop_fraction);
-  // Native either JITs (x86-64) or transparently falls back to compiled —
-  // the simulation outcome must be bit-identical either way.
+  // the bit, not just statistically. Native either JITs (x86-64) or
+  // transparently falls back to compiled — bit-identical either way.
   EXPECT_EQ(compiled.throughput_rps, native.throughput_rps);
   EXPECT_EQ(compiled.p50_us, native.p50_us);
   EXPECT_EQ(compiled.p99_us, native.p99_us);

@@ -1,3 +1,5 @@
+// Tests for the interpreter oracle (tests/oracles/interpreter.h): VM
+// semantics, and every runtime check it keeps on unverified programs.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -6,10 +8,10 @@
 #include <utility>
 
 #include "src/bpf/assembler.h"
-#include "src/bpf/interpreter.h"
 #include "src/bpf/verifier.h"
 #include "src/map/map.h"
 #include "src/map/prog_array.h"
+#include "tests/oracles/interpreter.h"
 
 namespace syrup::bpf {
 namespace {
@@ -186,9 +188,9 @@ TEST(Interpreter, RuntimeStackBoundsEnforced) {
 }
 
 TEST(Interpreter, EveryRuntimeCheckRejectsUnverifiedAccess) {
-  // The interpreter is the only tier that re-checks at runtime, so each of
-  // its checks gets an unverified program that trips it. Each run must
-  // return a Status, never crash (the ASan job also watches these).
+  // The interpreter oracle is the only engine that re-checks at runtime, so
+  // each of its checks gets an unverified program that trips it. Each run
+  // must return a Status, never crash (the ASan job also watches these).
   //
   // Most cases first point r1 at array `m` and r2 at a stack key 0.
   const auto map_and_key = [](int value_size) {
@@ -269,11 +271,10 @@ TEST(Interpreter, EveryRuntimeCheckRejectsUnverifiedAccess) {
   std::array<uint8_t, 64> packet{};
   for (const auto& [label, source] : cases) {
     const Program prog = Load(source);
-    // A resolver is bound, as syrupd's environment binds one, so tail_call
-    // really reaches its prog-array argument.
-    ExecEnv env = TestEnv();
-    env.resolve_program = [](uint64_t) -> const Program* { return nullptr; };
-    Interpreter interp(env);
+    // A resolver is bound, as the differential tests bind one, so
+    // tail_call really reaches its prog-array argument.
+    Interpreter interp(TestEnv(),
+                       [](uint64_t) -> const Program* { return nullptr; });
     auto result =
         interp.Run(prog, reinterpret_cast<uint64_t>(packet.data()),
                    reinterpret_cast<uint64_t>(packet.data() + packet.size()),
@@ -417,11 +418,9 @@ TEST(Interpreter, TailCallTransfersExecution) {
   )");
   auto* prog_array = static_cast<ProgArrayMap*>(root.maps[0].get());
 
-  ExecEnv env = TestEnv();
-  env.resolve_program = [&](uint64_t id) -> const Program* {
+  Interpreter interp(TestEnv(), [&](uint64_t id) -> const Program* {
     return id == 500 ? target.get() : nullptr;
-  };
-  Interpreter interp(env);
+  });
 
   // Empty slot: falls through.
   auto miss = interp.Run(root, 0, 0, false);
@@ -454,9 +453,7 @@ TEST(Interpreter, TailCallChainBounded) {
   uint32_t key = 0;
   uint64_t prog_id = 1;
   ASSERT_TRUE(prog_array->Update(&key, &prog_id, UpdateFlag::kAny).ok());
-  ExecEnv env = TestEnv();
-  env.resolve_program = [&](uint64_t) { return &self; };
-  Interpreter interp(env);
+  Interpreter interp(TestEnv(), [&](uint64_t) { return &self; });
   auto result = interp.Run(self, 0, 0, false);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);

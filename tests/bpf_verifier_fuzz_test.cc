@@ -1,13 +1,13 @@
 // Verifier soundness fuzz: the dual of the compiler-equivalence fuzz.
 //
 // The property under test is the verifier's actual safety contract: every
-// program it ACCEPTS must execute in the interpreter without faults — no
-// out-of-bounds access, no uninitialized read, no budget blowout — for
-// arbitrary runtime inputs (randomized packet bytes AND packet sizes,
-// randomized thread scalars). A verifier bug that under-approximates a
-// range or mis-narrows a branch surfaces here as an interpreter fault (or,
-// under the CI ASan/UBSan job, as a sanitizer report on the raw packet
-// buffer).
+// program it ACCEPTS must execute in the interpreter oracle
+// (tests/oracles/interpreter.h) without faults — no out-of-bounds access,
+// no uninitialized read, no budget blowout — for arbitrary runtime inputs
+// (randomized packet bytes AND packet sizes, randomized thread scalars). A
+// verifier bug that under-approximates a range or mis-narrows a branch
+// surfaces here as an oracle fault (or, under the CI ASan/UBSan job, as a
+// sanitizer report on the raw packet buffer).
 //
 // Two generators:
 //  * raw random instruction soup (same shape as the compiler fuzz) — broad
@@ -16,12 +16,12 @@
 //    access offset, and access width all drawn at random, so the accepted
 //    set straddles exactly the boundary the range analysis must get right.
 //
-// Every accepted program runs through all three execution tiers (interpret,
-// compiled, native) with identical inputs and helper streams: none may
-// fault, and all must agree on r0. The compiled tiers run
-// with assume_verified (checks elided), so an unsound acceptance surfaces
-// as a raw bad access under the sanitizer jobs rather than a Status — which
-// is precisely the production blast radius being tested.
+// Every accepted program runs through the oracle and both deployment tiers
+// (compiled, native) with identical inputs and helper streams: none may
+// fault, and all must agree on r0. The deployment tiers run with
+// assume_verified (checks elided), so an unsound acceptance surfaces as a
+// raw bad access under the sanitizer jobs rather than a Status — which is
+// precisely the production blast radius being tested.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,12 +29,12 @@
 #include <vector>
 
 #include "src/bpf/compiler.h"
-#include "src/bpf/interpreter.h"
 #include "src/bpf/jit.h"
 #include "src/bpf/program.h"
 #include "src/bpf/verifier.h"
 #include "src/common/rng.h"
 #include "src/map/map.h"
+#include "tests/oracles/interpreter.h"
 
 namespace syrup::bpf {
 namespace {
@@ -70,8 +70,8 @@ Tiers CompileTiers(const Program& prog, ProgramContext context) {
 
 // Cost soundness: the verifier's wcet_insns is a WORST-case bound, so no
 // concrete execution may ever retire more instructions than it predicts.
-// Checked on the interpreter (counts source insns, the unit the bound is
-// stated in) and the compiled tier (executes at most the source path).
+// Checked on the oracle (counts source insns, the unit the bound is stated
+// in) and the compiled tier (executes at most the source path).
 void AssertWithinWcet(const AnalysisFacts* facts, const ExecResult& result,
                       const char* tier) {
   if (facts == nullptr || !facts->cost.bounded) {
@@ -83,8 +83,8 @@ void AssertWithinWcet(const AnalysisFacts* facts, const ExecResult& result,
 }
 
 // Executes an accepted program against `runs` random packets with random
-// sizes (including sizes smaller than any guard) and asserts that no
-// execution tier faults and that all three agree on r0.
+// sizes (including sizes smaller than any guard) and asserts that neither
+// the oracle nor a tier faults and that all three agree on r0.
 void AssertSoundOnPackets(const Program& prog, Rng& rng, int runs,
                           const AnalysisFacts* facts = nullptr) {
   const Tiers tiers = CompileTiers(prog, ProgramContext::kPacket);

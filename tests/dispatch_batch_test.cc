@@ -181,10 +181,11 @@ TEST(DispatchBatch, MapReadingPolicyWithChurnMatchesSingle) {
 TEST(DispatchBatch, RoutesLikeTheRootDispatcherProgram) {
   // Four apps on distinct ports, each running a pure bytecode policy. The
   // oracle is the paper's root program: a port-map lookup, then a tail
-  // call into the owner's policy, run by the interpreter with the
-  // daemon's own execution environment. Bursts mix owned ports, unowned
-  // ports and runts (too short to carry a port), so every routing branch
-  // meets every other at a burst boundary and inside one.
+  // call into the owner's policy, run by the interpreter oracle with the
+  // daemon's own execution environment and deployed programs. Bursts mix
+  // owned ports, unowned ports and runts (too short to carry a port), so
+  // every routing branch meets every other at a burst boundary and inside
+  // one.
   Simulator sim;
   HostStack stack(sim, StackConfig{});
   Syrupd syrupd(sim, &stack);
@@ -211,7 +212,9 @@ TEST(DispatchBatch, RoutesLikeTheRootDispatcherProgram) {
     ASSERT_TRUE(route.ok()) << route.status();
     routes.push_back(std::move(route).value());
   }
-  bpf::Interpreter oracle(syrupd.MakeExecEnv());
+  bpf::Interpreter oracle(syrupd.MakeExecEnv(), [&](uint64_t prog_id) {
+    return syrupd.ProgramById(prog_id);
+  });
 
   Rng rng(21);
   const uint16_t ports[] = {9000, 9001, 9002, 9003, 9004, 80};

@@ -305,8 +305,7 @@ TEST(GhostDifferential, BytecodeGetPriorityMatchesNativeOnEveryTier) {
   EXPECT_GT(native.scan_throughput_rps, 0.0);
   config.use_bytecode = true;
   for (bpf::ExecMode mode :
-       {bpf::ExecMode::kInterpret, bpf::ExecMode::kCompiled,
-        bpf::ExecMode::kNative}) {
+       {bpf::ExecMode::kCompiled, bpf::ExecMode::kNative}) {
     config.exec_mode = mode;
     SCOPED_TRACE(bpf::ExecModeName(mode));
     ExpectSameRocksDb(RunRocksDbExperiment(config), native);

@@ -24,7 +24,6 @@
 #include <utility>
 
 #include "src/bpf/assembler.h"
-#include "src/bpf/interpreter.h"
 #include "src/bpf/program.h"
 #include "src/bpf/verifier.h"
 #include "src/common/decision.h"
@@ -32,6 +31,7 @@
 #include "src/common/status.h"
 #include "src/map/prog_array.h"
 #include "src/net/packet.h"
+#include "tests/oracles/interpreter.h"
 
 namespace syrup {
 

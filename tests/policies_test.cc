@@ -1,6 +1,7 @@
 // Policy behaviour tests plus native-vs-bytecode equivalence: for every
-// shipped policy, the bytecode twin (deployed through verifier+interpreter)
-// must make the same decision as the native C++ mirror on identical inputs.
+// shipped policy, the bytecode twin (verified, then run as its compiled
+// artifact, like a syrupd deployment) must make the same decision as the
+// native C++ mirror on identical inputs.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -26,12 +27,21 @@ Packet MakePacket(ReqType type, uint16_t src_port = 20'000,
   return pkt;
 }
 
-// Loads a bytecode policy, resolving declared maps. Returns the policy and
-// exposes its maps for test setup.
+// Loads a bytecode policy, resolving declared maps, and compiles it as
+// syrupd's attach step does. Returns the policy and exposes its maps for
+// test setup.
 struct LoadedPolicy {
   std::unique_ptr<BytecodePacketPolicy> policy;
   std::vector<std::shared_ptr<Map>> maps;
 };
+
+std::shared_ptr<const bpf::CompiledProgram> CompileShared(
+    const bpf::Program& program) {
+  auto compiled = bpf::Compile(program, bpf::ProgramContext::kPacket);
+  EXPECT_TRUE(compiled.ok()) << compiled.status();
+  return std::make_shared<const bpf::CompiledProgram>(
+      std::move(compiled).value());
+}
 
 LoadedPolicy LoadBytecode(const std::string& source, bpf::ExecEnv env = {}) {
   auto assembled = bpf::Assemble(source);
@@ -47,7 +57,8 @@ LoadedPolicy LoadBytecode(const std::string& source, bpf::ExecEnv env = {}) {
   }
   EXPECT_TRUE(bpf::Verify(*program, bpf::ProgramContext::kPacket).ok())
       << source;
-  out.policy = std::make_unique<BytecodePacketPolicy>(program, std::move(env));
+  out.policy = std::make_unique<BytecodePacketPolicy>(
+      CompileShared(*program), std::move(env));
   return out;
 }
 
@@ -339,7 +350,8 @@ LoadedPolicy LoadBytecodeExtern(const std::string& source,
   }
   EXPECT_TRUE(bpf::Verify(*program, bpf::ProgramContext::kPacket).ok())
       << source;
-  out.policy = std::make_unique<BytecodePacketPolicy>(program, std::move(env));
+  out.policy = std::make_unique<BytecodePacketPolicy>(
+      CompileShared(*program), std::move(env));
   return out;
 }
 
@@ -481,18 +493,30 @@ TEST(BytecodePolicy, TracksInstructionCounts) {
 
 
 TEST(BytecodePolicy, RuntimeFaultDegradesToPass) {
-  // An unverified program with an out-of-bounds read (only reachable when
-  // someone bypasses syrupd): the policy wrapper catches the runtime fault
-  // and fails open to PASS rather than taking down the datapath.
-  auto program = std::make_shared<bpf::Program>();
-  program->name = "bad";
-  auto assembled = bpf::Assemble("ldxdw r0, [r1+100]\nexit\n");
-  program->insns = assembled->insns;
-  BytecodePacketPolicy policy(program, bpf::ExecEnv{});
+  // The verifier proves bounds but not the 8-byte alignment of an atomic
+  // add, so this program deploys and then faults at run time: the policy
+  // wrapper catches the fault and fails open to PASS rather than taking
+  // down the datapath.
+  LoadedPolicy bytecode = LoadBytecode(R"(
+    .map m array 4 16 1
+    mov r6, 0
+    stxw [r10-4], r6
+    ldmapfd r1, m
+    mov r2, r10
+    add r2, -4
+    call map_lookup_elem
+    jeq r0, 0, out
+    mov r1, 1
+    xadddw [r0+1], r1
+  out:
+    mov r0, 0
+    exit
+  )");
   Packet pkt = MakePacket(ReqType::kGet);
-  EXPECT_EQ(policy.Schedule(PacketView::Of(pkt)), kPass);
-  EXPECT_EQ(policy.runtime_faults(), 1u);
-  EXPECT_EQ(policy.invocations(), 0u);  // faults don't count as decisions
+  EXPECT_EQ(bytecode.policy->Schedule(PacketView::Of(pkt)), kPass);
+  EXPECT_EQ(bytecode.policy->runtime_faults(), 1u);
+  // Faults don't count as decisions.
+  EXPECT_EQ(bytecode.policy->invocations(), 0u);
 }
 
 }  // namespace

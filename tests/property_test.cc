@@ -1,13 +1,12 @@
 // Property-based tests: parameterized sweeps asserting invariants that must
 // hold across the whole configuration space, plus a randomized fuzz of the
-// verifier/interpreter pair (the untrusted-code boundary).
+// verifier against the interpreter oracle (the untrusted-code boundary).
 #include <gtest/gtest.h>
 
 #include <map>
 #include <numeric>
 
 #include "src/bpf/assembler.h"
-#include "src/bpf/interpreter.h"
 #include "src/bpf/verifier.h"
 #include "src/common/histogram.h"
 #include "src/common/rng.h"
@@ -17,6 +16,7 @@
 #include "src/sched/machine.h"
 #include "src/sched/pinned_scheduler.h"
 #include "src/sim/simulator.h"
+#include "tests/oracles/interpreter.h"
 
 namespace syrup {
 namespace {

@@ -158,7 +158,10 @@ TEST(LeastLoaded, NativeMatchesBytecode) {
   ASSERT_TRUE(assembled->map_slots[0].is_extern);
   program->maps.push_back(registers);
   ASSERT_TRUE(bpf::Verify(*program, bpf::ProgramContext::kPacket).ok());
-  BytecodePacketPolicy bytecode(program, bpf::ExecEnv{});
+  BytecodePacketPolicy bytecode(
+      std::make_shared<const bpf::CompiledProgram>(
+          bpf::Compile(*program, bpf::ProgramContext::kPacket).value()),
+      bpf::ExecEnv{});
   LeastLoadedPolicy native(4, registers);
 
   Rng rng(33);
@@ -285,7 +288,10 @@ TEST(PowerOfTwo, NativeMatchesBytecode) {
   env.random_u32 = [bytecode_rng]() {
     return static_cast<uint32_t>(bytecode_rng->Next());
   };
-  BytecodePacketPolicy bytecode(program, env);
+  BytecodePacketPolicy bytecode(
+      std::make_shared<const bpf::CompiledProgram>(
+          bpf::Compile(*program, bpf::ProgramContext::kPacket).value()),
+      env);
   auto native_rng = std::make_shared<Rng>(77);
   PowerOfTwoPolicy native(8, registers, [native_rng]() {
     return static_cast<uint32_t>(native_rng->Next());

@@ -194,8 +194,10 @@ TEST(IoScheduler, BytecodePolicyDeploysOnStorageHook) {
   program->name = assembled.name;
   program->insns = assembled.insns;
   ASSERT_TRUE(bpf::Verify(*program, bpf::ProgramContext::kPacket).ok());
-  scheduler.SetPolicy(
-      std::make_shared<BytecodePacketPolicy>(program, bpf::ExecEnv{}));
+  scheduler.SetPolicy(std::make_shared<BytecodePacketPolicy>(
+      std::make_shared<const bpf::CompiledProgram>(
+          bpf::Compile(*program, bpf::ProgramContext::kPacket).value()),
+      bpf::ExecEnv{}));
 
   ASSERT_TRUE(scheduler.Submit(MakeIo(IoOp::kRead, 1, /*blocks=*/13)));
   EXPECT_EQ(device.QueueLength(13 % 8), 0u);  // in service there

@@ -415,13 +415,12 @@ TEST(RootDispatcher, RoutesByPortViaTailCalls) {
                                                        /*prog_id=*/102);
   ASSERT_TRUE(route_b.ok()) << route_b.status();
 
-  bpf::ExecEnv env;
-  env.resolve_program = [&](uint64_t id) -> const bpf::Program* {
-    if (id == 101) return &policy_a;
-    if (id == 102) return &policy_b;
-    return nullptr;
-  };
-  bpf::Interpreter interp(env);
+  bpf::Interpreter interp(bpf::ExecEnv{},
+                          [&](uint64_t id) -> const bpf::Program* {
+                            if (id == 101) return &policy_a;
+                            if (id == 102) return &policy_b;
+                            return nullptr;
+                          });
 
   // Drive the literal program through the batch entry point (the VM
   // mirror of Syrupd::DispatchBatch).
@@ -687,17 +686,6 @@ TEST_F(SyrupdTest, ExecModeGaugeReportsEffectiveTier) {
               bpf::ExecMode::kCompiled);
   }
   unsetenv("SYRUP_JIT_DISABLE");
-
-  syrupd_.set_exec_mode(bpf::ExecMode::kInterpret);
-  {
-    PolicyHandle deployed =
-        client.DeployPolicy(RoundRobinPolicyAsm(2), Hook::kSocketSelect)
-            .value();
-    const obs::Snapshot snap = syrupd_.StatsSnapshot();
-    EXPECT_EQ(static_cast<bpf::ExecMode>(snap.GaugeValue(
-                  "em", "socket_select", "policy.exec_mode")),
-              bpf::ExecMode::kInterpret);
-  }
 }
 
 // --- typed RAII handles -------------------------------------------------------------------
@@ -799,6 +787,13 @@ TEST_F(SyrupdTest, ProgramByIdResolvesDeployedBytecode) {
   ASSERT_NE(program, nullptr);
   EXPECT_EQ(program->name, "round_robin");
   EXPECT_EQ(syrupd_.ProgramById(999'999), nullptr);
+  // Every bytecode deployment compiles at attach time, so a tail call
+  // finds each one in the compile cache.
+  const bpf::CompiledProgram* compiled =
+      syrupd_.CompiledById(static_cast<uint64_t>(*prog_id));
+  ASSERT_NE(compiled, nullptr);
+  EXPECT_EQ(compiled->name, "round_robin");
+  EXPECT_EQ(syrupd_.CompiledById(999'999), nullptr);
 }
 
 // --- deploy-time WCET budgets ------------------------------------------------
