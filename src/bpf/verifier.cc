@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <bitset>
 #include <chrono>
 #include <cmath>
@@ -9,7 +10,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -648,18 +648,17 @@ bool Narrow(Cmp c, RegState& a, RegState& b) {
 // Cap on the diagnostics one report collects.
 constexpr size_t kMaxDiagnostics = 64;
 
-struct AbsState {
-  std::array<RegState, kNumRegisters> regs;
+struct StateHeader {  // every field of an abstract state but its registers
   int64_t pkt_range = 0;  // bytes of packet proven accessible
   std::bitset<kStackSize> stack_init;
   size_t pc = 0;
 
-  // Cost-pass accumulators (stay zero outside cost mode): executed source
-  // instructions and per-tier ns along the path that produced this state,
-  // plus this path's node in the arena for hottest-path reconstruction.
+  // Cost accumulators (stay zero while cost is not tracked): executed
+  // source instructions and per-tier ns along the path that produced this
+  // state, and the number of branch outcomes on it (see Verifier::path_).
   uint64_t cost_insns = 0;
   double cost_ns[kNumExecModes] = {};
-  int32_t path_node = -1;
+  uint32_t path_len = 0;
 
   // Redundant-lookup lint: the most recent lookup on this path whose result
   // is still valid (same map + constant stack key, no intervening write).
@@ -669,6 +668,21 @@ struct AbsState {
   int32_t last_lookup_pc = -1;
 };
 
+struct AbsState : StateHeader {
+  std::array<RegState, kNumRegisters> regs;
+};
+
+// A pending branch, or a join point's entry that may subsume later
+// arrivals. It keeps the registers in `kept`, in order, in a pool from
+// `regs` on; the rest read as uninitialized, which is exact: `kept` holds
+// every initialized register live at its pc, and r10 is never written.
+struct Parked : StateHeader {
+  uint32_t regs = 0;
+  uint16_t kept = 0;
+  bool done = false;  // join points: subtree fully explored (safe coverer)
+  uint32_t next = 0;  // join points: the previous entry at the same pc
+};
+
 // ---------------------------------------------------------------------------
 // The engine.
 // ---------------------------------------------------------------------------
@@ -676,29 +690,33 @@ struct AbsState {
 class Verifier {
  public:
   // `keep_going`: keep exploring sibling paths after a path fails so every
-  // distinct error is collected (lint mode); otherwise stop at the first.
+  // distinct error is collected, and keep the bookkeeping the warning
+  // catalog reads (lint mode); otherwise stop at the first error. The walk
+  // accumulates cost like the cost walk for as long as TryPrune finds it
+  // would take the same path.
   Verifier(const Program& prog, ProgramContext context,
            const VerifierOptions& options, bool keep_going,
-           VerifyReport* report)
+           const CostModel* cost_model, VerifyReport* report)
       : prog_(prog),
         context_(context),
         options_(options),
         keep_going_(keep_going),
-        report_(report) {}
+        report_(report),
+        cost_model_(cost_model) {}
 
-  // Switches this instance into the post-acceptance cost pass: same
+  // Switches this instance into the post-acceptance cost walk: same
   // exploration semantics, but pruning additionally requires the coverer
   // to carry at-least-equal accumulated cost (so pruned continuations
-  // cannot hide a more expensive path), per-path cost is accumulated, and
-  // budget exhaustion degrades to "unbounded" instead of a rejection.
-  void EnableCostMode(const CostModel* model) {
-    cost_mode_ = true;
-    cost_model_ = model;
-  }
+  // cannot hide a more expensive path), and budget exhaustion degrades to
+  // "unbounded" instead of a rejection.
+  void EnableCostMode() { cost_mode_ = true; }
 
-  // Cost-pass result. bounded stays false if the pass gave up (budget) or
-  // hit an error (cannot happen for a program the main pass accepted, but
-  // handled defensively).
+  // True when TakeCostFacts() is what a cost walk would find.
+  bool cost_tracked() const { return track_cost_; }
+
+  // Cost result. bounded stays false if the walk gave up (budget) or hit an
+  // error (cannot happen for a program the gate walk accepted, but handled
+  // defensively).
   CostFacts TakeCostFacts() {
     CostFacts facts;
     if (cost_gave_up_ || !report_->ok() || !cost_any_exit_) {
@@ -707,11 +725,19 @@ class Verifier {
     facts = cost_facts_;
     facts.bounded = true;
     facts.has_tail_call = has_tail_call_;
-    for (int32_t node = hottest_leaf_; node >= 0;
-         node = path_arena_[static_cast<size_t>(node)].first) {
-      facts.hottest_path.push_back(path_arena_[static_cast<size_t>(node)].second);
+    // Replay the hottest path from the entry: its branch outcomes decide
+    // every conditional jump, and its length ends it at its EXIT.
+    facts.hottest_path.reserve(hottest_insns_);
+    size_t branch = 0;
+    for (size_t pc = 0; facts.hottest_path.size() < hottest_insns_;) {
+      facts.hottest_path.push_back(static_cast<uint32_t>(pc));
+      const Insn& insn = prog_.insns[pc];
+      const bool jump =
+          insn.op == Op::kJa ||
+          (IsCondJumpOp(insn.op) && hottest_outcomes_[branch++] != 0);
+      pc += 1 + (jump ? static_cast<size_t>(static_cast<int64_t>(insn.off))
+                      : 0);
     }
-    std::reverse(facts.hottest_path.begin(), facts.hottest_path.end());
     return facts;
   }
 
@@ -728,38 +754,35 @@ class Verifier {
     ComputePrunePoints();
     visited_pc_.assign(n, 0);
     edges_.assign(n, 0);
+    prune_lists_.assign(n, PruneList{});
 
-    AbsState entry;
+    AbsState st;
     if (context_ == ProgramContext::kPacket) {
-      entry.regs[1] = RegState::Pointer(RegKind::kPktPtr);
-      entry.regs[2] = RegState::Pointer(RegKind::kPktEnd);
+      st.regs[1] = RegState::Pointer(RegKind::kPktPtr);
+      st.regs[2] = RegState::Pointer(RegKind::kPktEnd);
     } else {
-      entry.regs[1] = RegState::UnknownScalar();
-      entry.regs[2] = RegState::UnknownScalar();
+      st.regs[1] = RegState::UnknownScalar();
+      st.regs[2] = RegState::UnknownScalar();
     }
-    entry.regs[kFrameRegister] = RegState::Pointer(RegKind::kStackPtr);
+    st.regs[kFrameRegister] = RegState::Pointer(RegKind::kStackPtr);
 
-    std::vector<AbsState> pending;
-    pending.push_back(std::move(entry));
-
-    while (!pending.empty()) {
-      AbsState st = std::move(pending.back());
-      pending.pop_back();
+    do {  // depth-first: resume the most recently parked branch
       // Every stored state whose watermark lies above the stack again has a
       // fully explored subtree: it is now safe to prune against.
-      while (!undone_.empty() && pending.size() < undone_.back().watermark) {
-        prune_states_[undone_.back().pc][undone_.back().index].done = true;
+      while (!undone_.empty() &&
+             pending_.size() < undone_.back().watermark) {
+        stored_[undone_.back().index].done = true;
         undone_.pop_back();
       }
       while (true) {
         if (options_.prune && st.pc < n && prune_point_[st.pc] != 0 &&
-            TryPrune(st, pending.size())) {
+            TryPrune(st)) {
           ++report_->stats.pruned_states;
           break;
         }
         if (++report_->stats.visited_insns > options_.max_visited_insns) {
           if (cost_mode_) {
-            // The main pass accepted within budget; the weaker cost-mode
+            // The gate walk accepted within budget; the weaker cost-mode
             // pruning just could not. Degrade to an unbounded cost verdict.
             cost_gave_up_ = true;
             return;
@@ -776,10 +799,10 @@ class Verifier {
         }
         visited_pc_[st.pc] = 1;
         const Op op = prog_.insns[st.pc].op;
-        if (cost_mode_) {
+        if (track_cost_) {
           AddCost(st);  // before StepInsn so branch copies inherit it
         }
-        StepResult step;
+        Step step;
         if (!StepInsn(st, step).ok()) {
           if (stop_) return;
           break;  // keep_going: abandon this path, siblings still explored
@@ -787,30 +810,24 @@ class Verifier {
         if (step.done) {
           // EXIT reached (step.done from a contradictory branch is an
           // abandoned infeasible path, not a completed execution).
-          if (cost_mode_ && op == Op::kExit) {
+          if (track_cost_ && op == Op::kExit) {
             RecordExitCost(st);
           }
           break;
         }
-        if (step.has_branch) {
-          ++report_->stats.branch_states;
-          if (pending.size() >= options_.max_pending_states) {
-            if (cost_mode_) {
-              cost_gave_up_ = true;
-              return;
-            }
-            Fatal(st.pc, "too many pending branch states");
-            return;
-          }
-          pending.push_back(std::move(step.branch_state));
+        if (track_cost_ && IsCondJumpOp(op)) {
+          PushBranch(st, step.next_pc != st.pc + 1);
         }
         st.pc = step.next_pc;
       }
-    }
+    } while (Resume(st));
 
     if (report_->ok() && !cost_mode_) {
-      report_->facts.visited = visited_pc_;
-      report_->facts.edges = edges_;
+      if (keep_going_) {
+        EmitWarnings();
+      }
+      report_->facts.visited = std::move(visited_pc_);
+      report_->facts.edges = std::move(edges_);
       report_->facts.pure = pure_;
       report_->facts.read_maps.assign(read_maps_.begin(), read_maps_.end());
       report_->facts.write_maps.assign(write_maps_.begin(), write_maps_.end());
@@ -820,27 +837,84 @@ class Verifier {
         report_->facts.impurities.push_back(
             Impurity{static_cast<uint32_t>(pc), reason});
       }
-      EmitWarnings();
     }
   }
 
  private:
-  struct StepResult {
+  static constexpr uint32_t kNone = ~uint32_t{0};
+
+  struct Step {
     size_t next_pc = 0;
     bool done = false;
-    bool has_branch = false;
-    AbsState branch_state;
   };
 
-  struct Stored {
-    AbsState state;
-    bool done = false;  // subtree fully explored; safe subsumption target
+  // The entries stored at one join point, linked through Parked::next.
+  struct PruneList {
+    uint32_t head = kNone;
+    uint32_t size = 0;
   };
   struct UndoneRef {
-    size_t pc = 0;
-    size_t index = 0;
+    uint32_t index = 0;     // into stored_
     size_t watermark = 0;  // pending-stack depth at store time
   };
+
+  // --- parked states -----------------------------------------------------
+
+  // Appends `st`, taken to be at `pc`, to `parked`, its kept registers to
+  // `pool` (see Parked).
+  void Park(const AbsState& st, size_t pc, std::vector<Parked>& parked,
+            std::vector<RegState>& pool) {
+    Parked& p = parked.emplace_back();
+    static_cast<StateHeader&>(p) = st;
+    p.pc = pc;
+    p.regs = static_cast<uint32_t>(pool.size());
+    const unsigned live = pc < live_.size() ? live_[pc] : 0;
+    for (int r = 0; r < kFrameRegister; ++r) {
+      if (((live >> r) & 1) != 0 && st.regs[r].kind != RegKind::kNotInit) {
+        p.kept |= static_cast<uint16_t>(1u << r);
+        pool.push_back(st.regs[r]);
+      }
+    }
+  }
+
+  // Pops the most recently parked branch into `st`; false when none is
+  // left.
+  bool Resume(AbsState& st) {
+    if (pending_.empty()) {
+      return false;
+    }
+    const Parked& p = pending_.back();
+    static_cast<StateHeader&>(st) = p;
+    const RegState* reg = pending_regs_.data() + p.regs;
+    for (int r = 0; r < kFrameRegister; ++r) {
+      st.regs[r] = ((p.kept >> r) & 1) != 0 ? *reg++ : RegState{};
+    }
+    pending_regs_.resize(p.regs);
+    pending_.pop_back();
+    if (track_cost_) {
+      path_.resize(st.path_len);
+      hottest_shared_ = std::min<size_t>(hottest_shared_, st.path_len);
+      PushBranch(st, /*taken=*/true);  // Fork parks taken edges only
+    }
+    return true;
+  }
+
+  // Parks `st` as the taken edge of a fork at `taken_pc`; the caller
+  // continues down the fall-through edge. A full pending stack ends the
+  // walk: the gate walk rejects, a cost walk gives up.
+  Status Fork(const AbsState& st, size_t pc, size_t taken_pc) {
+    ++report_->stats.branch_states;
+    if (pending_.size() >= options_.max_pending_states) {
+      if (cost_mode_) {
+        cost_gave_up_ = true;
+        stop_ = true;
+        return ResourceExhaustedError("verifier: cost walk gave up");
+      }
+      return Fatal(pc, "too many pending branch states");
+    }
+    Park(st, taken_pc, pending_, pending_regs_);
+    return OkStatus();
+  }
 
   // --- diagnostics -------------------------------------------------------
 
@@ -1069,26 +1143,29 @@ class Verifier {
 
   // True iff everything verified from `o` onward also holds from `n`:
   // `o` makes weaker-or-equal assumptions in every component `n`'s
-  // continuation can observe.
-  bool Covers(const AbsState& o, const AbsState& n, uint16_t live) const {
+  // continuation can observe. Of the registers live here, `o` keeps the
+  // initialized ones; an uninitialized one covers anything, and r10 is the
+  // same in every state.
+  bool Covers(const Parked& o, const AbsState& n) const {
     if (o.pkt_range > n.pkt_range) {
       return false;
     }
     if ((o.stack_init & ~n.stack_init).any()) {
       return false;
     }
-    for (int r = 0; r < kNumRegisters; ++r) {
-      if (((live >> r) & 1) != 0 && !RegCovers(o.regs[r], n.regs[r])) {
+    const RegState* reg = stored_regs_.data() + o.regs;
+    for (unsigned kept = o.kept; kept != 0; kept &= kept - 1) {
+      if (!RegCovers(*reg++, n.regs[std::countr_zero(kept)])) {
         return false;
       }
     }
     return true;
   }
 
-  // Cost mode only: the coverer reached this join point at least as
-  // expensively in every component, so the paths explored from it bound the
-  // pruned state's full-path worst case from above.
-  static bool CostDominates(const AbsState& o, const AbsState& n) {
+  // The coverer reached this join point at least as expensively in every
+  // component, so the paths explored from it bound the pruned state's
+  // full-path worst case from above.
+  static bool CostDominates(const Parked& o, const AbsState& n) {
     if (o.cost_insns < n.cost_insns) {
       return false;
     }
@@ -1103,61 +1180,76 @@ class Verifier {
   // Prune if a fully-explored state at this pc covers `st`; otherwise
   // remember `st` so it can cover later arrivals. Only `done` states are
   // candidates: pruning against an ancestor still being explored would
-  // certify unexplored (possibly non-terminating) continuations.
-  bool TryPrune(const AbsState& st, size_t pending_size) {
-    auto& list = prune_states_[st.pc];
-    const uint16_t live = live_[st.pc];
-    for (const Stored& s : list) {
-      if (s.done && Covers(s.state, st, live) &&
-          (!cost_mode_ || CostDominates(s.state, st))) {
-        return true;
+  // certify unexplored (possibly non-terminating) continuations. The cost
+  // walk also needs the coverer to cost-dominate. The gate walk prunes on
+  // any coverer, and its first prune without a dominating one ends its
+  // cost tracking: from there the cost walk would explore more.
+  bool TryPrune(const AbsState& st) {
+    PruneList& list = prune_lists_[st.pc];
+    bool covered = false;
+    for (uint32_t i = list.head; i != kNone; i = stored_[i].next) {
+      const Parked& s = stored_[i];
+      if (s.done && Covers(s, st)) {
+        if (!track_cost_ || CostDominates(s, st)) {
+          return true;
+        }
+        covered = true;
       }
     }
-    if (list.size() < options_.max_states_per_prune_point) {
-      list.push_back(Stored{st, false});
-      undone_.push_back(UndoneRef{st.pc, list.size() - 1, pending_size});
+    if (covered && !cost_mode_) {
+      track_cost_ = false;
+      return true;
+    }
+    if (list.size < options_.max_states_per_prune_point) {
+      Park(st, st.pc, stored_, stored_regs_);
+      stored_.back().next = list.head;
+      list.head = static_cast<uint32_t>(stored_.size() - 1);
+      ++list.size;
+      undone_.push_back(UndoneRef{list.head, pending_.size()});
     }
     return false;
   }
 
-  // --- cost pass ---------------------------------------------------------
+  // --- cost ----------------------------------------------------------------
 
-  // Charges insns[st.pc] to the path's accumulators and extends the path
-  // arena. Runs before StepInsn so the helper-argument registers (map kind
+  // Charges insns[st.pc] to the path's accumulators.
+  // Runs before StepInsn so the helper-argument registers (map kind
   // for call pricing) are still live and branch copies inherit the cost.
   void AddCost(AbsState& st) {
     const Insn& insn = prog_.insns[st.pc];
     st.cost_insns += 1;
+    if (insn.op != Op::kCall) {  // InsnNs without a helper body
+      for (size_t t = 0; t < kNumExecModes; ++t) {
+        st.cost_ns[t] += cost_model_->op_ns[t][static_cast<size_t>(insn.op)];
+      }
+      return;
+    }
     MapType map_type = MapType::kArray;
     uint32_t batch_count = 1;
-    if (insn.op == Op::kCall) {
-      const auto helper = static_cast<HelperId>(insn.imm);
-      if (helper == HelperId::kMapLookupElem ||
-          helper == HelperId::kMapUpdateElem ||
-          helper == HelperId::kMapDeleteElem ||
-          helper == HelperId::kMapLookupBatch) {
-        const RegState& r1 = st.regs[1];
-        if (r1.kind == RegKind::kConstMapPtr && r1.map_index >= 0 &&
-            static_cast<size_t>(r1.map_index) < prog_.maps.size()) {
-          map_type = prog_.maps[r1.map_index]->spec().type;
-        }
+    const auto helper = static_cast<HelperId>(insn.imm);
+    if (helper == HelperId::kMapLookupElem ||
+        helper == HelperId::kMapUpdateElem ||
+        helper == HelperId::kMapDeleteElem ||
+        helper == HelperId::kMapLookupBatch) {
+      const RegState& r1 = st.regs[1];
+      if (r1.kind == RegKind::kConstMapPtr && r1.map_index >= 0 &&
+          static_cast<size_t>(r1.map_index) < prog_.maps.size()) {
+        map_type = prog_.maps[r1.map_index]->spec().type;
       }
-      if (helper == HelperId::kMapLookupBatch) {
-        // ApplyCall (later this step) rejects non-constant counts; price
-        // the worst case if the program is about to fail anyway.
-        const RegState& r4 = st.regs[4];
-        batch_count = r4.IsConst() && r4.ConstVal() <= Map::kMaxLookupBatch
-                          ? static_cast<uint32_t>(r4.ConstVal())
-                          : Map::kMaxLookupBatch;
-      }
+    }
+    if (helper == HelperId::kMapLookupBatch) {
+      // ApplyCall (later this step) rejects non-constant counts; price
+      // the worst case if the program is about to fail anyway.
+      const RegState& r4 = st.regs[4];
+      batch_count = r4.IsConst() && r4.ConstVal() <= Map::kMaxLookupBatch
+                        ? static_cast<uint32_t>(r4.ConstVal())
+                        : Map::kMaxLookupBatch;
     }
     for (size_t t = 0; t < kNumExecModes; ++t) {
       st.cost_ns[t] += cost_model_->InsnNs(insn, map_type,
                                            static_cast<ExecMode>(t),
                                            batch_count);
     }
-    path_arena_.push_back({st.path_node, static_cast<uint32_t>(st.pc)});
-    st.path_node = static_cast<int32_t>(path_arena_.size() - 1);
   }
 
   // Folds a completed path (EXIT validated) into the per-tier maxima and
@@ -1176,7 +1268,7 @@ class Verifier {
       }
       hottest_native_ns_ = total_ns[static_cast<size_t>(ExecMode::kNative)];
       hottest_insns_ = st.cost_insns;
-      hottest_leaf_ = st.path_node;
+      KeepHottestPath();
       return;
     }
     cost_facts_.wcet_insns = std::max(cost_facts_.wcet_insns, st.cost_insns);
@@ -1190,19 +1282,38 @@ class Verifier {
         (native == hottest_native_ns_ && st.cost_insns > hottest_insns_)) {
       hottest_native_ns_ = native;
       hottest_insns_ = st.cost_insns;
-      hottest_leaf_ = st.path_node;
+      KeepHottestPath();
     }
+  }
+
+  void PushBranch(AbsState& st, bool taken) {
+    path_.push_back(taken ? 1 : 0);
+    st.path_len = static_cast<uint32_t>(path_.size());
+  }
+
+  // Copies the path that just reached EXIT. Only what changed since the
+  // last copy is copied, so each branch outcome is copied at most once.
+  void KeepHottestPath() {
+    hottest_outcomes_.resize(hottest_shared_);
+    hottest_outcomes_.insert(
+        hottest_outcomes_.end(),
+        path_.begin() + static_cast<long>(hottest_shared_), path_.end());
+    hottest_shared_ = path_.size();
   }
 
   // --- memory ------------------------------------------------------------
 
+  // Stack-traffic bookkeeping for the written-but-never-read warning (lint
+  // mode only).
   void NoteStackRead(size_t first, size_t last) {
+    if (!keep_going_) return;
     for (size_t i = first; i < last && i < kStackSize; ++i) {
       stack_read_.set(i);
     }
   }
 
   void NoteStackWrite(size_t pc, size_t first, size_t last) {
+    if (!keep_going_) return;
     auto [it, inserted] = stack_writes_.try_emplace(pc, first, last);
     if (!inserted) {
       it->second.first = std::min(it->second.first, first);
@@ -1212,9 +1323,9 @@ class Verifier {
 
   // Clears purity. The first reason recorded per pc wins (a pc is impure
   // for one reason only).
-  void NoteImpurity(size_t pc, std::string reason) {
+  void NoteImpurity(size_t pc, const char* reason) {
     pure_ = false;
-    impurities_.emplace(pc, std::move(reason));
+    impurities_.try_emplace(pc, reason);
   }
 
   // Validates a memory access through `ptr` whose offset may span
@@ -1475,7 +1586,7 @@ class Verifier {
   }
 
   Status ApplyCondJump(AbsState& st, size_t pc, const Insn& insn,
-                       StepResult& step) {
+                       Step& step) {
     SYRUP_RETURN_IF_ERROR(RequireInit(st, pc, insn.dst));
     if (UsesSrcReg(insn.op)) {
       SYRUP_RETURN_IF_ERROR(RequireInit(st, pc, insn.src));
@@ -1492,18 +1603,15 @@ class Verifier {
         (insn.op == Op::kJeqImm || insn.op == Op::kJneImm) && insn.imm == 0 &&
         a.kind == RegKind::kMapValueOrNull;
     if (null_test) {
-      if (a.origin_pc >= 0) {
+      if (keep_going_ && a.origin_pc >= 0) {
         lookup_checked_.insert(static_cast<size_t>(a.origin_pc));
       }
       const bool eq = insn.op == Op::kJeqImm;
-      AbsState taken = st;
-      taken.regs[insn.dst].kind = eq ? RegKind::kNullConst
-                                     : RegKind::kMapValue;
-      st.regs[insn.dst].kind = eq ? RegKind::kMapValue : RegKind::kNullConst;
       MarkEdge(pc, AnalysisFacts::kEdgeFall | AnalysisFacts::kEdgeTaken);
-      taken.pc = taken_pc;
-      step.has_branch = true;
-      step.branch_state = std::move(taken);
+      // Park the taken edge, then go down the fall-through edge.
+      a.kind = eq ? RegKind::kNullConst : RegKind::kMapValue;
+      SYRUP_RETURN_IF_ERROR(Fork(st, pc, taken_pc));
+      a.kind = eq ? RegKind::kMapValue : RegKind::kNullConst;
       step.next_pc = fall_pc;
       return OkStatus();
     }
@@ -1527,22 +1635,29 @@ class Verifier {
         step.next_pc = fall_pc;
         return OkStatus();
       }
-      AbsState taken = st;
-      RegState taken_rhs = imm_rhs;
-      RegState* tb = src_is_imm ? &taken_rhs : &taken.regs[insn.src];
+      // The taken edge narrows copies of the operands; `if r1 > r1` names
+      // one register twice, so both copies are then one.
+      RegState taken[2] = {a, src_is_imm ? imm_rhs : *b};
+      RegState& ta = taken[0];
+      RegState& tb = !src_is_imm && insn.src == insn.dst ? taken[0] : taken[1];
       RegState fall_rhs = imm_rhs;
-      RegState* fb = src_is_imm ? &fall_rhs : &st.regs[insn.src];
-      const bool taken_ok = Narrow(cmp, taken.regs[insn.dst], *tb);
-      const bool fall_ok = Narrow(Inverse(cmp), st.regs[insn.dst], *fb);
+      RegState* fb = src_is_imm ? &fall_rhs : b;
+      const bool taken_ok = Narrow(cmp, ta, tb);
+      const bool fall_ok = Narrow(Inverse(cmp), a, *fb);
       if (taken_ok && fall_ok) {
         MarkEdge(pc, AnalysisFacts::kEdgeFall | AnalysisFacts::kEdgeTaken);
-        taken.pc = taken_pc;
-        step.has_branch = true;
-        step.branch_state = std::move(taken);
+        // Park the taken edge, then go down the fall-through edge.
+        const RegState fall[2] = {a, st.regs[insn.src]};
+        a = ta;
+        if (!src_is_imm) *b = tb;
+        SYRUP_RETURN_IF_ERROR(Fork(st, pc, taken_pc));
+        a = fall[0];
+        st.regs[insn.src] = fall[1];
         step.next_pc = fall_pc;
       } else if (taken_ok) {
         MarkEdge(pc, AnalysisFacts::kEdgeTaken);
-        st = std::move(taken);
+        a = ta;
+        if (!src_is_imm) *b = tb;
         step.next_pc = taken_pc;
       } else if (fall_ok) {
         MarkEdge(pc, AnalysisFacts::kEdgeFall);
@@ -1557,13 +1672,13 @@ class Verifier {
 
     // Pointer comparisons. pkt vs pkt_end proves packet bytes accessible on
     // the right edge; other same-family comparisons fork unrefined.
-    AbsState taken = st;
+    int64_t taken_range = st.pkt_range;
     if (!src_is_imm) {
       const RegState& d = a;
       const RegState& s = *b;
-      auto refine = [](AbsState& state, int64_t n) {
-        if (n > state.pkt_range) {
-          state.pkt_range = n;
+      auto refine = [](int64_t& range, int64_t n) {
+        if (n > range) {
+          range = n;
         }
       };
       if (d.kind == RegKind::kPktPtr && s.kind == RegKind::kPktEnd) {
@@ -1571,15 +1686,15 @@ class Verifier {
         // concrete offset, so that many bytes are accessible.
         const int64_t n = d.off_min;
         switch (insn.op) {
-          case Op::kJgtReg: case Op::kJgeReg: refine(st, n); break;
-          case Op::kJltReg: case Op::kJleReg: refine(taken, n); break;
+          case Op::kJgtReg: case Op::kJgeReg: refine(st.pkt_range, n); break;
+          case Op::kJltReg: case Op::kJleReg: refine(taken_range, n); break;
           default: break;
         }
       } else if (d.kind == RegKind::kPktEnd && s.kind == RegKind::kPktPtr) {
         const int64_t n = s.off_min;
         switch (insn.op) {
-          case Op::kJgtReg: case Op::kJgeReg: refine(taken, n); break;
-          case Op::kJltReg: case Op::kJleReg: refine(st, n); break;
+          case Op::kJgtReg: case Op::kJgeReg: refine(taken_range, n); break;
+          case Op::kJltReg: case Op::kJleReg: refine(st.pkt_range, n); break;
           default: break;
         }
       } else {
@@ -1597,11 +1712,45 @@ class Verifier {
     }
 
     MarkEdge(pc, AnalysisFacts::kEdgeFall | AnalysisFacts::kEdgeTaken);
-    taken.pc = taken_pc;
-    step.has_branch = true;
-    step.branch_state = std::move(taken);
+    // Park the taken edge, then go down the fall-through edge.
+    const int64_t fall_range = st.pkt_range;
+    st.pkt_range = taken_range;
+    SYRUP_RETURN_IF_ERROR(Fork(st, pc, taken_pc));
+    st.pkt_range = fall_range;
     step.next_pc = fall_pc;
     return OkStatus();
+  }
+
+  // Redundant-lookup lint bookkeeping (lint mode only): a mutation ends
+  // any redundancy window, and so does a batched lookup (its out span may
+  // cover the tracked key); a lookup with a constant stack key either flags
+  // a repeat of the previous lookup or starts a new window.
+  void TrackLookupWindow(AbsState& st, size_t pc, HelperId helper,
+                         int32_t lookup_map) {
+    if (helper != HelperId::kMapLookupElem) {
+      if (helper == HelperId::kMapUpdateElem ||
+          helper == HelperId::kMapDeleteElem ||
+          helper == HelperId::kMapLookupBatch) {
+        st.last_lookup_map = -1;
+      }
+      return;
+    }
+    const RegState& key = st.regs[2];
+    const auto& spec = prog_.maps[lookup_map]->spec();
+    if (key.kind != RegKind::kStackPtr || key.off_min != key.off_max) {
+      st.last_lookup_map = -1;  // variable key: cannot track
+      return;
+    }
+    if (st.last_lookup_map == lookup_map &&
+        st.last_lookup_key_off == key.off_min &&
+        st.last_lookup_key_size == spec.key_size && st.last_lookup_pc >= 0 &&
+        static_cast<size_t>(st.last_lookup_pc) != pc) {
+      redundant_lookups_.emplace(pc, static_cast<size_t>(st.last_lookup_pc));
+    }
+    st.last_lookup_map = lookup_map;
+    st.last_lookup_key_off = key.off_min;
+    st.last_lookup_key_size = spec.key_size;
+    st.last_lookup_pc = static_cast<int32_t>(pc);
   }
 
   Status ApplyCall(AbsState& st, size_t pc, const Insn& insn) {
@@ -1731,42 +1880,17 @@ class Verifier {
         break;
     }
 
-    // Redundant-lookup lint bookkeeping: a mutation ends any redundancy
-    // window; a lookup with a constant stack key either flags a repeat of
-    // the previous lookup or starts a new window.
-    if (helper == HelperId::kMapUpdateElem ||
-        helper == HelperId::kMapDeleteElem) {
-      st.last_lookup_map = -1;
-    } else if (helper == HelperId::kMapLookupBatch) {
-      // The helper writes the out span; if the tracked key bytes sit in
-      // it, the window is stale. Cheaper to just end the window.
-      st.last_lookup_map = -1;
-    } else if (helper == HelperId::kMapLookupElem) {
-      const RegState& key = st.regs[2];
-      const auto& spec = prog_.maps[lookup_map]->spec();
-      if (key.kind == RegKind::kStackPtr && key.off_min == key.off_max) {
-        if (st.last_lookup_map == lookup_map &&
-            st.last_lookup_key_off == key.off_min &&
-            st.last_lookup_key_size == spec.key_size &&
-            st.last_lookup_pc >= 0 &&
-            static_cast<size_t>(st.last_lookup_pc) != pc) {
-          redundant_lookups_.emplace(
-              pc, static_cast<size_t>(st.last_lookup_pc));
-        }
-        st.last_lookup_map = lookup_map;
-        st.last_lookup_key_off = key.off_min;
-        st.last_lookup_key_size = spec.key_size;
-        st.last_lookup_pc = static_cast<int32_t>(pc);
-      } else {
-        st.last_lookup_map = -1;  // variable key: cannot track
-      }
+    if (keep_going_) {
+      TrackLookupWindow(st, pc, helper, lookup_map);
     }
 
     // r0 holds the result; argument registers are clobbered.
     if (helper == HelperId::kMapLookupElem) {
       st.regs[0] = RegState::Pointer(RegKind::kMapValueOrNull, lookup_map);
       st.regs[0].origin_pc = static_cast<int32_t>(pc);
-      lookup_sites_.insert(pc);
+      if (keep_going_) {
+        lookup_sites_.insert(pc);
+      }
     } else if (helper == HelperId::kMapLookupBatch) {
       // Hit bitmap: bit i set iff keys[i] was present; n was proven
       // constant above, so the range is exact.
@@ -1801,7 +1925,7 @@ class Verifier {
     return OkStatus();
   }
 
-  Status StepInsn(AbsState& st, StepResult& step) {
+  Status StepInsn(AbsState& st, Step& step) {
     const size_t pc = st.pc;
     const Insn& insn = prog_.insns[pc];
     step.next_pc = pc + 1;
@@ -1959,7 +2083,13 @@ class Verifier {
   std::vector<uint8_t> visited_pc_;   // reached on some explored path
   std::vector<uint8_t> edges_;        // feasible edges per cond jump
 
-  std::unordered_map<size_t, std::vector<Stored>> prune_states_;
+  // Branches parked for later, and the entries stored at join points
+  // (prune_lists_ per pc), each with its pool of kept registers.
+  std::vector<Parked> pending_;
+  std::vector<RegState> pending_regs_;
+  std::vector<Parked> stored_;
+  std::vector<RegState> stored_regs_;
+  std::vector<PruneList> prune_lists_;
   std::vector<UndoneRef> undone_;
 
   // Purity / read-set / side-effect summary accumulated across every
@@ -1973,16 +2103,22 @@ class Verifier {
   std::map<size_t, std::string> impurities_;        // pc -> first reason
   std::map<size_t, size_t> redundant_lookups_;      // pc -> earlier pc
 
-  // Cost pass state (untouched outside cost mode).
+  // Cost state: accumulated while track_cost_ holds.
+  const CostModel* cost_model_;
   bool cost_mode_ = false;
-  const CostModel* cost_model_ = nullptr;
+  bool track_cost_ = true;
   bool cost_gave_up_ = false;
   bool cost_any_exit_ = false;
   CostFacts cost_facts_;
-  std::vector<std::pair<int32_t, uint32_t>> path_arena_;  // (parent, pc)
+  // The path being walked, as the outcome of each conditional jump on it
+  // (1: taken), which with the program determines every pc. The walk is
+  // depth-first, so a parked branch resumes on a prefix of it: Resume cuts
+  // it back to the branch's path_len.
+  std::vector<uint8_t> path_;
+  std::vector<uint8_t> hottest_outcomes_;
+  size_t hottest_shared_ = 0;  // leading outcomes shared with path_
   double hottest_native_ns_ = -1;
   uint64_t hottest_insns_ = 0;
-  int32_t hottest_leaf_ = -1;
 
   std::set<std::pair<size_t, std::string>> seen_;  // diagnostic dedup
   std::set<size_t> lookup_sites_;
@@ -2031,22 +2167,28 @@ VerifyReport Analyze(const Program& prog, ProgramContext context,
   VerifyReport report;
   report.program = prog.name;
   const auto t0 = std::chrono::steady_clock::now();
-  Verifier(prog, context, options, keep_going, &report).Run();
+  const CostModel* model = options.cost_model != nullptr
+                               ? options.cost_model
+                               : &DefaultCostModel();
+  Verifier gate(prog, context, options, keep_going, model, &report);
+  gate.Run();
   if (report.ok() && !report.facts.empty()) {
-    // Second exploration with cost accumulation and cost-dominance
-    // pruning. Acceptance already happened above: whatever happens here
-    // (budget exhaustion included) only affects facts.cost.
-    const CostModel* model = options.cost_model != nullptr
-                                 ? options.cost_model
-                                 : &DefaultCostModel();
-    VerifyReport cost_report;
-    cost_report.program = prog.name;
-    Verifier cost_pass(prog, context, options, /*keep_going=*/false,
-                       &cost_report);
-    cost_pass.EnableCostMode(model);
-    cost_pass.Run();
-    report.facts.cost = cost_pass.TakeCostFacts();
-    AppendBudgetLint(report, context, prog);
+    if (gate.cost_tracked()) {
+      report.facts.cost = gate.TakeCostFacts();
+    } else {
+      // A prune the cost walk would not make: walk again as the cost walk.
+      // Acceptance already happened above: whatever happens here (budget
+      // exhaustion included) only affects facts.cost.
+      VerifyReport cost_report;
+      Verifier cost_walk(prog, context, options, /*keep_going=*/false, model,
+                         &cost_report);
+      cost_walk.EnableCostMode();
+      cost_walk.Run();
+      report.facts.cost = cost_walk.TakeCostFacts();
+    }
+    if (keep_going) {
+      AppendBudgetLint(report, context, prog);
+    }
   }
   report.stats.verify_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -2101,7 +2243,7 @@ Status Verify(const Program& prog, ProgramContext context,
     *stats = report.stats;
   }
   if (facts != nullptr && report.ok()) {
-    *facts = report.facts;
+    *facts = std::move(report.facts);
   }
   return report.status();
 }

@@ -26,7 +26,7 @@
 // keeps exploring after path errors and layers a warning catalog on top
 // (dead code, statically decided branches, map lookups never NULL-checked,
 // stack bytes written but never read), each diagnostic carrying the pc and
-// the disassembled instruction.
+// the disassembled instruction. Only VerifyAll() produces warnings.
 #ifndef SYRUP_SRC_BPF_VERIFIER_H_
 #define SYRUP_SRC_BPF_VERIFIER_H_
 
@@ -58,9 +58,8 @@ struct VerifierOptions {
   // Memory bound: states remembered per join point. Past the cap new
   // states still verify, they just cannot prune later arrivals.
   size_t max_states_per_prune_point = 32;
-  // Cost tables for the post-acceptance cost pass (AnalysisFacts::cost and
-  // the path-over-budget lint); null means DefaultCostModel(). Must outlive
-  // the Verify call.
+  // Cost tables for AnalysisFacts::cost (and VerifyAll's path-over-budget
+  // lint); null means DefaultCostModel(). Must outlive the Verify call.
   const CostModel* cost_model = nullptr;
 };
 
@@ -118,10 +117,10 @@ struct AnalysisFacts {
   // exactly when `pure` holds.
   std::vector<Impurity> impurities;
 
-  // --- cost summary (post-acceptance WCET pass, see cost_model.h) --------
-  // Every accepted program gets the pass: it re-explores feasible paths with
-  // cost-dominance-strengthened pruning. cost.bounded is false when the
-  // pass exhausted the exploration budget (never a rejection by itself) or
+  // --- cost summary (WCET over the feasible paths, see cost_model.h) ------
+  // Every accepted program gets one, as if from a walk that prunes only
+  // against cost-dominating coverers. cost.bounded is false when that walk
+  // exhausted the exploration budget (never a rejection by itself) or
   // verification failed.
   CostFacts cost;
 

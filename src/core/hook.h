@@ -50,8 +50,8 @@ inline constexpr bool IsPacketHook(Hook hook) {
 // fast paths and get tight budgets (tighter the closer to the NIC);
 // the ghOSt-style thread hook runs per scheduling event and is looser.
 // Syrupd compares the verifier's wcet_ns against these at deploy time
-// (CostBudgetConfig can override per hook). The xdp_offload and
-// thread_scheduler entries are mirrored by the verifier's
+// (Syrupd::set_admit_over_budget admits a program over them). The
+// xdp_offload and thread_scheduler entries are mirrored by the verifier's
 // path-over-budget lint thresholds in src/bpf/cost_model.h.
 inline constexpr double DefaultHookBudgetNs(Hook hook) {
   switch (hook) {

@@ -29,6 +29,10 @@ std::string FormatNs(double ns) {
   return buf;
 }
 
+// policy.budget_warn is raised for a still-admissible program whose worst
+// case exceeds this fraction of the hook budget.
+constexpr double kBudgetWarnFraction = 0.8;
+
 void JsonEscapeTo(std::ostream& os, std::string_view s) {
   for (char c : s) {
     switch (c) {
@@ -186,7 +190,7 @@ Syrupd::CompileForCurrentMode(const bpf::Program& program,
   if (exec_mode_ == bpf::ExecMode::kNative) {
     // Machine-code lowering is best effort: an unsupported host or program
     // (or SYRUP_JIT_DISABLE) leaves `native` null and the artifact runs on
-    // the compiled tier. EmitExecTierMetrics reports whichever happened.
+    // the compiled tier. AdmitDeployment reports whichever happened.
     auto native = bpf::JitCompile(compiled);
     if (native.ok()) {
       compiled.native = std::move(native).value();
@@ -195,60 +199,20 @@ Syrupd::CompileForCurrentMode(const bpf::Program& program,
   return std::make_shared<const bpf::CompiledProgram>(std::move(compiled));
 }
 
-void Syrupd::EmitExecTierMetrics(const std::string& app_name,
-                                 std::string_view hook_name,
-                                 const bpf::CompiledProgram& compiled) {
-  metrics_.GetGauge(app_name, hook_name, "policy.exec_mode")
-      ->Set(static_cast<int64_t>(bpf::EffectiveExecMode(compiled)));
-  if (compiled.native != nullptr) {
-    const bpf::JitStats& jit = compiled.native->stats();
-    metrics_.GetGauge(app_name, hook_name, "policy.jit_ns")
-        ->Set(static_cast<int64_t>(jit.jit_ns));
-    metrics_.GetGauge(app_name, hook_name, "policy.jit_code_bytes")
-        ->Set(static_cast<int64_t>(jit.code_bytes));
-  }
-}
-
-void Syrupd::EmitVerifierMetrics(const std::string& app_name,
-                                 std::string_view hook_name,
-                                 const bpf::VerifierStats& stats) {
-  metrics_.GetGauge(app_name, hook_name, "verifier.visited_insns")
-      ->Set(static_cast<int64_t>(stats.visited_insns));
-  metrics_.GetGauge(app_name, hook_name, "verifier.branch_states")
-      ->Set(static_cast<int64_t>(stats.branch_states));
-  metrics_.GetGauge(app_name, hook_name, "verifier.pruned_states")
-      ->Set(static_cast<int64_t>(stats.pruned_states));
-  metrics_.GetGauge(app_name, hook_name, "verifier.verify_ns")
-      ->Set(static_cast<int64_t>(stats.verify_ns));
-}
-
-Status Syrupd::EnforceCostBudget(const std::string& app_name, Hook hook,
-                                 const bpf::Program& prog,
-                                 const bpf::AnalysisFacts& facts,
-                                 const bpf::CompiledProgram& compiled) {
+Status Syrupd::AdmitDeployment(const std::string& app_name, Hook hook,
+                               const bpf::Program& prog,
+                               const bpf::VerifierStats& vstats,
+                               uint64_t compile_ns,
+                               const bpf::CostFacts& cost,
+                               const bpf::CompiledProgram& compiled) {
   const std::string_view hook_name = HookName(hook);
   const bpf::ExecMode tier = bpf::EffectiveExecMode(compiled);
-  const bpf::CostFacts& cost = facts.cost;
+  const double budget = DefaultHookBudgetNs(hook);
   const double wcet_ns =
       cost.bounded ? cost.wcet_ns[static_cast<size_t>(tier)] : 0.0;
-  // -1 on the gauges means "no bound": the cost pass gave up (exploration
-  // budget), so no wcet exists to report.
-  metrics_.GetGauge(app_name, hook_name, "policy.wcet_ns")
-      ->Set(cost.bounded ? std::llround(wcet_ns) : -1);
-  metrics_.GetGauge(app_name, hook_name, "policy.wcet_insns")
-      ->Set(cost.bounded ? static_cast<int64_t>(cost.wcet_insns) : -1);
-
-  const double budget = cost_budget_config_.BudgetFor(hook);
   const bool over = !cost.bounded || wcet_ns > budget;
-  metrics_.GetGauge(app_name, hook_name, "policy.over_budget")
-      ->Set(over ? 1 : 0);
-  const bool warn = cost.bounded && !over &&
-                    wcet_ns > budget * cost_budget_config_.warn_fraction;
-  metrics_.GetGauge(app_name, hook_name, "policy.budget_warn")
-      ->Set(warn ? 1 : 0);
-  if (!cost_budget_config_.enforce) {
-    return OkStatus();
-  }
+  const bool warn =
+      cost.bounded && !over && wcet_ns > budget * kBudgetWarnFraction;
   if (warn) {
     SYRUP_LOG(Warning) << "policy '" << prog.name << "' at " << hook_name
                        << " uses " << FormatNs(wcet_ns) << " of "
@@ -256,31 +220,53 @@ Status Syrupd::EnforceCostBudget(const std::string& app_name, Hook hook,
                        << FormatNs(100.0 * wcet_ns / budget)
                        << "%); consider a cheaper policy or a looser hook";
   }
-  if (!over) {
-    return OkStatus();
-  }
-  std::string what;
-  if (!cost.bounded) {
-    what = "policy '" + prog.name +
-           "' rejected at hook " + std::string(hook_name) +
-           ": the cost analysis could not bound its worst-case path, so "
-           "the " + FormatNs(budget) + " ns hook budget cannot be proven";
-  } else {
-    what = "policy '" + prog.name + "' rejected at hook " +
-           std::string(hook_name) + ": worst-case path costs " +
-           FormatNs(wcet_ns) + " ns at the " +
-           std::string(bpf::ExecModeName(tier)) + " tier, over the " +
-           FormatNs(budget) + " ns budget; hottest path: " +
-           bpf::FormatPath(cost.hottest_path) +
-           " (run `syrupctl cost` for the disassembly)";
-  }
-  if (cost_budget_config_.admit_over_budget) {
+  if (over) {
+    std::string what;
+    if (!cost.bounded) {
+      what = "policy '" + prog.name +
+             "' rejected at hook " + std::string(hook_name) +
+             ": the cost analysis could not bound its worst-case path, so "
+             "the " + FormatNs(budget) + " ns hook budget cannot be proven";
+    } else {
+      what = "policy '" + prog.name + "' rejected at hook " +
+             std::string(hook_name) + ": worst-case path costs " +
+             FormatNs(wcet_ns) + " ns at the " +
+             std::string(bpf::ExecModeName(tier)) + " tier, over the " +
+             FormatNs(budget) + " ns budget; hottest path: " +
+             bpf::FormatPath(cost.hottest_path) +
+             " (run `syrupctl cost` for the disassembly)";
+    }
+    if (!admit_over_budget_) {
+      return InvalidArgumentError(
+          what + "; Syrupd::set_admit_over_budget(true) overrides");
+    }
     SYRUP_LOG(Warning) << what
                        << " -- admitted anyway (admit_over_budget set)";
-    return OkStatus();
   }
-  return InvalidArgumentError(
-      what + "; set CostBudgetConfig.admit_over_budget to override");
+
+  // Admitted: from here on the deploy leaves a trace.
+  auto set = [&](std::string_view metric, int64_t value) {
+    metrics_.GetGauge(app_name, hook_name, metric)->Set(value);
+  };
+  set("verifier.visited_insns", static_cast<int64_t>(vstats.visited_insns));
+  set("verifier.branch_states", static_cast<int64_t>(vstats.branch_states));
+  set("verifier.pruned_states", static_cast<int64_t>(vstats.pruned_states));
+  set("verifier.verify_ns", static_cast<int64_t>(vstats.verify_ns));
+  set("policy.compile_ns", static_cast<int64_t>(compile_ns));
+  set("policy.exec_mode", static_cast<int64_t>(tier));
+  if (compiled.native != nullptr) {
+    const bpf::JitStats& jit = compiled.native->stats();
+    set("policy.jit_ns", static_cast<int64_t>(jit.jit_ns));
+    set("policy.jit_code_bytes", static_cast<int64_t>(jit.code_bytes));
+  }
+  // -1 on the wcet gauges means "no bound": the cost walk gave up
+  // (exploration budget), so no wcet exists to report.
+  set("policy.wcet_ns", cost.bounded ? std::llround(wcet_ns) : -1);
+  set("policy.wcet_insns",
+      cost.bounded ? static_cast<int64_t>(cost.wcet_insns) : -1);
+  set("policy.over_budget", over ? 1 : 0);
+  set("policy.budget_warn", warn ? 1 : 0);
+  return OkStatus();
 }
 
 const bpf::Program* Syrupd::ProgramById(uint64_t prog_id) const {
@@ -357,19 +343,16 @@ StatusOr<int> Syrupd::DeployPolicyFile(AppId app,
 
   // Compile once at attach time; every dispatch then runs the pre-decoded
   // form.
-  const std::string& app_name = apps_.at(app).name;
-  EmitVerifierMetrics(app_name, HookName(hook), vstats);
   const uint64_t t0 = WallNowNs();
   SYRUP_ASSIGN_OR_RETURN(
       std::shared_ptr<const bpf::CompiledProgram> compiled,
       CompileForCurrentMode(*program, bpf::ProgramContext::kPacket, &vfacts));
-  metrics_.GetGauge(app_name, HookName(hook), "policy.compile_ns")
-      ->Set(static_cast<int64_t>(WallNowNs() - t0));
-  EmitExecTierMetrics(app_name, HookName(hook), *compiled);
   // The budget gate: a program whose verifier-proven worst-case path is
   // too slow for this hook never reaches it (unless overridden).
-  SYRUP_RETURN_IF_ERROR(
-      EnforceCostBudget(app_name, hook, *program, vfacts, *compiled));
+  const std::string& app_name = apps_.at(app).name;
+  SYRUP_RETURN_IF_ERROR(AdmitDeployment(app_name, hook, *program, vstats,
+                                        WallNowNs() - t0, vfacts.cost,
+                                        *compiled));
 
   const uint64_t prog_id = next_prog_id_++;
   programs_[prog_id] = program;
@@ -502,18 +485,14 @@ StatusOr<int> Syrupd::DeployThreadPolicyFile(AppId app,
   SYRUP_RETURN_IF_ERROR(bpf::Verify(*program, bpf::ProgramContext::kThread,
                                     {}, &vstats, &vfacts));
 
-  const std::string& app_name = apps_.at(app).name;
-  const std::string_view hook_name = HookName(Hook::kThreadScheduler);
-  EmitVerifierMetrics(app_name, hook_name, vstats);
   const uint64_t t0 = WallNowNs();
   SYRUP_ASSIGN_OR_RETURN(
       std::shared_ptr<const bpf::CompiledProgram> compiled,
       CompileForCurrentMode(*program, bpf::ProgramContext::kThread, &vfacts));
-  metrics_.GetGauge(app_name, hook_name, "policy.compile_ns")
-      ->Set(static_cast<int64_t>(WallNowNs() - t0));
-  EmitExecTierMetrics(app_name, hook_name, *compiled);
-  SYRUP_RETURN_IF_ERROR(EnforceCostBudget(app_name, Hook::kThreadScheduler,
-                                          *program, vfacts, *compiled));
+  const std::string& app_name = apps_.at(app).name;
+  SYRUP_RETURN_IF_ERROR(AdmitDeployment(app_name, Hook::kThreadScheduler,
+                                        *program, vstats, WallNowNs() - t0,
+                                        vfacts.cost, *compiled));
 
   const uint64_t prog_id = next_prog_id_++;
   programs_[prog_id] = program;
@@ -522,7 +501,9 @@ StatusOr<int> Syrupd::DeployThreadPolicyFile(AppId app,
 
   auto policy = std::make_shared<BytecodeGhostPolicy>(
       compiled, MakeExecEnv(),
-      PolicyMetrics::InRegistry(metrics_, app_name, hook_name), vfacts.pure);
+      PolicyMetrics::InRegistry(metrics_, app_name,
+                                HookName(Hook::kThreadScheduler)),
+      vfacts.pure);
   SYRUP_RETURN_IF_ERROR(
       DeployThreadPolicy(app, policy.get(), machine, config));
   owned_thread_policy_ = std::move(policy);

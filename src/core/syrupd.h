@@ -61,31 +61,6 @@ struct DispatchStats {
 // It holds no settings: the flow-decision cache is retired (DESIGN.md).
 struct FlowCacheConfig {};
 
-// Deploy-time worst-case-latency budget policy. Every bytecode deployment's
-// verifier-computed wcet_ns (at the tier the program will actually run on)
-// is compared against the target hook's budget; over-budget programs are
-// rejected with a diagnostic naming the hottest path unless the override
-// knob admits them with a warning.
-struct CostBudgetConfig {
-  // Master switch: when off the policy.wcet_* gauges are still published
-  // but nothing is ever rejected.
-  bool enforce = true;
-  // Override knob: admit over-budget programs anyway; the deploy succeeds,
-  // a warning is logged, and policy.over_budget = 1 is published so
-  // operators can find the exception.
-  bool admit_over_budget = false;
-  // Fraction of the budget at which policy.budget_warn is raised for
-  // still-admissible programs.
-  double warn_fraction = 0.8;
-  // Per-hook budget override in ns; entries <= 0 use DefaultHookBudgetNs.
-  double budget_ns[kNumHooks] = {};
-
-  double BudgetFor(Hook hook) const {
-    const double ns = budget_ns[HookIndex(hook)];
-    return ns > 0 ? ns : DefaultHookBudgetNs(hook);
-  }
-};
-
 // One map and every deployed bytecode program touching it, as operator
 // labels ("app/hook/policy"). `atomics` is the subset of writers mutating
 // in place with lock xadd.
@@ -178,14 +153,12 @@ class Syrupd {
 
   // --- Cost budgets --------------------------------------------------------
 
-  // Budget policy for subsequent bytecode deployments (already-attached
-  // policies are not re-checked).
-  void set_cost_budget_config(const CostBudgetConfig& config) {
-    cost_budget_config_ = config;
-  }
-  const CostBudgetConfig& cost_budget_config() const {
-    return cost_budget_config_;
-  }
+  // A bytecode deployment whose worst case (at the tier it will run on)
+  // exceeds the hook's DefaultHookBudgetNs is rejected, naming the hottest
+  // path. Setting this admits it with a logged warning and
+  // policy.over_budget = 1, for later deployments (attached ones are not
+  // re-checked).
+  void set_admit_over_budget(bool admit) { admit_over_budget_ = admit; }
 
   // --- Dispatch ------------------------------------------------------------
 
@@ -327,27 +300,16 @@ class Syrupd {
   StatusOr<std::shared_ptr<const bpf::CompiledProgram>> CompileForCurrentMode(
       const bpf::Program& program, bpf::ProgramContext context,
       const bpf::AnalysisFacts* facts);
-  // Publishes the verifier's exploration cost for a deployed program as
-  // verifier.* gauges alongside the policy.* deployment gauges.
-  void EmitVerifierMetrics(const std::string& app_name,
-                           std::string_view hook_name,
-                           const bpf::VerifierStats& stats);
-  // Publishes which tier the deployment actually runs on (policy.exec_mode
-  // = EffectiveExecMode, not the requested mode) plus, when machine code
-  // was published, the policy.jit_ns / policy.jit_code_bytes gauges.
-  void EmitExecTierMetrics(const std::string& app_name,
-                           std::string_view hook_name,
-                           const bpf::CompiledProgram& compiled);
-  // Budget gate for a just-verified deployment: publishes policy.wcet_ns /
-  // policy.wcet_insns / policy.over_budget / policy.budget_warn and
-  // rejects (or admits with a warning, per CostBudgetConfig) when the
-  // worst-case path at the effective tier exceeds the hook budget. An
-  // unbounded cost analysis counts as over budget: enforcement never
-  // admits what it cannot prove.
-  Status EnforceCostBudget(const std::string& app_name, Hook hook,
-                           const bpf::Program& prog,
-                           const bpf::AnalysisFacts& facts,
-                           const bpf::CompiledProgram& compiled);
+  // Budget gate for a just-verified, compiled deployment: rejects (or
+  // admits with a warning, per set_admit_over_budget) a worst-case path at
+  // the effective tier over the hook budget, or one the cost analysis could
+  // not bound. Only an admitted deploy publishes its verifier.* and policy.*
+  // gauges (policy.exec_mode is EffectiveExecMode, the tier that runs).
+  Status AdmitDeployment(const std::string& app_name, Hook hook,
+                         const bpf::Program& prog,
+                         const bpf::VerifierStats& vstats,
+                         uint64_t compile_ns, const bpf::CostFacts& cost,
+                         const bpf::CompiledProgram& compiled);
   Status InstallStackHook(Hook hook);
   void MaybeUninstallStackHook(Hook hook);
   // Batch-of-1 wrapper around DispatchBatch (the single-packet hooks).
@@ -396,7 +358,7 @@ class Syrupd {
   std::map<uint64_t, std::shared_ptr<const bpf::CompiledProgram>> compiled_;
   uint64_t next_prog_id_ = 1;
   bpf::ExecMode exec_mode_ = bpf::ExecMode::kCompiled;
-  CostBudgetConfig cost_budget_config_;
+  bool admit_over_budget_ = false;
   // Verifier facts per deployed bytecode program, retained for the
   // deployment interference analysis (read/write/atomic map sets,
   // impurities, cost summary).

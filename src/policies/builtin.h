@@ -316,29 +316,10 @@ std::string MicaHomePolicyAsm(uint32_t num_executors);
 
 // Steers on a key that sits *after* a variable-length option area: byte 5
 // carries the option length (masked to [0, 31]), and the 4-byte steering
-// key is read at pkt[len + 4]. The range-tracking verifier proves the
-// access from the mask plus the 40-byte bounds guard; a constant-only
-// verifier has to reject it (the offset is not a compile-time constant).
-class VarHeaderPolicy : public PacketPolicy {
- public:
-  explicit VarHeaderPolicy(uint32_t num_executors) : n_(num_executors) {}
-
-  Decision Schedule(const PacketView& pkt) override {
-    if (pkt.size() < 40) {
-      return kPass;
-    }
-    const uint32_t hdr_len = static_cast<uint8_t>(pkt.start[5]) & 31u;
-    uint32_t key;
-    std::memcpy(&key, pkt.start + hdr_len + 4, sizeof(key));
-    return static_cast<Decision>(key % n_);
-  }
-
-  std::string_view name() const override { return "var_header"; }
-
- private:
-  uint32_t n_;
-};
-
+// key is read at pkt[len + 4], modulo the executor count (PASS for packets
+// under 40 bytes). The range-tracking verifier proves the access from the
+// mask plus the 40-byte bounds guard; a constant-only verifier has to
+// reject it (the offset is not a compile-time constant).
 std::string VarHeaderPolicyAsm(uint32_t num_executors);
 
 // --- GET-priority thread scheduling (§5.3) -----------------------------------

@@ -1,7 +1,6 @@
 #include "src/rack/tor_switch.h"
 
 #include "src/common/logging.h"
-#include "src/sim/sharded.h"
 
 namespace syrup {
 
@@ -22,12 +21,6 @@ Status TorSwitch::InstallTenantProgram(uint16_t dst_port,
   }
   tenant_programs_[dst_port] = std::move(policy);
   return OkStatus();
-}
-
-Status TorSwitch::RemoveTenantProgram(uint16_t dst_port) {
-  return tenant_programs_.erase(dst_port) > 0
-             ? OkStatus()
-             : NotFoundError("no program for port");
 }
 
 int TorSwitch::DefaultPort(const Packet& pkt) const {
@@ -66,17 +59,6 @@ void TorSwitch::RxFromUplink(Packet pkt) {
 
   ++stats_.requests_forwarded;
   const Duration latency = config_.pipeline_latency + config_.wire_latency;
-  if (sharded_ != nullptr) {
-    const int dst = shard_of_port_(port);
-    if (dst != own_shard_) {
-      // Remote server: the delivery crosses shards, so the packet rides in
-      // the channel message (the FIFO below only works when the pop event
-      // runs on this engine).
-      sharded_->Post(own_shard_, dst, sim_.Now() + latency,
-                     [this, port, p = std::move(pkt)]() { tx_(port, p); });
-      return;
-    }
-  }
   tx_fifo_.emplace_back(port, std::move(pkt));
   sim_.ScheduleAfter(latency, [this]() {
     const auto [out_port, out_pkt] = std::move(tx_fifo_.front());
@@ -96,33 +78,6 @@ void TorSwitch::RxFromServer(int port, const Packet& /*pkt*/) {
     Map::AtomicFetchAdd(counter, static_cast<uint64_t>(-1));
   }
   ++stats_.responses_forwarded;
-}
-
-void TorSwitch::BindShard(ShardedSim* sharded, int own_shard,
-                          std::function<int(int port)> shard_of_port) {
-  SYRUP_CHECK(sharded != nullptr);
-  SYRUP_CHECK_GE(own_shard, 0);
-  SYRUP_CHECK_LT(own_shard, sharded->shards());
-  SYRUP_CHECK_EQ(&sharded->shard(own_shard), &sim_)
-      << "switch must be built on its owning shard's engine";
-  SYRUP_CHECK(shard_of_port != nullptr);
-  SYRUP_CHECK_GE(config_.pipeline_latency + config_.wire_latency,
-                 sharded->lookahead())
-      << "switch->server latency below the sharded lookahead";
-  sharded_ = sharded;
-  own_shard_ = own_shard;
-  shard_of_port_ = std::move(shard_of_port);
-}
-
-void TorSwitch::PostRxFromServer(int from_shard, int port, const Packet& pkt,
-                                 Duration latency) {
-  SYRUP_CHECK(sharded_ != nullptr) << "PostRxFromServer requires BindShard";
-  if (latency == 0) {
-    latency = config_.wire_latency;
-  }
-  const Time when = sharded_->shard(from_shard).Now() + latency;
-  sharded_->Post(from_shard, own_shard_, when,
-                 [this, port, p = pkt]() { RxFromServer(port, p); });
 }
 
 uint64_t TorSwitch::OutstandingOn(int port) const {

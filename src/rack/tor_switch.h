@@ -39,8 +39,6 @@
 
 namespace syrup {
 
-class ShardedSim;
-
 struct TorSwitchConfig {
   int num_server_ports = 4;
   Duration pipeline_latency = 1 * kMicrosecond;  // match-action + buffering
@@ -70,7 +68,6 @@ class TorSwitch {
   // Match-action isolation rule: packets to `dst_port` run `policy`.
   Status InstallTenantProgram(uint16_t dst_port,
                               std::shared_ptr<PacketPolicy> policy);
-  Status RemoveTenantProgram(uint16_t dst_port);
 
   // Per-server outstanding-request registers (u32 port -> u64 count),
   // maintained by the data plane; readable by policies and by end hosts
@@ -87,23 +84,6 @@ class TorSwitch {
   // server's outstanding register).
   void RxFromServer(int port, const Packet& pkt);
 
-  // --- sharded rack mode (src/sim/sharded.h) ------------------------------
-  //
-  // Places the switch on `own_shard` of a sharded run; `shard_of_port`
-  // names the shard owning each server port. Forwards to remote ports then
-  // travel the inter-shard channels (the tx closure runs on the server's
-  // shard), as do remote servers' responses via PostRxFromServer. The
-  // pipeline+wire latency must be at least the sharded lookahead so every
-  // cross-shard delivery lands outside the executing window.
-  void BindShard(ShardedSim* sharded, int own_shard,
-                 std::function<int(int port)> shard_of_port);
-
-  // Response-path entry for a server owned by `from_shard`: runs
-  // RxFromServer on the switch's shard after `latency` (defaults to the
-  // configured wire latency) past the server shard's clock.
-  void PostRxFromServer(int from_shard, int port, const Packet& pkt,
-                        Duration latency = 0);
-
   const TorSwitchStats& stats() const { return stats_; }
   uint64_t OutstandingOn(int port) const;
 
@@ -112,9 +92,6 @@ class TorSwitch {
 
   Simulator& sim_;
   TorSwitchConfig config_;
-  ShardedSim* sharded_ = nullptr;  // set by BindShard; null when unsharded
-  int own_shard_ = 0;
-  std::function<int(int port)> shard_of_port_;
   TxFn tx_;
   // Packets in flight between the match-action stage and the server link.
   // Every forwarded packet waits the same pipeline+wire latency, so the

@@ -836,9 +836,7 @@ TEST_F(SyrupdTest, OverBudgetPolicyRejectedAtTightHook) {
 TEST_F(SyrupdTest, OverBudgetOverrideAdmitsWithWarningGauge) {
   auto app = syrupd_.RegisterApp("a", 1000, 9000).value();
   SyrupClient client(syrupd_, app);
-  CostBudgetConfig budget = syrupd_.cost_budget_config();
-  budget.admit_over_budget = true;
-  syrupd_.set_cost_budget_config(budget);
+  syrupd_.set_admit_over_budget(true);
   auto fd = client.syr_deploy_policy(kBurnerPolicy, Hook::kXdpOffload);
   ASSERT_TRUE(fd.ok()) << fd.status();
   const obs::Snapshot snapshot = syrupd_.StatsSnapshot();
@@ -866,14 +864,63 @@ TEST_F(SyrupdTest, InBudgetPolicyPublishesWcetGauges) {
             0);
 }
 
-TEST_F(SyrupdTest, DisabledEnforcementAdmitsOverBudgetPolicy) {
+// The thread-hook counterpart: ~50 us worst case against the 20 us budget.
+constexpr char kThreadBurnerPolicy[] = R"(
+.name thread_burner
+.ctx thread
+  mov r6, 0
+  mov r0, 1
+loop:
+  jge r6, 10000, done
+  add r0, 3
+  add r6, 1
+  ja loop
+done:
+  exit
+)";
+
+// A deploy the budget gate rejects publishes none of its gauges, so the
+// live deployment's verifier.*, policy.compile_ns, exec-tier and budget
+// gauges read as before.
+TEST_F(SyrupdTest, RejectedPacketDeployLeavesGaugesAlone) {
   auto app = syrupd_.RegisterApp("a", 1000, 9000).value();
-  SyrupClient client(syrupd_, app);
-  CostBudgetConfig budget = syrupd_.cost_budget_config();
-  budget.enforce = false;
-  syrupd_.set_cost_budget_config(budget);
-  EXPECT_TRUE(
-      client.syr_deploy_policy(kBurnerPolicy, Hook::kXdpOffload).ok());
+  ASSERT_TRUE(syrupd_
+                  .DeployPolicyFile(app, ConstIndexPolicyAsm(0),
+                                    Hook::kXdpOffload)
+                  .ok());
+  const std::string stats = syrupd_.StatsSnapshot().ToJson();
+  const std::string analysis = syrupd_.AnalyzeDeployments().ToJson();
+
+  const StatusOr<int> burner =
+      syrupd_.DeployPolicyFile(app, kBurnerPolicy, Hook::kXdpOffload);
+  ASSERT_FALSE(burner.ok());
+  EXPECT_NE(burner.status().message().find("worst-case path"),
+            std::string::npos)
+      << burner.status();
+  EXPECT_EQ(syrupd_.StatsSnapshot().ToJson(), stats);
+  EXPECT_EQ(syrupd_.AnalyzeDeployments().ToJson(), analysis);
+}
+
+TEST_F(SyrupdTest, RejectedThreadDeployLeavesGaugesAlone) {
+  auto app = syrupd_.RegisterApp("a", 1000, 9000).value();
+  ASSERT_TRUE(syrupd_
+                  .DeployPolicyFile(app, ConstIndexPolicyAsm(0),
+                                    Hook::kXdpOffload)
+                  .ok());
+  const std::string stats = syrupd_.StatsSnapshot().ToJson();
+  const std::string analysis = syrupd_.AnalyzeDeployments().ToJson();
+
+  Machine machine(sim_, 2);
+  GhostConfig config;
+  config.num_managed_cores = 1;
+  const StatusOr<int> burner = syrupd_.DeployThreadPolicyFile(
+      app, kThreadBurnerPolicy, machine, config);
+  ASSERT_FALSE(burner.ok());
+  EXPECT_NE(burner.status().message().find("worst-case path"),
+            std::string::npos)
+      << burner.status();
+  EXPECT_EQ(syrupd_.StatsSnapshot().ToJson(), stats);
+  EXPECT_EQ(syrupd_.AnalyzeDeployments().ToJson(), analysis);
 }
 
 // --- deployment interference analysis ----------------------------------------
