@@ -3,7 +3,8 @@
 
   python3 bench/ab.py --workload fig2_rr_sharded2 --pairs 10 [--seconds 20]
                       [--seed N] [--metric wall_ns_per_req]
-  python3 bench/ab.py --workload fig8_ghost --trace [--seconds 5] [--seed N]
+  python3 bench/ab.py --workload fig8_ghost --trace [--pairs 5] [--seconds 5]
+                      [--seed N]
   python3 bench/ab.py --bench sim_parallel --args="--quick --out {out}" \\
                       --metric scenarios.cross_heavy.speedup_4 --better higher
 
@@ -17,12 +18,15 @@ the same source reuses it and its build.
 --workload W runs `python3 bench/e2e/run.py --workload W --seconds S
 --trace 0` in each tree and reads every end-to-end metric of BENCHMARK.json
 from its last line; a run that is not correct or fails requests is an
-error. --workload W --trace instead runs one `run.py --trace 1` per side and
-prints every per-layer metric side by side, to show where a change's
-saving lands. A count (events, decisions, messages, map operations per
-request, ...) is deterministic per seed, so any count that differs is
-flagged; timings (units in ns or us, and trace.overhead_ratio) only show
-their relative change.
+error. --workload W --trace instead runs --pairs alternating `run.py
+--trace 1` runs per side and prints every per-layer metric's per-side
+median and range, to show where a change's saving lands. One traced run
+per side is not enough: each run lands on one of the host's per-process
+speed levels, so a single pair can show a layer the change never touches
+as moved. A count (events, decisions, messages, map operations per
+request, ...) is deterministic per seed, so a count that differs in any
+run, on either side, is flagged; timings (units in ns or us, and
+trace.overhead_ratio) only show the relative change of their medians.
 
 --bench NAME runs the tree's build/bench/NAME with --args (write
 --args="..." when the value starts with a dash), where {out} names a fresh
@@ -193,27 +197,39 @@ def is_timing(name, unit):
         "overhead_ratio")
 
 
-def report_trace(traced):
-    """Prints the two sides' per-layer metrics; returns how many counts
-    differ."""
-    base, change = traced["base"], traced["change"]
+def report_trace(runs):
+    """Prints each per-layer metric's per-side median and range over the
+    traced runs; returns how many counts differ in some run."""
+    names = []
+    for pair in runs:
+        for side in SIDES:
+            names += [n for n in pair[side] if n not in names]
     differ = 0
-    print(f"  {'metric':<40} {'base':>14} {'change':>14}  {'delta':>8}")
-    for name in list(base) + [n for n in change if n not in base]:
-        if name not in base or name not in change:
-            side = "base" if name in base else "change"
-            print(f"  {name:<40} only in {side}  COUNT DIFFERS")
+    print(f"  {'metric':<40} {'base median [min, max]':>34}  "
+          f"{'change median [min, max]':>34}  {'delta':>8}")
+    for name in names:
+        values = {side: [pair[side][name][0] for pair in runs
+                         if name in pair[side]] for side in SIDES}
+        if any(len(values[side]) != len(runs) for side in SIDES):
+            print(f"  {name:<40} missing from some run  COUNT DIFFERS")
             differ += 1
             continue
-        (b, unit), (c, _) = base[name], change[name]
+        unit = runs[0]["base"][name][1]
+        cells = []
+        for side in SIDES:
+            v = values[side]
+            cells.append(f"{statistics.median(v):.6g} "
+                         f"[{min(v):.6g}, {max(v):.6g}]")
+        b = statistics.median(values["base"])
+        c = statistics.median(values["change"])
         rel = "=" if c == b else f"{(c - b) / b:+.1%}" if b else "new"
         note = ""
         if is_timing(name, unit):
             note = "  (timing)"
-        elif c != b:
+        elif len(set(values["base"] + values["change"])) > 1:
             note = "  COUNT DIFFERS"
             differ += 1
-        print(f"  {name:<40} {b:>14.6f} {c:>14.6f}  {rel:>8}  "
+        print(f"  {name:<40} {cells[0]:>34}  {cells[1]:>34}  {rel:>8}  "
               f"{unit}{note}")
     return differ
 
@@ -270,8 +286,8 @@ def main():
     parser.add_argument("--metric", help="metric the verdict is about")
     parser.add_argument("--better", choices=["lower", "higher"])
     parser.add_argument("--trace", action="store_true",
-                        help="compare one traced run per side, layer by "
-                             "layer, instead of timed pairs")
+                        help="compare --pairs traced runs per side, layer "
+                             "by layer, instead of timed pairs")
     parser.add_argument("--workdir", type=Path)
     parser.add_argument("--out", type=Path, help="write every run as JSON")
     args = parser.parse_args()
@@ -305,14 +321,15 @@ def main():
     try:
         trees = {"base": prepare("base", args.base, workdir, args),
                  "change": prepare("change", args.change, workdir, args)}
-        if args.trace:
-            traced = {side: run_traced(trees[side], args, scratch)
-                      for side in SIDES}
         runs = []
-        for i in range(0 if args.trace else args.pairs):
+        for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {}
             for side in order:
+                if args.trace:
+                    pair[side] = run_traced(trees[side], args, scratch)
+                    print(f"pair {i + 1:>2} {side:<6} traced", flush=True)
+                    continue
                 pair[side] = run_once(trees[side], args, scratch)
                 values = "  ".join(f"{k}={v:.6g}"
                                    for k, v in sorted(pair[side].items()))
@@ -330,12 +347,12 @@ def main():
     what = args.workload or args.bench
     change = args.change or "working tree"
     if args.trace:
-        print(f"\n{what}: one traced run per side, base {args.base}, "
-              f"change {change}")
-        differ = report_trace(traced)
+        print(f"\n{what}: {args.pairs} traced runs per side, base "
+              f"{args.base}, change {change}")
+        differ = report_trace(runs)
         print(f"  {differ} count(s) differ")
         if args.out:
-            args.out.write_text(json.dumps({"what": what, "traced": traced},
+            args.out.write_text(json.dumps({"what": what, "traced": runs},
                                            indent=1) + "\n")
         return 0
     print(f"\n{what}: {args.pairs} pairs, base {args.base}, change "

@@ -1,10 +1,11 @@
-// Ablation (DESIGN.md #1): bytecode policy execution vs native mirrors.
+// Ablation (DESIGN.md #1): the two execution tiers of a deployed policy.
 //
-// The simulation hot path uses native C++ policies; real deployments run
-// verified bytecode. This ablation (a) confirms both bytecode tiers
-// (compiled, native machine code) produce bit-identical *simulation
-// results*, and (b) quantifies what each costs over the C++ mirror in
-// simulation wall clock. Each wall clock is the best of 3 interleaved runs.
+// Every host runs verified bytecode; syrupd runs it either as the
+// pre-decoded compiled form or as JIT machine code (ExecMode::kNative).
+// This ablation (a) confirms both tiers produce bit-identical *simulation
+// results* on the Fig. 6 workload, and (b) quantifies what the native tier
+// saves in simulation wall clock. Each wall clock is the best of 3
+// interleaved runs.
 //
 //   --quick  one policy and load, short windows, one run per tier: only the
 //            simulated columns and `ident`, too short to time the tiers
@@ -21,11 +22,10 @@ namespace syrup {
 namespace {
 
 // Runs one tier into `*result`; returns its wall-clock seconds.
-double RunTimed(SocketPolicyKind policy, bool bytecode, bpf::ExecMode mode,
-                double load, Duration measure, RocksDbResult* result) {
+double RunTimed(SocketPolicyKind policy, bpf::ExecMode mode, double load,
+                Duration measure, RocksDbResult* result) {
   RocksDbExperimentConfig config;
   config.socket_policy = policy;
-  config.use_bytecode = bytecode;
   config.exec_mode = mode;
   config.get_fraction = 0.995;
   config.load_rps = load;
@@ -44,12 +44,13 @@ bool SameResults(const RocksDbResult& a, const RocksDbResult& b) {
 
 void Run(bool quick) {
   const Duration measure = quick ? 150 * kMillisecond : 600 * kMillisecond;
-  std::printf("# Ablation: native policy mirrors vs verified bytecode via "
-              "syrupd (Fig. 6 workload)%s\n", quick ? " [--quick]" : "");
+  std::printf("# Ablation: compiled vs native (machine-code) tier of the "
+              "deployed bytecode (Fig. 6 workload)%s\n",
+              quick ? " [--quick]" : "");
   std::printf("%-12s %9s | %11s %11s | %11s %11s |", "policy", "load_rps",
-              "native_p99", "bcode_p99", "native_tput", "bcode_tput");
+              "compld_p99", "native_p99", "compld_tput", "native_tput");
   if (!quick) {
-    std::printf(" %7s %7s |", "compld", "jit");
+    std::printf(" %7s |", "native");
   }
   std::printf(" %5s\n", "ident");
   bool all_identical = true;
@@ -62,42 +63,36 @@ void Run(bool quick) {
                            : std::vector<double>{100'000.0, 250'000.0};
   for (SocketPolicyKind policy : policies) {
     for (double load : loads) {
-      // The native C++ mirror, then the two bytecode tiers.
-      RocksDbResult native, compiled, jit;
-      auto tier = [&](bool bytecode, bpf::ExecMode mode, RocksDbResult* out) {
-        return [=] {
-          return RunTimed(policy, bytecode, mode, load, measure, out);
-        };
+      RocksDbResult compiled, native;
+      auto tier = [&](bpf::ExecMode mode, RocksDbResult* out) {
+        return [=] { return RunTimed(policy, mode, load, measure, out); };
       };
       const std::vector<bench::Series> wall = bench::Interleave(
-          {tier(false, bpf::ExecMode::kCompiled, &native),
-           tier(true, bpf::ExecMode::kCompiled, &compiled),
-           tier(true, bpf::ExecMode::kNative, &jit)},
+          {tier(bpf::ExecMode::kCompiled, &compiled),
+           tier(bpf::ExecMode::kNative, &native)},
           quick ? 1 : 3);
 
-      // Same seed, same decisions: both bytecode tiers must land on the
-      // same simulated outcome to the bit.
-      const bool identical = SameResults(compiled, jit);
+      // Same seed, same decisions: both tiers must land on the same
+      // simulated outcome to the bit.
+      const bool identical = SameResults(compiled, native);
       all_identical = all_identical && identical;
 
       std::printf("%-12s %9.0f | %11.1f %11.1f | %11.0f %11.0f |",
                   std::string(SocketPolicyName(policy)).c_str(), load,
-                  native.p99_us, compiled.p99_us, native.throughput_rps,
-                  compiled.throughput_rps);
+                  compiled.p99_us, native.p99_us, compiled.throughput_rps,
+                  native.throughput_rps);
       if (!quick) {
-        // Wall-clock slowdown of each bytecode tier over the native mirror
-        // (1.00x = as cheap as the C++ mirror).
-        const double base = wall[0].Best();
-        std::printf(" %6.2fx %6.2fx |", wall[1].Best() / base,
-                    wall[2].Best() / base);
+        // Wall clock of the native tier over the compiled one (1.00x = no
+        // saving).
+        std::printf(" %6.2fx |", wall[1].Best() / wall[0].Best());
       }
       std::printf(" %5s\n", identical ? "yes" : "NO");
     }
   }
   std::printf(
-      "%s# ident: both bytecode tiers produced bit-identical results.\n",
-      quick ? "" : "# compld/jit: simulation wall-clock vs the native mirror "
-                   "per tier, best of 3 interleaved runs each.\n");
+      "%s# ident: both tiers produced bit-identical results.\n",
+      quick ? "" : "# native: simulation wall clock of the native tier over "
+                   "the compiled tier, best of 3 interleaved runs each.\n");
   if (!all_identical) {
     std::printf("# FAILURE: execution tiers disagreed on simulation "
                 "results\n");

@@ -20,6 +20,7 @@ double P99(SocketPolicyKind policy, bool late, double load) {
   config.late_binding = late;
   config.get_fraction = 0.995;
   config.load_rps = load;
+  config.exec_mode = bpf::ExecMode::kNative;
   config.measure = 600 * kMillisecond;
   config.seed = 9;
   return RunRocksDbExperiment(config).p99_us;

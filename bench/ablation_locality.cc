@@ -17,6 +17,7 @@
 
 #include "src/apps/loadgen.h"
 #include "src/common/histogram.h"
+#include "src/common/logging.h"
 #include "src/core/syrupd.h"
 #include "src/policies/builtin.h"
 #include "src/sim/simulator.h"
@@ -37,11 +38,12 @@ Result RunOnce(bool spray, double skew, double load) {
   stack_config.nic_ring_depth = 256;
   HostStack stack(sim, stack_config);
   Syrupd syrupd(sim, &stack);
+  syrupd.set_exec_mode(bpf::ExecMode::kNative);
   const AppId app = syrupd.RegisterApp("sink", 1000, 9000).value();
   if (spray) {
-    (void)syrupd.DeployNativePolicy(app,
-                                    std::make_shared<RoundRobinPolicy>(6),
-                                    Hook::kCpuRedirect);
+    SYRUP_CHECK_OK(
+        syrupd.DeployPolicyFile(app, RoundRobinPolicyAsm(6), Hook::kCpuRedirect)
+            .status());
   }
 
   // Sink sockets: measure stack-level delivery latency.

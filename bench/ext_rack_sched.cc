@@ -4,16 +4,22 @@
 // The switch runs a per-tenant Syrup program whose executors are servers:
 //   hash — per-flow hashing (the no-program default, analogous to ECMP).
 //   rr   — the unchanged Fig. 5a round-robin policy.
-//   jsq  — LeastLoadedPolicy over the switch's outstanding-request
+//   jsq  — LeastLoadedPolicyAsm over the switch's outstanding-request
 //          registers (RackSched's least-loaded approach), the registers
 //          being a device-resident Syrup Map.
+//   p2c  — PowerOfTwoPolicyAsm over the same registers.
+// Each is verified bytecode loaded with bpf::Load: the switch has no
+// daemon, so this bench is its control plane.
 //
 // Two racks: homogeneous, and one with a 3x-slower straggler server —
 // where load-aware scheduling pays off.
 #include <cstdio>
 #include <memory>
+#include <string>
 
 #include "src/apps/loadgen.h"
+#include "src/bpf/loader.h"
+#include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/policies/builtin.h"
 #include "src/rack/rack.h"
@@ -23,6 +29,27 @@ namespace {
 
 enum class RackPolicy { kHash, kRoundRobin, kLeastLoaded, kPowerOfTwo };
 
+// Loads a tenant program for the switch, binding its extern map to the
+// switch's outstanding-request registers. Its random draws come from
+// Rng(3), its clock from the simulation.
+void InstallTenantProgram(Simulator& sim, Rack& rack,
+                          const std::string& source) {
+  bpf::LoadOptions options;
+  options.mode = bpf::ExecMode::kNative;
+  options.resolve =
+      [&rack](const bpf::MapSlot& slot) -> StatusOr<std::shared_ptr<Map>> {
+    return slot.is_extern ? rack.tor().outstanding_map() : nullptr;
+  };
+  bpf::LoadedProgram loaded = bpf::Load(source, options).value();
+  auto rng = std::make_shared<Rng>(3);
+  bpf::ExecEnv env;
+  env.random_u32 = [rng]() { return static_cast<uint32_t>(rng->Next()); };
+  env.ktime_ns = [&sim]() { return sim.Now(); };
+  SYRUP_CHECK_OK(rack.tor().InstallTenantProgram(
+      9000, std::make_shared<BytecodePacketPolicy>(std::move(loaded.compiled),
+                                                   std::move(env))));
+}
+
 double P99(RackPolicy policy, bool straggler, double load) {
   Simulator sim;
   RackConfig config;
@@ -31,27 +58,19 @@ double P99(RackPolicy policy, bool straggler, double load) {
     config.server_speed = {1.0, 1.0, 1.0, 3.0};
   }
   Rack rack(sim, config);
+  constexpr char kRegisters[] = "/tor/outstanding";
   switch (policy) {
     case RackPolicy::kHash:
       break;  // default path
     case RackPolicy::kRoundRobin:
-      (void)rack.tor().InstallTenantProgram(
-          9000, std::make_shared<RoundRobinPolicy>(4));
+      InstallTenantProgram(sim, rack, RoundRobinPolicyAsm(4));
       break;
     case RackPolicy::kLeastLoaded:
-      (void)rack.tor().InstallTenantProgram(
-          9000, std::make_shared<LeastLoadedPolicy>(
-                    4, rack.tor().outstanding_map()));
+      InstallTenantProgram(sim, rack, LeastLoadedPolicyAsm(4, kRegisters));
       break;
-    case RackPolicy::kPowerOfTwo: {
-      auto rng = std::make_shared<Rng>(3);
-      (void)rack.tor().InstallTenantProgram(
-          9000, std::make_shared<PowerOfTwoPolicy>(
-                    4, rack.tor().outstanding_map(), [rng]() {
-                      return static_cast<uint32_t>(rng->Next());
-                    }));
+    case RackPolicy::kPowerOfTwo:
+      InstallTenantProgram(sim, rack, PowerOfTwoPolicyAsm(4, kRegisters));
       break;
-    }
   }
   LoadGenConfig gen_config;
   gen_config.rate_rps = load;

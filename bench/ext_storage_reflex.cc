@@ -12,9 +12,13 @@
 //   sita       — the Fig. 5d SITA policy deployed unchanged: writes (the
 //                long class) are isolated on queue 0, reads spread over
 //                the remaining queues.
+// Both are verified bytecode loaded with bpf::Load: the device has no
+// daemon, so this bench is its control plane.
 #include <cstdio>
 #include <memory>
+#include <string>
 
+#include "src/bpf/loader.h"
 #include "src/common/distributions.h"
 #include "src/common/histogram.h"
 #include "src/common/rng.h"
@@ -25,6 +29,20 @@
 
 namespace syrup {
 namespace {
+
+// Loads a policy for the storage hook. `tokens`, when set, is the map the
+// program's token_map declaration binds to; other declared maps are fresh.
+std::shared_ptr<PacketPolicy> LoadIoPolicy(const std::string& source,
+                                           std::shared_ptr<Map> tokens) {
+  bpf::LoadOptions options;
+  options.mode = bpf::ExecMode::kNative;
+  options.resolve =
+      [&tokens](const bpf::MapSlot& slot) -> StatusOr<std::shared_ptr<Map>> {
+    return slot.name == "token_map" ? tokens : nullptr;
+  };
+  return std::make_shared<BytecodePacketPolicy>(
+      bpf::Load(source, options).value().compiled, bpf::ExecEnv{});
+}
 
 constexpr uint32_t kLcTenant = 1;
 constexpr uint32_t kBeTenant = 2;
@@ -57,12 +75,12 @@ Result RunOnce(PolicyKind kind, double be_iops) {
       // Only the BE tenant is budgeted; LC is not throttled.
       (void)tokens->UpdateU64(
           kBeTenant, static_cast<uint64_t>(kBeTokenRate * ToSeconds(kEpoch)));
-      scheduler.SetPolicy(std::make_shared<TokenPolicy>(tokens));
+      scheduler.SetPolicy(LoadIoPolicy(TokenPolicyAsm(), tokens));
       break;
     }
     case PolicyKind::kSita:
-      scheduler.SetPolicy(std::make_shared<SitaPolicy>(
-          static_cast<uint32_t>(config.num_queues)));
+      scheduler.SetPolicy(LoadIoPolicy(
+          SitaPolicyAsm(static_cast<uint32_t>(config.num_queues)), nullptr));
       break;
   }
   std::shared_ptr<std::function<void()>> replenish;

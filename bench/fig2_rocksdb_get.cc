@@ -52,6 +52,7 @@ void Run() {
         config.socket_policy = variant == 0 ? SocketPolicyKind::kVanilla
                                             : SocketPolicyKind::kRoundRobin;
         config.load_rps = load;
+        config.exec_mode = bpf::ExecMode::kNative;
         config.seed = static_cast<uint64_t>(seed);
         config.measure = 800 * kMillisecond;
         const RocksDbResult result = RunRocksDbExperiment(config);

@@ -14,6 +14,7 @@ double P99At(SocketPolicyKind policy, double load) {
   config.socket_policy = policy;
   config.get_fraction = 0.995;
   config.load_rps = load;
+  config.exec_mode = bpf::ExecMode::kNative;
   config.measure = 800 * kMillisecond;
   config.seed = 3;
   return RunRocksDbExperiment(config).p99_us;

@@ -26,6 +26,7 @@ RocksDbResult RunVariant(SocketPolicyKind socket_policy,
   config.num_threads = 36;
   config.num_cores = 6;
   config.load_rps = load;
+  config.exec_mode = bpf::ExecMode::kNative;
   config.measure = 1 * kSecond;
   config.seed = 4;
   return RunRocksDbExperiment(config);

@@ -25,6 +25,7 @@ double P999At(MicaVariant variant, double get_fraction, double load) {
   config.variant = variant;
   config.get_fraction = get_fraction;
   config.load_rps = load;
+  config.exec_mode = bpf::ExecMode::kNative;
   config.measure = 400 * kMillisecond;
   config.seed = 2;
   return RunMicaExperiment(config).p999_us;

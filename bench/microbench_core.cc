@@ -1,14 +1,14 @@
 // Google-benchmark microbenchmarks for the framework's building blocks:
 // VM execution (the compiled tier beside the interpreter oracle it is
-// checked against), verification, map operations, histogram recording,
-// event dispatch, and native policy decisions. These are the costs behind
-// Table 2/3 and the simulator's own throughput.
+// checked against, and the C++ mirror oracle), verification, map
+// operations, histogram recording, event dispatch. These are the costs
+// behind Table 2/3 and the simulator's own throughput.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
-#include "src/bpf/assembler.h"
 #include "src/bpf/compiler.h"
+#include "src/bpf/loader.h"
 #include "src/bpf/verifier.h"
 #include "src/common/histogram.h"
 #include "src/common/rng.h"
@@ -20,6 +20,7 @@
 #include "src/policies/builtin.h"
 #include "src/sim/simulator.h"
 #include "tests/oracles/interpreter.h"
+#include "tests/oracles/native_policies.h"
 #include "tests/oracles/reference_simulator.h"
 
 namespace syrup {
@@ -33,25 +34,19 @@ Packet BenchPacket() {
   return pkt;
 }
 
-bpf::Program LoadProgram(const std::string& source) {
-  auto assembled = bpf::Assemble(source).value();
-  bpf::Program prog;
-  prog.name = assembled.name;
-  prog.insns = assembled.insns;
-  for (const bpf::MapSlot& slot : assembled.map_slots) {
-    prog.maps.push_back(CreateMap(slot.spec).value());
-  }
-  return prog;
+bpf::LoadedProgram LoadSita() {
+  return bpf::Load(SitaPolicyAsm(6), bpf::LoadOptions{}).value();
 }
 
 void BM_InterpreterSitaDecision(benchmark::State& state) {
-  bpf::Program prog = LoadProgram(SitaPolicyAsm(6));
+  const bpf::LoadedProgram loaded = LoadSita();
   bpf::ExecEnv env;
   bpf::Interpreter interp(env);
   const Packet pkt = BenchPacket();
   for (auto _ : state) {
     auto result =
-        interp.Run(prog, reinterpret_cast<uint64_t>(pkt.wire.data()),
+        interp.Run(*loaded.program,
+                   reinterpret_cast<uint64_t>(pkt.wire.data()),
                    reinterpret_cast<uint64_t>(pkt.wire.data() + kWireSize),
                    true);
     benchmark::DoNotOptimize(result);
@@ -62,14 +57,13 @@ BENCHMARK(BM_InterpreterSitaDecision);
 void BM_CompiledSitaDecision(benchmark::State& state) {
   // The pre-decoded tier the daemon actually deploys: operands resolved,
   // jumps absolute, verifier-proven memory checks elided.
-  bpf::Program prog = LoadProgram(SitaPolicyAsm(6));
-  bpf::CompiledProgram compiled =
-      bpf::Compile(prog, bpf::ProgramContext::kPacket).value();
+  const bpf::LoadedProgram loaded = LoadSita();
   bpf::CompiledExecutor exec{bpf::ExecEnv{}};
   const Packet pkt = BenchPacket();
   for (auto _ : state) {
     auto result =
-        exec.Run(compiled, reinterpret_cast<uint64_t>(pkt.wire.data()),
+        exec.Run(*loaded.compiled,
+                 reinterpret_cast<uint64_t>(pkt.wire.data()),
                  reinterpret_cast<uint64_t>(pkt.wire.data() + kWireSize),
                  true);
     benchmark::DoNotOptimize(result);
@@ -79,10 +73,10 @@ BENCHMARK(BM_CompiledSitaDecision);
 
 void BM_CompileSita(benchmark::State& state) {
   // Attach-time translation cost (paid once per deploy, cached by id).
-  bpf::Program prog = LoadProgram(SitaPolicyAsm(6));
+  const bpf::LoadedProgram loaded = LoadSita();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        bpf::Compile(prog, bpf::ProgramContext::kPacket));
+        bpf::Compile(*loaded.program, bpf::ProgramContext::kPacket));
   }
 }
 BENCHMARK(BM_CompileSita);
@@ -98,21 +92,23 @@ void BM_NativeSitaDecision(benchmark::State& state) {
 BENCHMARK(BM_NativeSitaDecision);
 
 void BM_VerifySita(benchmark::State& state) {
-  bpf::Program prog = LoadProgram(SitaPolicyAsm(6));
+  const bpf::LoadedProgram loaded = LoadSita();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        bpf::Verify(prog, bpf::ProgramContext::kPacket));
+        bpf::Verify(*loaded.program, bpf::ProgramContext::kPacket));
   }
 }
 BENCHMARK(BM_VerifySita);
 
 void BM_VerifyScanAvoidLoops(benchmark::State& state) {
   // Loop exploration cost scales with executor count.
-  bpf::Program prog =
-      LoadProgram(ScanAvoidPolicyAsm(static_cast<uint32_t>(state.range(0))));
+  const bpf::LoadedProgram loaded =
+      bpf::Load(ScanAvoidPolicyAsm(static_cast<uint32_t>(state.range(0))),
+                bpf::LoadOptions{})
+          .value();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        bpf::Verify(prog, bpf::ProgramContext::kPacket));
+        bpf::Verify(*loaded.program, bpf::ProgramContext::kPacket));
   }
 }
 BENCHMARK(BM_VerifyScanAvoidLoops)->Arg(2)->Arg(6)->Arg(12);
@@ -263,16 +259,17 @@ BENCHMARK(BM_ObsHistogramRecord);
 
 void BM_SyrupdDispatch(benchmark::State& state) {
   // The per-packet dispatcher path with metrics on: port match, per-hook +
-  // per-app accounting, decision classification, native policy decision.
-  // Guards the acceptance criterion that the registry adds no measurable
-  // overhead to dispatch throughput.
+  // per-app accounting, decision classification, and a round-robin policy
+  // on the native tier (a map read and write per decision). Guards the
+  // acceptance criterion that the registry adds no measurable overhead to
+  // dispatch throughput.
   Simulator sim;
   HostStack stack(sim, StackConfig{});
   Syrupd syrupd(sim, &stack);
+  syrupd.set_exec_mode(bpf::ExecMode::kNative);
   const AppId app = syrupd.RegisterApp("bench", /*uid=*/1000, 9000).value();
   (void)syrupd
-      .DeployNativePolicy(app, std::make_shared<RoundRobinPolicy>(6),
-                          Hook::kSocketSelect)
+      .DeployPolicyFile(app, RoundRobinPolicyAsm(6), Hook::kSocketSelect)
       .value();
   const Packet pkt = BenchPacket();
   const PacketView view = PacketView::Of(pkt);

@@ -1,8 +1,8 @@
 // Per-decision policy execution cost: each builtin socket policy through
 // the interpreter oracle ("interpret", tests/oracles/interpreter.h), the
-// two bytecode tiers (compiled, native machine code) and the trusted C++
-// mirror ("cpp"), interleaved, best of bench::kReps each. Writes
-// `BENCH_policy_exec.json`. Gates (`--baseline`,
+// two bytecode tiers (compiled, native machine code) and the C++ mirror
+// oracle ("cpp", tests/oracles/native_policies.h), interleaved, best of
+// bench::kReps each. Writes `BENCH_policy_exec.json`. Gates (`--baseline`,
 // flags in bench/harness.h): where the JIT exists (x86-64 Linux,
 // SYRUP_JIT_DISABLE unset) it publishes code for every builtin
 // (`jit_published`) and native stays within noise of the compiled tier it
@@ -17,15 +17,15 @@
 #include <vector>
 
 #include "bench/harness.h"
-#include "src/bpf/assembler.h"
 #include "src/bpf/compiler.h"
 #include "src/bpf/jit.h"
-#include "src/bpf/verifier.h"
+#include "src/bpf/loader.h"
 #include "src/common/rng.h"
 #include "src/map/map.h"
 #include "src/net/packet.h"
 #include "src/policies/builtin.h"
 #include "tests/oracles/interpreter.h"
+#include "tests/oracles/native_policies.h"
 
 namespace syrup {
 namespace {
@@ -33,21 +33,21 @@ namespace {
 constexpr int kWarmupIters = 10'000;
 constexpr int kMeasureIters = 400'000;
 
-bpf::Program LoadProgram(const std::string& source) {
-  auto assembled = bpf::Assemble(source).value();
-  bpf::Program prog;
-  prog.name = assembled.name;
-  prog.insns = assembled.insns;
-  for (const bpf::MapSlot& slot : assembled.map_slots) {
-    prog.maps.push_back(CreateMap(slot.spec).value());
-    // The policies that read maps expect the owning app to have seeded
-    // them; give every slot a few plausible entries so lookups hit. Token's
-    // user 1 holds enough tokens that no rep of any tier drains it.
+// Loads `source` on the native tier (machine code where the JIT can, as a
+// syrupd deployment would) with fresh maps.
+bpf::LoadedProgram LoadProgram(const std::string& source) {
+  bpf::LoadOptions options;
+  options.mode = bpf::ExecMode::kNative;
+  bpf::LoadedProgram loaded = bpf::Load(source, options).value();
+  // The policies that read maps expect the owning app to have seeded them;
+  // give every map a few plausible entries so lookups hit. Token's user 1
+  // holds enough tokens that no rep of any tier drains it.
+  for (const std::shared_ptr<Map>& map : loaded.program->maps) {
     for (uint32_t key = 1; key <= 4; ++key) {
-      (void)prog.maps.back()->UpdateU64(key, key == 2 ? 1 : 1'000'000'000);
+      (void)map->UpdateU64(key, key == 2 ? 1 : 1'000'000'000);
     }
   }
-  return prog;
+  return loaded;
 }
 
 std::vector<Packet> MakeWorkload() {
@@ -142,21 +142,20 @@ int Run(const bench::Flags& flags) {
   std::printf("%-12s %10s %10s %10s %10s\n", "policy", "interpret",
               "compiled", "native", "cpp");
   for (const auto& put : policies) {
-    bpf::Program prog = LoadProgram(put.asm_source);
+    const bpf::LoadedProgram loaded = LoadProgram(put.asm_source);
+    const bpf::Program& prog = *loaded.program;
     bpf::Interpreter interp(BenchEnv());
     bpf::CompiledExecutor exec(BenchEnv());
-    bpf::CompiledProgram compiled =
-        bpf::Compile(prog, bpf::ProgramContext::kPacket).value();
-    // The native tier: same artifact with machine code attached. When the
-    // JIT refuses, the column runs the compiled tier, exactly like a syrupd
-    // deployment.
-    bpf::CompiledProgram native = compiled;
-    auto jit = bpf::JitCompile(native);
-    if (jit.ok()) {
-      native.native = std::move(jit).value();
+    // The native tier is the loaded artifact. When the JIT refused, it runs
+    // the compiled tier, exactly like a syrupd deployment. The compiled
+    // tier is the same artifact without the machine code.
+    const bpf::CompiledProgram& native = *loaded.compiled;
+    bpf::CompiledProgram compiled = native;
+    compiled.native = nullptr;
+    if (native.native != nullptr) {
       ++published;
     } else {
-      std::printf("# %s: %s\n", put.name, jit.status().ToString().c_str());
+      std::printf("# %s: the JIT published no machine code\n", put.name);
     }
 
     // The oracle and both tiers decide on the packet's wire bytes.
@@ -207,11 +206,8 @@ int Run(const bench::Flags& flags) {
     // DefaultCostModel (the deploy gate's tables) next to what this machine
     // measured. Informational: the soundness check (measured <= calibrated
     // wcet) is bpf_cost_model_test.
-    bpf::AnalysisFacts facts;
-    if (bpf::Verify(prog, bpf::ProgramContext::kPacket, {}, nullptr, &facts)
-            .ok() &&
-        facts.cost.bounded) {
-      const double* wcet = facts.cost.wcet_ns;
+    if (loaded.facts.cost.bounded) {
+      const double* wcet = loaded.facts.cost.wcet_ns;
       for (bpf::ExecMode mode : {bpf::ExecMode::kCompiled,
                                  bpf::ExecMode::kNative}) {
         report.Number(key + "wcet." + std::string(bpf::ExecModeName(mode)),

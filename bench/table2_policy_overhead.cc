@@ -10,10 +10,11 @@
 // program's source instructions (Syrupd::ProgramById) over the workload
 // with the daemon's own maps and environment. The deployed tiers fold
 // instructions away, so their policy.insns counters read fewer. Cycles has
-// two parts, as in the paper ("most of this time is spent on enforcing ... rather than
-// making ... each scheduling decision"): the measured native decision cost,
-// plus a fixed enforcement cost (packet redirect + dispatch) modeled at
-// 1400 cycles. Wall-clock is converted at 2.3 GHz (the paper's Xeon E5-2630
+// two parts, as in the paper ("most of this time is spent on enforcing ...
+// rather than making ... each scheduling decision"): the measured decision
+// cost of the policy's C++ mirror (tests/oracles/native_policies.h), plus a
+// fixed enforcement cost (packet redirect + dispatch) modeled at 1400
+// cycles. Wall-clock is converted at 2.3 GHz (the paper's Xeon E5-2630
 // clock).
 #include <algorithm>
 #include <chrono>
@@ -27,6 +28,7 @@
 #include "src/core/syrup_api.h"
 #include "src/policies/builtin.h"
 #include "tests/oracles/interpreter.h"
+#include "tests/oracles/native_policies.h"
 
 namespace syrup {
 namespace {

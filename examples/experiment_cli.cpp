@@ -1,10 +1,12 @@
 // Experiment CLI: run any RocksDB-style experiment from the command line.
+// The chosen policies deploy as verified bytecode through the host's
+// syrupd, on its default (compiled) tier.
 //
 // Usage:
 //   experiment_cli [--policy vanilla|rr|scan_avoid|sita]
 //                  [--sched pinned|cfs|ghost]
 //                  [--load RPS] [--get-fraction F] [--threads N] [--cores N]
-//                  [--seconds S] [--seed S] [--bytecode] [--late-binding]
+//                  [--seconds S] [--seed S] [--late-binding]
 //                  [--stats-json]
 //                  [--shards N] [--lookahead-us US] [--pin]
 //                  [--cross-traffic F]
@@ -48,8 +50,8 @@ using namespace syrup;
                "[--sched pinned|cfs|ghost]\n"
                "          [--load RPS] [--get-fraction F] [--threads N] "
                "[--cores N]\n"
-               "          [--seconds S] [--seed S] [--bytecode] "
-               "[--late-binding] [--stats-json]\n"
+               "          [--seconds S] [--seed S] [--late-binding] "
+               "[--stats-json]\n"
                "          [--shards N] [--lookahead-us US] [--pin] "
                "[--cross-traffic F]\n",
                argv0);
@@ -126,8 +128,6 @@ int main(int argc, char** argv) {
                                              static_cast<double>(kSecond));
     } else if (arg == "--seed") {
       config.seed = static_cast<uint64_t>(std::atoll(next()));
-    } else if (arg == "--bytecode") {
-      config.use_bytecode = true;
     } else if (arg == "--late-binding") {
       config.late_binding = true;
     } else if (arg == "--stats-json") {
@@ -166,13 +166,13 @@ int main(int argc, char** argv) {
   }
 
   std::printf("policy=%s sched=%s load=%.0f get_fraction=%.3f threads=%d "
-              "cores=%d%s%s\n",
+              "cores=%d%s\n",
               std::string(SocketPolicyName(config.socket_policy)).c_str(),
               config.thread_sched == ThreadSchedKind::kPinned  ? "pinned"
               : config.thread_sched == ThreadSchedKind::kCfs   ? "cfs"
                                                                : "ghost",
               config.load_rps, config.get_fraction, config.num_threads,
-              config.num_cores, config.use_bytecode ? " [bytecode]" : "",
+              config.num_cores,
               config.late_binding ? " [late-binding]" : "");
 
   const RocksDbResult result = RunRocksDbExperiment(config);

@@ -4,17 +4,17 @@
 //   ./build/examples/policy_playground            # run the built-in demo
 //   ./build/examples/policy_playground policy.s   # try your own policy
 //
-// The tool shows exactly what syrupd does before a policy reaches a hook —
-// including the verifier rejecting unsafe programs with a precise reason —
-// then executes accepted policies against a batch of sample packets.
+// The tool runs exactly the load pipeline syrupd runs before a policy
+// reaches a hook (bpf::Load) — including the verifier rejecting unsafe
+// programs with a precise reason — then executes accepted policies against
+// a batch of sample packets.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 
-#include "src/bpf/assembler.h"
 #include "src/bpf/compiler.h"
-#include "src/bpf/verifier.h"
+#include "src/bpf/loader.h"
 #include "src/common/decision.h"
 #include "src/common/rng.h"
 #include "src/map/map.h"
@@ -65,65 +65,42 @@ constexpr char kBrokenPolicy[] = R"(
 
 void TryPolicy(const std::string& source) {
   using namespace syrup;
-  auto assembled = bpf::Assemble(source);
-  if (!assembled.ok()) {
-    std::printf("  assembler: %s\n", assembled.status().ToString().c_str());
-    return;
-  }
-  std::printf("  assembled '%s': %zu instructions, %zu map(s)\n",
-              assembled->name.c_str(), assembled->insns.size(),
-              assembled->map_slots.size());
-
-  auto program = std::make_shared<bpf::Program>();
-  program->name = assembled->name;
-  program->insns = assembled->insns;
-  for (const bpf::MapSlot& slot : assembled->map_slots) {
-    MapSpec spec = slot.spec;
-    if (slot.is_extern) {
-      std::printf("  (extern map '%s' bound to a fresh map for the dry "
-                  "run)\n", slot.name.c_str());
-      spec = MapSpec{};
-      spec.type = MapType::kHash;
-      spec.max_entries = 1024;
+  // The load pipeline syrupd runs: assemble, resolve maps, verify, compile.
+  // Declared maps are created fresh; an extern map (a pin of some other
+  // application) is bound to a fresh hash map for the dry run.
+  bpf::LoadOptions options;
+  options.resolve =
+      [](const bpf::MapSlot& slot) -> StatusOr<std::shared_ptr<Map>> {
+    if (!slot.is_extern) {
+      return std::shared_ptr<Map>();
     }
-    auto map = CreateMap(spec);
-    if (!map.ok()) {
-      std::printf("  map spec: %s\n", map.status().ToString().c_str());
-      return;
-    }
-    program->maps.push_back(std::move(map).value());
-  }
-
-  bpf::VerifierStats stats;
-  bpf::AnalysisFacts facts;
-  const Status verdict =
-      bpf::Verify(*program, bpf::ProgramContext::kPacket, {}, &stats, &facts);
-  if (!verdict.ok()) {
-    std::printf("  REJECTED by verifier:\n    %s\n",
-                verdict.ToString().c_str());
+    std::printf("  (extern map '%s' bound to a fresh map for the dry "
+                "run)\n", slot.name.c_str());
+    MapSpec spec;
+    spec.type = MapType::kHash;
+    spec.max_entries = 1024;
+    return CreateMap(spec);
+  };
+  auto loaded = bpf::Load(source, options);
+  if (!loaded.ok()) {
+    std::printf("  REJECTED:\n    %s\n", loaded.status().ToString().c_str());
     return;
   }
-  std::printf("  verified OK (%llu abstract instructions explored)\n",
-              static_cast<unsigned long long>(stats.visited_insns));
+  std::printf("  '%s' loaded: %zu instructions, %zu map(s); verified OK "
+              "(%llu abstract instructions explored)\n",
+              loaded->program->name.c_str(), loaded->program->insns.size(),
+              loaded->program->maps.size(),
+              static_cast<unsigned long long>(loaded->stats.visited_insns));
 
-  // Compile it as syrupd's attach step does, then dry-run the compiled
-  // tier against sample packets.
-  bpf::CompileOptions options;
-  options.assume_verified = true;
-  options.facts = &facts;
-  auto compiled =
-      bpf::Compile(*program, bpf::ProgramContext::kPacket, options);
-  if (!compiled.ok()) {
-    std::printf("  compile: %s\n", compiled.status().ToString().c_str());
-    return;
-  }
+  // Dry-run the compiled tier against sample packets.
+  const bpf::CompiledProgram& compiled = *loaded->compiled;
   Rng rng(1);
   bpf::ExecEnv env;
   env.random_u32 = [&rng]() { return static_cast<uint32_t>(rng.Next()); };
   env.ktime_ns = []() { return 0u; };
   bpf::CompiledExecutor exec(env);
   std::printf("  dry run (compiled tier, %zu insns after folding):\n",
-              compiled->stats.output_insns);
+              compiled.stats.output_insns);
   for (int i = 0; i < 8; ++i) {
     Packet pkt;
     pkt.tuple.src_port = static_cast<uint16_t>(20'000 + i);
@@ -131,7 +108,7 @@ void TryPolicy(const std::string& source) {
     const ReqType type = i % 4 == 3 ? ReqType::kScan : ReqType::kGet;
     pkt.SetHeader(type, 1, static_cast<uint32_t>(rng.Next()), i, 0);
     auto result = exec.Run(
-        *compiled, reinterpret_cast<uint64_t>(pkt.wire.data()),
+        compiled, reinterpret_cast<uint64_t>(pkt.wire.data()),
         reinterpret_cast<uint64_t>(pkt.wire.data() + kWireSize), true);
     if (!result.ok()) {
       std::printf("    pkt %d: runtime fault: %s\n", i,

@@ -6,7 +6,9 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <string>
 
+#include "src/bpf/loader.h"
 #include "src/common/histogram.h"
 #include "src/common/rng.h"
 #include "src/policies/builtin.h"
@@ -16,6 +18,20 @@
 namespace {
 
 using namespace syrup;
+
+// The storage hook has no daemon: policies are loaded (assembled, verified,
+// compiled) here and handed to the IoScheduler. A program's `token_map`
+// binds to `tokens`; its other maps are created fresh.
+std::shared_ptr<PacketPolicy> LoadIoPolicy(
+    const std::string& source, std::shared_ptr<Map> tokens = nullptr) {
+  bpf::LoadOptions options;
+  options.resolve =
+      [&tokens](const bpf::MapSlot& slot) -> StatusOr<std::shared_ptr<Map>> {
+    return slot.name == "token_map" ? tokens : nullptr;
+  };
+  return std::make_shared<BytecodePacketPolicy>(
+      bpf::Load(source, options).value().compiled, bpf::ExecEnv{});
+}
 
 struct Outcome {
   double lc_p90_us;
@@ -101,7 +117,7 @@ int main() {
 
   // The Fig. 5d SITA policy, written for sockets, isolates writes (the
   // long class) on queue 0 — deployed on the storage hook unchanged.
-  const Outcome sita = Run(std::make_shared<SitaPolicy>(8),
+  const Outcome sita = Run(LoadIoPolicy(SitaPolicyAsm(8)),
                            "SITA (write isolation):");
 
   // The §3.4 token policy caps the best-effort tenant at 2k IOPS.
@@ -111,7 +127,7 @@ int main() {
   auto tokens = CreateMap(spec).value();
   (void)tokens->UpdateU64(2, 20);  // 2k IOPS in 10ms epochs
   const Outcome token =
-      Run(std::make_shared<TokenPolicy>(tokens),
+      Run(LoadIoPolicy(TokenPolicyAsm(), tokens),
           "token (BE budget 2k/s):", tokens, /*tokens_per_epoch=*/20);
 
   std::printf(

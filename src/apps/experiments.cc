@@ -9,7 +9,6 @@
 #include "src/core/syrup_api.h"
 #include "src/core/syrupd.h"
 #include "src/policies/builtin.h"
-#include "src/policies/ghost_policies.h"
 #include "src/sched/cfs_scheduler.h"
 #include "src/sched/pinned_scheduler.h"
 
@@ -144,7 +143,6 @@ struct RocksDbHost {
   std::unique_ptr<Syrupd> syrupd;
   std::unique_ptr<Machine> machine;
   std::unique_ptr<Scheduler> scheduler;
-  std::unique_ptr<GetPriorityGhostPolicy> ghost_policy;
   std::shared_ptr<Map> thread_type_map;
   std::shared_ptr<Map> scan_map;
   std::vector<PolicyHandle> deployments;
@@ -197,99 +195,47 @@ std::unique_ptr<RocksDbHost> BuildRocksDbHost(
                                            host->thread_type_map, kAppUid));
       GhostConfig ghost_config;
       ghost_config.num_managed_cores = config.num_cores - 1;
-      if (config.use_bytecode) {
-        // Thread hook runs the untrusted classifier program through the
-        // active execution tier, just like the packet hooks.
-        SYRUP_CHECK_OK(syrupd
-                           .DeployThreadPolicyFile(
-                               app,
-                               GetPriorityThreadPolicyAsm(
-                                   "/syrup/rocksdb/thread_type_map"),
-                               machine, ghost_config)
-                           .status());
-      } else {
-        host->ghost_policy =
-            std::make_unique<GetPriorityGhostPolicy>(host->thread_type_map);
-        SYRUP_CHECK_OK(syrupd.DeployThreadPolicy(app, host->ghost_policy.get(),
-                                                 machine, ghost_config));
-      }
+      // The thread hook runs the untrusted classifier program through the
+      // active execution tier, just like the packet hooks.
+      SYRUP_CHECK_OK(syrupd
+                         .DeployThreadPolicyFile(
+                             app,
+                             GetPriorityThreadPolicyAsm(
+                                 "/syrup/rocksdb/thread_type_map"),
+                             machine, ghost_config)
+                         .status());
       break;
     }
   }
 
   // Socket-select policy deployment (the workflow of paper Fig. 3).
   const uint32_t n = static_cast<uint32_t>(config.num_threads);
-  auto policy_rng = std::make_shared<Rng>(seed ^ 0x5caf00dULL);
-  if (config.use_bytecode) {
-    SyrupClient client(syrupd, app);
-    switch (config.socket_policy) {
-      case SocketPolicyKind::kVanilla:
-        break;
-      case SocketPolicyKind::kRoundRobin:
-        host->deployments.push_back(
-            client.DeployPolicy(RoundRobinPolicyAsm(n), Hook::kSocketSelect)
-                .value());
-        break;
-      case SocketPolicyKind::kScanAvoid: {
-        host->deployments.push_back(
-            client.DeployPolicy(ScanAvoidPolicyAsm(n), Hook::kSocketSelect)
-                .value());
-        // The policy file declared scan_map; open the pin for the server's
-        // userspace half.
-        host->scan_map =
-            syrupd.registry().Open("/syrup/rocksdb/scan_map", kAppUid).value();
-        break;
-      }
-      case SocketPolicyKind::kSita:
-        host->deployments.push_back(
-            client.DeployPolicy(SitaPolicyAsm(n), Hook::kSocketSelect)
-                .value());
-        break;
-    }
-  } else {
-    std::shared_ptr<PacketPolicy> policy;
-    switch (config.socket_policy) {
-      case SocketPolicyKind::kVanilla:
-        break;
-      case SocketPolicyKind::kRoundRobin:
-        policy = std::make_shared<RoundRobinPolicy>(n);
-        break;
-      case SocketPolicyKind::kScanAvoid: {
-        MapSpec spec;
-        spec.type = MapType::kArray;
-        spec.max_entries = n;
-        spec.name = "scan_map";
-        host->scan_map = CreateMap(spec).value();
-        SYRUP_CHECK_OK(
-            syrupd.registry().Pin("/syrup/rocksdb/scan_map", host->scan_map,
-                                  kAppUid));
-        policy = std::make_shared<ScanAvoidPolicy>(
-            n, host->scan_map, [policy_rng]() {
-              return static_cast<uint32_t>(policy_rng->Next());
-            });
-        break;
-      }
-      case SocketPolicyKind::kSita:
-        policy = std::make_shared<SitaPolicy>(n);
-        break;
-    }
-    if (policy != nullptr) {
-      SYRUP_CHECK(
-          syrupd.DeployNativePolicy(app, policy, Hook::kSocketSelect).ok());
-    }
+  SyrupClient client(syrupd, app);
+  switch (config.socket_policy) {
+    case SocketPolicyKind::kVanilla:
+      break;
+    case SocketPolicyKind::kRoundRobin:
+      host->deployments.push_back(
+          client.DeployPolicy(RoundRobinPolicyAsm(n), Hook::kSocketSelect)
+              .value());
+      break;
+    case SocketPolicyKind::kScanAvoid:
+      host->deployments.push_back(
+          client.DeployPolicy(ScanAvoidPolicyAsm(n), Hook::kSocketSelect)
+              .value());
+      // The policy file declared scan_map; open the pin for the server's
+      // userspace half.
+      host->scan_map =
+          syrupd.registry().Open("/syrup/rocksdb/scan_map", kAppUid).value();
+      break;
+    case SocketPolicyKind::kSita:
+      host->deployments.push_back(
+          client.DeployPolicy(SitaPolicyAsm(n), Hook::kSocketSelect).value());
+      break;
   }
 
   if (config.late_binding) {
     host->stack->EnableLateBinding(kRocksDbPort);
-  }
-  if (config.cpu_redirect_spray) {
-    SYRUP_CHECK(syrupd
-                    .DeployNativePolicy(
-                        app,
-                        std::make_shared<RoundRobinPolicy>(
-                            static_cast<uint32_t>(config.num_cores)),
-                        Hook::kCpuRedirect)
-                    .ok());
   }
 
   RocksDbConfig server_config;
@@ -385,6 +331,9 @@ TokenQosResult RunTokenQosExperiment(const TokenQosConfig& config) {
   stack_config.num_nic_queues = config.num_threads;
   HostStack stack(sim, stack_config);
   Syrupd syrupd(sim, &stack, config.seed);
+  // The machine-code tier: it decides exactly what the compiled tier does,
+  // and simulates fastest.
+  syrupd.set_exec_mode(bpf::ExecMode::kNative);
   const AppId app =
       syrupd.RegisterApp("rocksdb", kAppUid, kRocksDbPort).value();
 
@@ -398,23 +347,20 @@ TokenQosResult RunTokenQosExperiment(const TokenQosConfig& config) {
   const uint64_t tokens_per_epoch = static_cast<uint64_t>(
       config.token_rate_per_sec * ToSeconds(config.epoch));
 
-  std::shared_ptr<Map> token_map;
   std::shared_ptr<std::function<void()>> replenish;  // token agent closure
   if (config.token_policy) {
+    // The token agent's bucket map, pinned where the policy's `token_map`
+    // declaration reopens it when it deploys below.
     MapSpec spec;
     spec.type = MapType::kHash;
     spec.max_entries = 16;
     spec.name = "token_map";
-    token_map = CreateMap(spec).value();
+    std::shared_ptr<Map> token_map = CreateMap(spec).value();
     SYRUP_CHECK_OK(
         syrupd.registry().Pin("/syrup/rocksdb/token_map", token_map,
                               kAppUid));
     SYRUP_CHECK_OK(token_map->UpdateU64(kLsUser, tokens_per_epoch));
     SYRUP_CHECK_OK(token_map->UpdateU64(kBeUser, 0));
-    auto policy = std::make_shared<TokenPolicy>(
-        token_map, std::make_shared<RoundRobinPolicy>(n));
-    SYRUP_CHECK(
-        syrupd.DeployNativePolicy(app, policy, Hook::kSocketSelect).ok());
 
     // The userspace token agent (§3.4 generate_tokens): every epoch the LS
     // bucket refills and any leftover LS tokens are gifted to BE; stale BE
@@ -439,11 +385,14 @@ TokenQosResult RunTokenQosExperiment(const TokenQosConfig& config) {
       }
     };
     sim.ScheduleAfter(config.epoch, *replenish);
-  } else {
-    auto policy = std::make_shared<RoundRobinPolicy>(n);
-    SYRUP_CHECK(
-        syrupd.DeployNativePolicy(app, policy, Hook::kSocketSelect).ok());
   }
+  SYRUP_CHECK_OK(syrupd
+                     .DeployPolicyFile(app,
+                                       config.token_policy
+                                           ? TokenRoundRobinPolicyAsm(n)
+                                           : RoundRobinPolicyAsm(n),
+                                       Hook::kSocketSelect)
+                     .status());
 
   RocksDbConfig server_config;
   server_config.num_threads = config.num_threads;
@@ -551,52 +500,22 @@ std::unique_ptr<MicaHost> BuildMicaHost(Simulator& sim,
     case MicaVariant::kSwRedirect:
       break;  // no Syrup policies: kernel-default distribution
     case MicaVariant::kSyrupSw:
-      if (config.use_bytecode) {
-        deployments.push_back(
-            client.DeployPolicy(MicaHomePolicyAsm(n), Hook::kXdpSkb).value());
-      } else {
-        SYRUP_CHECK(syrupd
-                        .DeployNativePolicy(
-                            app, std::make_shared<MicaHomePolicy>(n),
-                            Hook::kXdpSkb)
-                        .ok());
-      }
+      deployments.push_back(
+          client.DeployPolicy(MicaHomePolicyAsm(n), Hook::kXdpSkb).value());
       break;
     case MicaVariant::kSyrupSwZc:
       // Zero-copy native mode (XDP_DRV): pre-SKB, no frame copy.
-      if (config.use_bytecode) {
-        deployments.push_back(
-            client.DeployPolicy(MicaHomePolicyAsm(n), Hook::kXdpDrv).value());
-      } else {
-        SYRUP_CHECK(syrupd
-                        .DeployNativePolicy(
-                            app, std::make_shared<MicaHomePolicy>(n),
-                            Hook::kXdpDrv)
-                        .ok());
-      }
+      deployments.push_back(
+          client.DeployPolicy(MicaHomePolicyAsm(n), Hook::kXdpDrv).value());
       break;
     case MicaVariant::kSyrupHw:
       // The same matching function, offloaded: the NIC picks the home
       // queue; the queue's single AF_XDP socket receives locally.
-      if (config.use_bytecode) {
-        deployments.push_back(
-            client.DeployPolicy(MicaHomePolicyAsm(n), Hook::kXdpOffload)
-                .value());
-        deployments.push_back(
-            client.DeployPolicy(ConstIndexPolicyAsm(0), Hook::kXdpSkb)
-                .value());
-      } else {
-        SYRUP_CHECK(syrupd
-                        .DeployNativePolicy(
-                            app, std::make_shared<MicaHomePolicy>(n),
-                            Hook::kXdpOffload)
-                        .ok());
-        SYRUP_CHECK(syrupd
-                        .DeployNativePolicy(
-                            app, std::make_shared<ConstIndexPolicy>(0),
-                            Hook::kXdpSkb)
-                        .ok());
-      }
+      deployments.push_back(
+          client.DeployPolicy(MicaHomePolicyAsm(n), Hook::kXdpOffload)
+              .value());
+      deployments.push_back(
+          client.DeployPolicy(ConstIndexPolicyAsm(0), Hook::kXdpSkb).value());
       break;
   }
 

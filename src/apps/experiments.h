@@ -2,7 +2,9 @@
 // + load generators for each of the paper's evaluation scenarios. One
 // function per experiment family; the bench binaries sweep these over load
 // and print the paper's rows, and integration tests assert the headline
-// shapes (who wins, where the crossovers are).
+// shapes (who wins, where the crossovers are). Every policy a host runs is
+// a verified bytecode program (src/policies/builtin.h) that the host's
+// syrupd loads, as in the paper; nothing here constructs a policy object.
 #ifndef SYRUP_SRC_APPS_EXPERIMENTS_H_
 #define SYRUP_SRC_APPS_EXPERIMENTS_H_
 
@@ -58,19 +60,17 @@ enum class ThreadSchedKind {
 struct RocksDbExperimentConfig {
   SocketPolicyKind socket_policy = SocketPolicyKind::kVanilla;
   ThreadSchedKind thread_sched = ThreadSchedKind::kPinned;
-  // Deploy the bytecode policy file through syrupd instead of the native
-  // mirror (slower to simulate; used by the ablation bench and tests).
+  // Read only by bench/e2e's host copy, which requires it set.
   bool use_bytecode = false;
-  // Execution tier for bytecode deployments (ignored without use_bytecode).
+  // Execution tier of the host's policies. The figure benches run the
+  // native (machine-code) tier; compiled is the daemon's default.
   bpf::ExecMode exec_mode = bpf::ExecMode::kCompiled;
   // Read only by bench/e2e's host copy; holds no settings.
   FlowCacheConfig flow_cache_config;
   // Late binding at the socket layer (paper §6.3 extension): buffer
   // datagrams centrally and match them to sockets whose worker is idle.
   bool late_binding = false;
-  // CPU Redirect spray policy: round-robin protocol processing across
-  // softirq cores (work-conserving but affinity-destroying; the §2.1
-  // RFS tension). Used with protocol_cold_penalty > 0.
+  // Read only by bench/e2e's host copy, which requires it clear.
   bool cpu_redirect_spray = false;
   Duration protocol_cold_penalty = 0;
   double flow_skew = 0.0;
@@ -108,6 +108,9 @@ RocksDbResult RunRocksDbExperiment(const RocksDbExperimentConfig& config);
 
 // --- Fig. 7: token-based QoS ------------------------------------------------
 
+// Runs on the native tier: a token check then round robin
+// (TokenRoundRobinPolicyAsm), or plain round robin, with the userspace token
+// agent refilling the pinned token_map every epoch.
 struct TokenQosConfig {
   double ls_load_rps = 100'000;
   double be_load_rps = 300'000;
@@ -139,8 +142,9 @@ struct MicaExperimentConfig {
   double load_rps = 1'000'000;
   double get_fraction = 0.95;  // remainder are PUTs
   int num_threads = 8;
+  // Read only by bench/e2e's host copy, which requires it set.
   bool use_bytecode = false;
-  // Execution tier for bytecode deployments (ignored without use_bytecode).
+  // Execution tier of the host's policies (see RocksDbExperimentConfig).
   bpf::ExecMode exec_mode = bpf::ExecMode::kCompiled;
   // Read only by bench/e2e's host copy; holds no settings.
   FlowCacheConfig flow_cache_config;

@@ -1,15 +1,13 @@
 // Policy execution abstractions.
 //
 // A packet policy is the paper's `schedule(pkt_start, pkt_end)` matching
-// function. Two kinds are supported and interchangeable:
-//
-//   * BytecodePacketPolicy — untrusted policy-file programs, verified by
-//     the src/bpf VM and run as their attach-time compiled artifact
-//     (src/bpf/compiler.h), with machine code when the native tier
-//     published some.
-//   * native C++ implementations of PacketPolicy — trusted mirrors used in
-//     simulation hot loops; tests assert decision-for-decision equivalence
-//     with their bytecode twins.
+// function. Every policy that runs outside tests is a BytecodePacketPolicy:
+// an untrusted policy-file program loaded by bpf::Load (assembled,
+// verified, compiled) and run as its compiled artifact, with machine code
+// when the native tier published some. PacketPolicy stays an interface so
+// tests can drive the hooks with the hand-written C++ mirrors of the
+// shipped policies (tests/oracles/native_policies.h), the oracles the
+// bytecode is checked against.
 //
 // BytecodeGhostPolicy is the same idea for the Thread Scheduler hook: a
 // verified `.ctx thread` program classifies threads (r1 = tid) into strict
@@ -34,9 +32,9 @@
 namespace syrup {
 
 // Metric cells a bytecode policy accounts into. Standalone construction
-// (tests, the playground) uses detached cells; syrupd deployments resolve
-// them from its MetricsRegistry keyed {app, hook, "policy.*"} so redeploys
-// keep accumulating into the same series.
+// (tests, the daemon-less hosts) uses detached cells; syrupd deployments
+// resolve them from its MetricsRegistry keyed {app, hook, "policy.*"} so
+// redeploys keep accumulating into the same series.
 struct PolicyMetrics {
   std::shared_ptr<obs::Counter> invocations;
   std::shared_ptr<obs::Counter> insns;
@@ -75,7 +73,7 @@ class PacketPolicy {
 };
 
 // Runs a verified bytecode program as a packet policy: every decision runs
-// its compiled artifact (syrupd's attach-time cache), which must be
+// its compiled artifact (bpf::LoadedProgram::compiled), which must be
 // non-null.
 class BytecodePacketPolicy : public PacketPolicy {
  public:
@@ -139,7 +137,8 @@ class BytecodePacketPolicy : public PacketPolicy {
 // the paper's workloads: 1 = GET, 2 = SCAN). The shim picks the first
 // runnable thread of the smallest class and preempts whenever a runnable
 // thread's class is strictly smaller than the running thread's — with a
-// two-class map this is exactly GetPriorityGhostPolicy.
+// two-class map this is exactly the GET-priority policy of §5.3 (its C++
+// mirror is GetPriorityGhostPolicy in tests/oracles/native_policies.h).
 //
 // `pure` is the verifier's AnalysisFacts::pure. A pure classifier's class
 // for a tid cannot change within one agent pass (GhostPolicy::BeginPass),
@@ -184,8 +183,8 @@ class BytecodeGhostPolicy : public GhostPolicy {
   std::string_view name() const { return compiled_->name; }
 
   // Classifies one thread. Faults degrade to class 1 (the "urgent" default
-  // for unclassified threads), mirroring the native policy's missing-map-
-  // entry behavior, and are never memoized. Before the first BeginPass
+  // for unclassified threads), as GetPriorityThreadPolicyAsm treats a
+  // missing map entry, and are never memoized. Before the first BeginPass
   // nothing is memoized either.
   uint64_t ClassOf(int tid) {
     ClassMemo* memo = MemoFor(tid);

@@ -1,7 +1,6 @@
 #include "src/core/syrupd.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <set>
@@ -15,13 +14,6 @@
 namespace syrup {
 
 namespace {
-
-uint64_t WallNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 std::string FormatNs(double ns) {
   char buf[32];
@@ -177,97 +169,104 @@ bpf::ExecEnv Syrupd::MakeExecEnv() {
   return env;
 }
 
-StatusOr<std::shared_ptr<const bpf::CompiledProgram>>
-Syrupd::CompileForCurrentMode(const bpf::Program& program,
-                              bpf::ProgramContext context,
-                              const bpf::AnalysisFacts* facts) {
-  bpf::CompileOptions options;
-  // The deploy pipeline verified the program right before this call.
-  options.assume_verified = true;
-  options.facts = facts;
-  SYRUP_ASSIGN_OR_RETURN(bpf::CompiledProgram compiled,
-                         bpf::Compile(program, context, options));
-  if (exec_mode_ == bpf::ExecMode::kNative) {
-    // Machine-code lowering is best effort: an unsupported host or program
-    // (or SYRUP_JIT_DISABLE) leaves `native` null and the artifact runs on
-    // the compiled tier. AdmitDeployment reports whichever happened.
-    auto native = bpf::JitCompile(compiled);
-    if (native.ok()) {
-      compiled.native = std::move(native).value();
-    }
-  }
-  return std::make_shared<const bpf::CompiledProgram>(std::move(compiled));
-}
+namespace {
 
-Status Syrupd::AdmitDeployment(const std::string& app_name, Hook hook,
-                               const bpf::Program& prog,
-                               const bpf::VerifierStats& vstats,
-                               uint64_t compile_ns,
-                               const bpf::CostFacts& cost,
-                               const bpf::CompiledProgram& compiled) {
+// What the budget gate decided about a loaded program, for the commit to
+// publish.
+struct BudgetVerdict {
+  bpf::ExecMode tier = bpf::ExecMode::kCompiled;  // the tier that runs
+  double wcet_ns = 0;
+  bool over = false;
+  bool warn = false;
+};
+
+// The budget gate: rejects (or admits with a warning, per `admit_over`) a
+// worst-case path at the effective tier over the hook budget, or one the
+// cost analysis could not bound. Writes nothing but the log.
+StatusOr<BudgetVerdict> CheckBudget(Hook hook,
+                                    const bpf::LoadedProgram& loaded,
+                                    bool admit_over) {
   const std::string_view hook_name = HookName(hook);
-  const bpf::ExecMode tier = bpf::EffectiveExecMode(compiled);
+  const std::string& name = loaded.program->name;
+  const bpf::CostFacts& cost = loaded.facts.cost;
+  BudgetVerdict verdict;
+  verdict.tier = bpf::EffectiveExecMode(*loaded.compiled);
   const double budget = DefaultHookBudgetNs(hook);
-  const double wcet_ns =
-      cost.bounded ? cost.wcet_ns[static_cast<size_t>(tier)] : 0.0;
-  const bool over = !cost.bounded || wcet_ns > budget;
-  const bool warn =
-      cost.bounded && !over && wcet_ns > budget * kBudgetWarnFraction;
-  if (warn) {
-    SYRUP_LOG(Warning) << "policy '" << prog.name << "' at " << hook_name
-                       << " uses " << FormatNs(wcet_ns) << " of "
+  verdict.wcet_ns =
+      cost.bounded ? cost.wcet_ns[static_cast<size_t>(verdict.tier)] : 0.0;
+  verdict.over = !cost.bounded || verdict.wcet_ns > budget;
+  verdict.warn = cost.bounded && !verdict.over &&
+                 verdict.wcet_ns > budget * kBudgetWarnFraction;
+  if (verdict.warn) {
+    SYRUP_LOG(Warning) << "policy '" << name << "' at " << hook_name
+                       << " uses " << FormatNs(verdict.wcet_ns) << " of "
                        << FormatNs(budget) << " ns budget worst case ("
-                       << FormatNs(100.0 * wcet_ns / budget)
+                       << FormatNs(100.0 * verdict.wcet_ns / budget)
                        << "%); consider a cheaper policy or a looser hook";
   }
-  if (over) {
+  if (verdict.over) {
     std::string what;
     if (!cost.bounded) {
-      what = "policy '" + prog.name +
-             "' rejected at hook " + std::string(hook_name) +
+      what = "policy '" + name + "' rejected at hook " +
+             std::string(hook_name) +
              ": the cost analysis could not bound its worst-case path, so "
              "the " + FormatNs(budget) + " ns hook budget cannot be proven";
     } else {
-      what = "policy '" + prog.name + "' rejected at hook " +
+      what = "policy '" + name + "' rejected at hook " +
              std::string(hook_name) + ": worst-case path costs " +
-             FormatNs(wcet_ns) + " ns at the " +
-             std::string(bpf::ExecModeName(tier)) + " tier, over the " +
+             FormatNs(verdict.wcet_ns) + " ns at the " +
+             std::string(bpf::ExecModeName(verdict.tier)) + " tier, over the " +
              FormatNs(budget) + " ns budget; hottest path: " +
              bpf::FormatPath(cost.hottest_path) +
              " (run `syrupctl cost` for the disassembly)";
     }
-    if (!admit_over_budget_) {
+    if (!admit_over) {
       return InvalidArgumentError(
           what + "; Syrupd::set_admit_over_budget(true) overrides");
     }
     SYRUP_LOG(Warning) << what
                        << " -- admitted anyway (admit_over_budget set)";
   }
+  return verdict;
+}
 
-  // Admitted: from here on the deploy leaves a trace.
+// The admitted deploy's verifier.* and policy.* gauges (policy.exec_mode is
+// EffectiveExecMode, the tier that runs).
+void PublishDeployGauges(obs::MetricsRegistry& metrics,
+                         std::string_view app_name, Hook hook,
+                         const bpf::LoadedProgram& loaded,
+                         const BudgetVerdict& verdict) {
+  const std::string_view hook_name = HookName(hook);
   auto set = [&](std::string_view metric, int64_t value) {
-    metrics_.GetGauge(app_name, hook_name, metric)->Set(value);
+    metrics.GetGauge(app_name, hook_name, metric)->Set(value);
   };
+  const bpf::VerifierStats& vstats = loaded.stats;
+  const bpf::CostFacts& cost = loaded.facts.cost;
   set("verifier.visited_insns", static_cast<int64_t>(vstats.visited_insns));
   set("verifier.branch_states", static_cast<int64_t>(vstats.branch_states));
   set("verifier.pruned_states", static_cast<int64_t>(vstats.pruned_states));
   set("verifier.verify_ns", static_cast<int64_t>(vstats.verify_ns));
-  set("policy.compile_ns", static_cast<int64_t>(compile_ns));
-  set("policy.exec_mode", static_cast<int64_t>(tier));
-  if (compiled.native != nullptr) {
-    const bpf::JitStats& jit = compiled.native->stats();
+  set("policy.compile_ns", static_cast<int64_t>(loaded.compile_ns));
+  set("policy.exec_mode", static_cast<int64_t>(verdict.tier));
+  if (loaded.compiled->native != nullptr) {
+    const bpf::JitStats& jit = loaded.compiled->native->stats();
     set("policy.jit_ns", static_cast<int64_t>(jit.jit_ns));
     set("policy.jit_code_bytes", static_cast<int64_t>(jit.code_bytes));
   }
   // -1 on the wcet gauges means "no bound": the cost walk gave up
   // (exploration budget), so no wcet exists to report.
-  set("policy.wcet_ns", cost.bounded ? std::llround(wcet_ns) : -1);
+  set("policy.wcet_ns", cost.bounded ? std::llround(verdict.wcet_ns) : -1);
   set("policy.wcet_insns",
       cost.bounded ? static_cast<int64_t>(cost.wcet_insns) : -1);
-  set("policy.over_budget", over ? 1 : 0);
-  set("policy.budget_warn", warn ? 1 : 0);
-  return OkStatus();
+  set("policy.over_budget", verdict.over ? 1 : 0);
+  set("policy.budget_warn", verdict.warn ? 1 : 0);
 }
+
+std::string PinPath(const std::string& app_name, const std::string& map) {
+  return "/syrup/" + app_name + "/" + map;
+}
+
+}  // namespace
 
 const bpf::Program* Syrupd::ProgramById(uint64_t prog_id) const {
   auto it = programs_.find(prog_id);
@@ -279,133 +278,91 @@ const bpf::CompiledProgram* Syrupd::CompiledById(uint64_t prog_id) const {
   return it == compiled_.end() ? nullptr : it->second.get();
 }
 
-StatusOr<std::vector<std::shared_ptr<Map>>> Syrupd::ResolveMapSlots(
-    AppId app, const std::vector<bpf::MapSlot>& slots) {
+StatusOr<uint64_t> Syrupd::LoadAndCommit(AppId app, std::string_view source,
+                                         Hook hook) {
   const AppState& state = apps_.at(app);
-  std::vector<std::shared_ptr<Map>> maps;
-  maps.reserve(slots.size());
-  for (const bpf::MapSlot& slot : slots) {
+  bpf::LoadOptions options;
+  options.context = IsPacketHook(hook) ? bpf::ProgramContext::kPacket
+                                       : bpf::ProgramContext::kThread;
+  options.mode = exec_mode_;
+  options.resolve =
+      [this, &state](
+          const bpf::MapSlot& slot) -> StatusOr<std::shared_ptr<Map>> {
     if (slot.is_extern) {
-      SYRUP_ASSIGN_OR_RETURN(
-          std::shared_ptr<Map> map,
-          registry_.Open(slot.path, state.uid, MapAccess::kWrite));
-      maps.push_back(std::move(map));
-      continue;
+      return registry_.Open(slot.path, state.uid, MapAccess::kWrite);
     }
-    const std::string pin_path = "/syrup/" + state.name + "/" + slot.name;
     // Re-deploying a policy reuses its existing pinned maps so state (e.g.
-    // token counts) survives policy updates, as with bpffs pins.
-    auto existing = registry_.Open(pin_path, state.uid, MapAccess::kWrite);
-    if (existing.ok()) {
-      maps.push_back(std::move(existing).value());
-      continue;
+    // token counts) survives policy updates, as with bpffs pins. A slot
+    // with no pin yet gets a fresh map, pinned at commit.
+    StatusOr<std::shared_ptr<Map>> pinned = registry_.Open(
+        PinPath(state.name, slot.name), state.uid, MapAccess::kWrite);
+    if (pinned.status().code() == StatusCode::kNotFound) {
+      return std::shared_ptr<Map>();
     }
-    SYRUP_ASSIGN_OR_RETURN(std::shared_ptr<Map> map, CreateMap(slot.spec));
-    map->BindCounters(
-        MapOpCounters::InRegistry(metrics_, state.name, slot.name));
-    SYRUP_RETURN_IF_ERROR(registry_.Pin(pin_path, map, state.uid));
-    maps.push_back(std::move(map));
+    return pinned;
+  };
+  SYRUP_ASSIGN_OR_RETURN(bpf::LoadedProgram loaded,
+                         bpf::Load(source, options));
+  // The budget gate: a program whose verifier-proven worst-case path is
+  // too slow for this hook never reaches it (unless overridden).
+  SYRUP_ASSIGN_OR_RETURN(const BudgetVerdict verdict,
+                         CheckBudget(hook, loaded, admit_over_budget_));
+
+  // Commit: every gate passed, so from here on the deploy leaves a trace.
+  for (uint32_t index : loaded.created_maps) {
+    const std::shared_ptr<Map>& map = loaded.program->maps[index];
+    const std::string& name = map->spec().name;
+    map->BindCounters(MapOpCounters::InRegistry(metrics_, state.name, name));
+    // The resolver found no pin at this path, so it is still free.
+    SYRUP_CHECK_OK(registry_.Pin(PinPath(state.name, name), map, state.uid));
   }
-  return maps;
+  PublishDeployGauges(metrics_, state.name, hook, loaded, verdict);
+  const uint64_t prog_id = next_prog_id_++;
+  programs_[prog_id] = std::move(loaded.program);
+  compiled_[prog_id] = std::move(loaded.compiled);
+  facts_[prog_id] = std::move(loaded.facts);
+  return prog_id;
 }
 
 StatusOr<int> Syrupd::DeployPolicyFile(AppId app,
                                        std::string_view policy_source,
                                        Hook hook) {
-  if (apps_.find(app) == apps_.end()) {
-    return NotFoundError("unknown app");
-  }
-  if (!IsPacketHook(hook)) {
-    return InvalidArgumentError(
-        "thread policies deploy via DeployThreadPolicy");
-  }
-
-  SYRUP_ASSIGN_OR_RETURN(bpf::AssembledProgram assembled,
-                         bpf::Assemble(policy_source));
-  if (assembled.context != bpf::ProgramContext::kPacket) {
-    return InvalidArgumentError("packet hook requires .ctx packet");
-  }
-  SYRUP_ASSIGN_OR_RETURN(std::vector<std::shared_ptr<Map>> maps,
-                         ResolveMapSlots(app, assembled.map_slots));
-
-  auto program = std::make_shared<bpf::Program>();
-  program->name = assembled.name;
-  program->insns = std::move(assembled.insns);
-  program->maps = std::move(maps);
-
-  // The verifier gate: unverifiable programs never reach a hook. The
-  // exploration stats become per-program gauges and the analysis facts
-  // feed the compile below.
-  bpf::VerifierStats vstats;
-  bpf::AnalysisFacts vfacts;
-  SYRUP_RETURN_IF_ERROR(bpf::Verify(*program, bpf::ProgramContext::kPacket,
-                                    {}, &vstats, &vfacts));
-
-  // Compile once at attach time; every dispatch then runs the pre-decoded
-  // form.
-  const uint64_t t0 = WallNowNs();
-  SYRUP_ASSIGN_OR_RETURN(
-      std::shared_ptr<const bpf::CompiledProgram> compiled,
-      CompileForCurrentMode(*program, bpf::ProgramContext::kPacket, &vfacts));
-  // The budget gate: a program whose verifier-proven worst-case path is
-  // too slow for this hook never reaches it (unless overridden).
-  const std::string& app_name = apps_.at(app).name;
-  SYRUP_RETURN_IF_ERROR(AdmitDeployment(app_name, hook, *program, vstats,
-                                        WallNowNs() - t0, vfacts.cost,
-                                        *compiled));
-
-  const uint64_t prog_id = next_prog_id_++;
-  programs_[prog_id] = program;
-  compiled_[prog_id] = compiled;
-  facts_[prog_id] = vfacts;
-
-  auto policy = std::make_shared<BytecodePacketPolicy>(
-      compiled, MakeExecEnv(),
-      PolicyMetrics::InRegistry(metrics_, app_name, HookName(hook)));
-  SYRUP_RETURN_IF_ERROR(AttachPolicy(app, std::move(policy), hook,
-                                     static_cast<int>(prog_id)));
-  return static_cast<int>(prog_id);
-}
-
-StatusOr<int> Syrupd::DeployNativePolicy(AppId app,
-                                         std::shared_ptr<PacketPolicy> policy,
-                                         Hook hook) {
-  const int prog_id = static_cast<int>(next_prog_id_++);
-  SYRUP_RETURN_IF_ERROR(AttachPolicy(app, std::move(policy), hook, prog_id));
-  return prog_id;
-}
-
-Status Syrupd::AttachPolicy(AppId app, std::shared_ptr<PacketPolicy> policy,
-                            Hook hook, int prog_id) {
   auto it = apps_.find(app);
   if (it == apps_.end()) {
     return NotFoundError("unknown app");
   }
   if (!IsPacketHook(hook)) {
-    return InvalidArgumentError("not a packet hook");
+    return InvalidArgumentError(
+        "thread policies deploy via DeployThreadPolicyFile");
   }
-  if (policy == nullptr) {
-    return InvalidArgumentError("null policy");
+  if (stack_ == nullptr) {
+    return FailedPreconditionError("syrupd has no host stack attached");
   }
+  SYRUP_ASSIGN_OR_RETURN(const uint64_t prog_id,
+                         LoadAndCommit(app, policy_source, hook));
+  const AppState& state = it->second;
+  auto policy = std::make_shared<BytecodePacketPolicy>(
+      compiled_.at(prog_id), MakeExecEnv(),
+      PolicyMetrics::InRegistry(metrics_, state.name, HookName(hook)));
   // The dispatcher routes by destination port, so installing the policy for
   // each of the app's ports is exactly the paper's "each application's
   // program handles only packets directed to its corresponding port".
   std::shared_ptr<obs::Counter> app_dispatched =
-      metrics_.GetCounter(it->second.name, HookName(hook), "dispatched");
-  for (uint16_t port : it->second.ports) {
+      metrics_.GetCounter(state.name, HookName(hook), "dispatched");
+  for (uint16_t port : state.ports) {
     PortEntry entry;
     entry.policy = policy;
     entry.policy_raw = policy.get();
-    entry.prog_id = prog_id;
+    entry.prog_id = static_cast<int>(prog_id);
     entry.app_dispatched = app_dispatched;
     dispatch_[HookIndex(hook)][port] = std::move(entry);
     SYRUP_TRACE(sim_.Now(), "syrupd",
-                "deploy app=" << it->second.name << " policy="
-                              << policy->name() << " hook="
-                              << HookName(hook) << " port=" << port);
+                "deploy app=" << state.name << " policy=" << policy->name()
+                              << " hook=" << HookName(hook)
+                              << " port=" << port);
   }
-  SYRUP_RETURN_IF_ERROR(InstallStackHook(hook));
-  return OkStatus();
+  InstallStackHook(hook);
+  return static_cast<int>(prog_id);
 }
 
 Status Syrupd::RemovePolicy(AppId app, Hook hook, int only_prog_id) {
@@ -433,88 +390,37 @@ Status Syrupd::RemovePolicy(AppId app, Hook hook, int only_prog_id) {
   return OkStatus();
 }
 
-Status Syrupd::DeployThreadPolicy(AppId app, GhostPolicy* policy,
-                                  Machine& machine, GhostConfig config) {
-  if (apps_.find(app) == apps_.end()) {
-    return NotFoundError("unknown app");
-  }
-  if (policy == nullptr) {
-    return InvalidArgumentError("null thread policy");
-  }
-  SYRUP_RETURN_IF_ERROR(CheckThreadHookFree());
-  ghost_ = std::make_unique<GhostScheduler>(machine, *policy, config);
-  ghost_->BindMetrics(metrics_, apps_.at(app).name);
-  ghost_owner_ = app;
-  machine.SetScheduler(ghost_.get());
-  return OkStatus();
-}
-
-Status Syrupd::CheckThreadHookFree() const {
-  if (ghost_ != nullptr) {
-    return AlreadyExistsError("machine already has a thread policy (app " +
-                              std::to_string(ghost_owner_) + ")");
-  }
-  return OkStatus();
-}
-
 StatusOr<int> Syrupd::DeployThreadPolicyFile(AppId app,
                                              std::string_view policy_source,
                                              Machine& machine,
                                              GhostConfig config) {
-  if (apps_.find(app) == apps_.end()) {
+  auto it = apps_.find(app);
+  if (it == apps_.end()) {
     return NotFoundError("unknown app");
   }
-  // Rejected before any work that leaves a trace: pinned maps, a prog id,
-  // or the live deployment's verifier and cost gauges.
-  SYRUP_RETURN_IF_ERROR(CheckThreadHookFree());
-  SYRUP_ASSIGN_OR_RETURN(bpf::AssembledProgram assembled,
-                         bpf::Assemble(policy_source));
-  if (assembled.context != bpf::ProgramContext::kThread) {
-    return InvalidArgumentError("thread hook requires .ctx thread");
+  if (ghost_ != nullptr) {
+    return AlreadyExistsError("machine already has a thread policy (app " +
+                              std::to_string(ghost_owner_) + ")");
   }
-  SYRUP_ASSIGN_OR_RETURN(std::vector<std::shared_ptr<Map>> maps,
-                         ResolveMapSlots(app, assembled.map_slots));
-
-  auto program = std::make_shared<bpf::Program>();
-  program->name = assembled.name;
-  program->insns = std::move(assembled.insns);
-  program->maps = std::move(maps);
-
-  bpf::VerifierStats vstats;
-  bpf::AnalysisFacts vfacts;
-  SYRUP_RETURN_IF_ERROR(bpf::Verify(*program, bpf::ProgramContext::kThread,
-                                    {}, &vstats, &vfacts));
-
-  const uint64_t t0 = WallNowNs();
   SYRUP_ASSIGN_OR_RETURN(
-      std::shared_ptr<const bpf::CompiledProgram> compiled,
-      CompileForCurrentMode(*program, bpf::ProgramContext::kThread, &vfacts));
-  const std::string& app_name = apps_.at(app).name;
-  SYRUP_RETURN_IF_ERROR(AdmitDeployment(app_name, Hook::kThreadScheduler,
-                                        *program, vstats, WallNowNs() - t0,
-                                        vfacts.cost, *compiled));
-
-  const uint64_t prog_id = next_prog_id_++;
-  programs_[prog_id] = program;
-  compiled_[prog_id] = compiled;
-  facts_[prog_id] = vfacts;
-
-  auto policy = std::make_shared<BytecodeGhostPolicy>(
-      compiled, MakeExecEnv(),
+      const uint64_t prog_id,
+      LoadAndCommit(app, policy_source, Hook::kThreadScheduler));
+  const std::string& app_name = it->second.name;
+  owned_thread_policy_ = std::make_shared<BytecodeGhostPolicy>(
+      compiled_.at(prog_id), MakeExecEnv(),
       PolicyMetrics::InRegistry(metrics_, app_name,
                                 HookName(Hook::kThreadScheduler)),
-      vfacts.pure);
-  SYRUP_RETURN_IF_ERROR(
-      DeployThreadPolicy(app, policy.get(), machine, config));
-  owned_thread_policy_ = std::move(policy);
+      facts_.at(prog_id).pure);
+  ghost_ = std::make_unique<GhostScheduler>(machine, *owned_thread_policy_,
+                                            config);
+  ghost_->BindMetrics(metrics_, app_name);
+  ghost_owner_ = app;
+  machine.SetScheduler(ghost_.get());
   thread_prog_id_ = static_cast<int64_t>(prog_id);
   return static_cast<int>(prog_id);
 }
 
-Status Syrupd::InstallStackHook(Hook hook) {
-  if (stack_ == nullptr) {
-    return FailedPreconditionError("syrupd has no host stack attached");
-  }
+void Syrupd::InstallStackHook(Hook hook) {
   auto dispatcher = [this, hook](const PacketView& pkt) {
     return Dispatch(hook, pkt);
   };
@@ -546,9 +452,8 @@ Status Syrupd::InstallStackHook(Hook hook) {
       batch.socket_select = batch_dispatcher;
       break;
     case Hook::kThreadScheduler:
-      return InvalidArgumentError("not a stack hook");
+      SYRUP_CHECK(false) << "not a stack hook";
   }
-  return OkStatus();
 }
 
 void Syrupd::MaybeUninstallStackHook(Hook hook) {
@@ -678,9 +583,8 @@ const bpf::AnalysisFacts* Syrupd::FactsById(uint64_t prog_id) const {
 }
 
 DeploymentAnalysis Syrupd::AnalyzeDeployments() const {
-  // One record per deployed bytecode program: a prog id behind several
-  // ports is one deployment, and native policies (no verifier facts) are
-  // outside the analysis.
+  // One record per deployed program: a prog id behind several ports is one
+  // deployment.
   struct ProgRec {
     std::string label;  // app/hook/policy
     const bpf::Program* prog = nullptr;
@@ -690,9 +594,6 @@ DeploymentAnalysis Syrupd::AnalyzeDeployments() const {
   std::map<uint64_t, ProgRec> recs;
   for (size_t hook_index = 0; hook_index < kNumHooks; ++hook_index) {
     for (const auto& [port, entry] : dispatch_[hook_index]) {
-      if (entry.prog_id < 0) {
-        continue;
-      }
       const uint64_t id = static_cast<uint64_t>(entry.prog_id);
       auto fit = facts_.find(id);
       auto pit = programs_.find(id);

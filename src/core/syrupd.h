@@ -1,11 +1,12 @@
 // syrupd: the system-wide Syrup daemon (paper §3.5, §4.3).
 //
 // Applications never attach policies to hooks themselves; they hand syrupd
-// a policy file (or a pre-built native policy) and a target hook. The
-// daemon:
-//   * compiles/assembles the policy and creates or opens its maps (pinning
-//     declared maps under /syrup/<app>/<map>, owned by the app's uid),
-//   * runs the verifier before anything touches a hook,
+// a policy file and a target hook. The daemon:
+//   * loads the policy through bpf::Load (assemble, open or create its
+//     maps, verify, compile), then checks its worst case against the hook's
+//     budget; only a program that passes every gate leaves a trace: its
+//     declared maps are pinned under /syrup/<app>/<map>, owned by the app's
+//     uid, and it gets a prog id,
 //   * installs a per-hook dispatcher that matches each packet's destination
 //     port to the owning application's policy — the PROG_ARRAY tail-call
 //     design — so a policy only ever sees its own application's inputs,
@@ -20,8 +21,8 @@
 #include <string>
 #include <vector>
 
-#include "src/bpf/assembler.h"
 #include "src/bpf/compiler.h"
+#include "src/bpf/loader.h"
 #include "src/bpf/program.h"
 #include "src/bpf/verifier.h"
 #include "src/common/rng.h"
@@ -116,26 +117,18 @@ class Syrupd {
 
   // --- Policy deployment (syr_deploy_policy) ------------------------------
 
-  // Deploys an untrusted policy file (VM assembly). Assembles, resolves
-  // maps, verifies, then attaches. Returns the program id ("prog fd").
+  // Deploys an untrusted policy file (VM assembly) at a packet hook: loads
+  // it, checks its budget, commits, then attaches. Returns the program id
+  // ("prog fd"). A deploy rejected at any gate leaves the pins, the stats,
+  // the deployment analysis and the next prog id as they were.
   StatusOr<int> DeployPolicyFile(AppId app, std::string_view policy_source,
                                  Hook hook);
 
-  // Deploys a trusted native policy object (simulation fast path).
-  StatusOr<int> DeployNativePolicy(AppId app,
-                                   std::shared_ptr<PacketPolicy> policy,
-                                   Hook hook);
-
-  // Deploys a thread-scheduling policy: starts a ghOSt agent managing
-  // `machine`. One thread policy per machine.
-  Status DeployThreadPolicy(AppId app, GhostPolicy* policy, Machine& machine,
-                            GhostConfig config = {});
-
   // Deploys an untrusted thread-scheduling policy file (`.ctx thread`
   // assembly; the program classifies threads by priority class, see
-  // BytecodeGhostPolicy). Assembles, resolves maps, verifies, compiles per
-  // the active exec mode, then starts the ghOSt agent. Returns the prog id.
-  // A machine that already has a thread policy is refused with
+  // BytecodeGhostPolicy) through the same load, budget and commit steps,
+  // then starts a ghOSt agent managing `machine`. Returns the prog id. A
+  // machine runs one thread policy: a second is refused with
   // ALREADY_EXISTS before any of that work.
   StatusOr<int> DeployThreadPolicyFile(AppId app,
                                        std::string_view policy_source,
@@ -230,23 +223,23 @@ class Syrupd {
   // drive it directly.
   std::shared_ptr<PacketPolicy> PolicyAt(Hook hook, uint16_t port) const;
 
-  // Looks up a deployed bytecode program's source form by id (Table 2
-  // counts its instructions with the interpreter oracle).
+  // Looks up a deployed program's source form by id (Table 2 counts its
+  // instructions with the interpreter oracle).
   const bpf::Program* ProgramById(uint64_t prog_id) const;
 
   // The attach-time compiled artifact for a program id: non-null for every
-  // deployed bytecode program, nullptr for an unknown id.
+  // deployed program, nullptr for an unknown id.
   const bpf::CompiledProgram* CompiledById(uint64_t prog_id) const;
 
   // Enumerates every attached packet policy (hook, port, owner, name).
   std::vector<DeploymentInfo> ListDeployments() const;
 
-  // The verifier's analysis facts for a deployed bytecode program (nullptr
-  // for native policies or unknown ids). Valid until the daemon dies.
+  // The verifier's analysis facts for a deployed program (nullptr for
+  // unknown ids). Valid until the daemon dies.
   const bpf::AnalysisFacts* FactsById(uint64_t prog_id) const;
 
-  // Deployment-wide map-interference report across every attached bytecode
-  // policy (packet hooks and the thread hook): who reads/writes each map,
+  // Deployment-wide map-interference report across every attached policy
+  // (packet hooks and the thread hook): who reads/writes each map,
   // cross-application write-write sharing, dead telemetry (written but
   // never read), stale inputs (read but never written), and the
   // impurities that keep a thread classifier from being memoized per agent
@@ -254,7 +247,7 @@ class Syrupd {
   // view and are not counted.
   DeploymentAnalysis AnalyzeDeployments() const;
 
-  // Execution environment handed to bytecode policies (simulated time,
+  // Execution environment handed to deployed policies (simulated time,
   // deterministic randomness, tail-call resolution).
   bpf::ExecEnv MakeExecEnv();
 
@@ -292,35 +285,22 @@ class Syrupd {
     std::shared_ptr<obs::Counter> decision_drop;
   };
 
-  Status AttachPolicy(AppId app, std::shared_ptr<PacketPolicy> policy,
-                      Hook hook, int prog_id);
-  // Translates a just-verified program per the active exec mode. `facts`
-  // (from the caller's Verify call) lets the compiler drop
-  // verifier-proven-dead code and decided branches.
-  StatusOr<std::shared_ptr<const bpf::CompiledProgram>> CompileForCurrentMode(
-      const bpf::Program& program, bpf::ProgramContext context,
-      const bpf::AnalysisFacts* facts);
-  // Budget gate for a just-verified, compiled deployment: rejects (or
-  // admits with a warning, per set_admit_over_budget) a worst-case path at
-  // the effective tier over the hook budget, or one the cost analysis could
-  // not bound. Only an admitted deploy publishes its verifier.* and policy.*
-  // gauges (policy.exec_mode is EffectiveExecMode, the tier that runs).
-  Status AdmitDeployment(const std::string& app_name, Hook hook,
-                         const bpf::Program& prog,
-                         const bpf::VerifierStats& vstats,
-                         uint64_t compile_ns, const bpf::CostFacts& cost,
-                         const bpf::CompiledProgram& compiled);
-  Status InstallStackHook(Hook hook);
+  // The deploy path both hooks share. Loads `source` for `hook`'s context
+  // with maps resolved against the app's pins, then applies the budget
+  // gate. Every fallible step runs before the commit, the first visible
+  // write: it pins the maps the load created and binds their op counters,
+  // spends a prog id, stores the program, compiled form and facts, and
+  // publishes the deploy gauges. Returns the new prog id.
+  StatusOr<uint64_t> LoadAndCommit(AppId app, std::string_view source,
+                                   Hook hook);
+  // `hook` is a packet hook and the daemon has a stack.
+  void InstallStackHook(Hook hook);
   void MaybeUninstallStackHook(Hook hook);
   // Batch-of-1 wrapper around DispatchBatch (the single-packet hooks).
   Decision Dispatch(Hook hook, const PacketView& pkt);
   // One ≤kMaxDispatchBatch chunk of a DispatchBatch call.
   void DispatchChunk(Hook hook, std::span<const PacketView> pkts,
                      std::span<Decision> out);
-  StatusOr<std::vector<std::shared_ptr<Map>>> ResolveMapSlots(
-      AppId app, const std::vector<bpf::MapSlot>& slots);
-  // ALREADY_EXISTS once a thread policy runs: one ghOSt agent per machine.
-  Status CheckThreadHookFree() const;
 
   // Per-map runtime gauge row: registered once per distinct map on
   // MapCreate/MapOpen, refreshed from Map::RuntimeStats() on every
@@ -353,14 +333,14 @@ class Syrupd {
   HookCells hook_cells_[kNumHooks];
 
   std::map<uint64_t, std::shared_ptr<const bpf::Program>> programs_;
-  // Per-prog-id compiled cache: filled at attach time for every bytecode
-  // deployment, consulted by tail calls (ExecEnv::resolve_compiled).
+  // Per-prog-id compiled cache: filled at commit for every deployment,
+  // consulted by tail calls (ExecEnv::resolve_compiled).
   std::map<uint64_t, std::shared_ptr<const bpf::CompiledProgram>> compiled_;
   uint64_t next_prog_id_ = 1;
   bpf::ExecMode exec_mode_ = bpf::ExecMode::kCompiled;
   bool admit_over_budget_ = false;
-  // Verifier facts per deployed bytecode program, retained for the
-  // deployment interference analysis (read/write/atomic map sets,
+  // Verifier facts per deployed program, retained for the deployment
+  // interference analysis (read/write/atomic map sets,
   // impurities, cost summary).
   std::map<uint64_t, bpf::AnalysisFacts> facts_;
 
@@ -372,12 +352,12 @@ class Syrupd {
   mutable std::vector<MapGaugeEntry> map_gauges_;
 
   std::unique_ptr<GhostScheduler> ghost_;
-  // Keeps a DeployThreadPolicyFile bytecode policy alive for the agent,
-  // which holds it by reference.
+  // Keeps the thread policy alive for the agent, which holds it by
+  // reference.
   std::shared_ptr<BytecodeGhostPolicy> owned_thread_policy_;
   AppId ghost_owner_ = 0;
-  // Prog id of the bytecode thread policy (-1: none, or a native one),
-  // so AnalyzeDeployments can include the thread hook.
+  // Prog id of the thread policy (-1: none), so AnalyzeDeployments can
+  // include the thread hook.
   int64_t thread_prog_id_ = -1;
 };
 

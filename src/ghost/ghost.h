@@ -96,9 +96,10 @@ class GhostScheduler : public Scheduler {
   uint64_t commits() const { return commits_->value; }
 
   // Re-homes the agent's accounting into `registry` under
-  // {app, "thread_scheduler", ...}. Syrupd calls this at DeployThreadPolicy
-  // time with the owning app's name; counts so far carry over. A commit is
-  // a context switch (the transaction's IPI + switch on the target core).
+  // {app, "thread_scheduler", ...}. Syrupd calls this when it deploys a
+  // thread policy, with the owning app's name; counts so far carry over. A
+  // commit is a context switch (the transaction's IPI + switch on the
+  // target core).
   void BindMetrics(obs::MetricsRegistry& registry, std::string_view app);
 
  private:

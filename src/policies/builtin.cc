@@ -1,5 +1,7 @@
 #include "src/policies/builtin.h"
 
+#include "src/map/map.h"
+
 namespace syrup {
 namespace {
 
@@ -167,6 +169,50 @@ pass:
 )";
 }
 
+std::string TokenRoundRobinPolicyAsm(uint32_t num_executors) {
+  constexpr char kTemplate[] = R"(
+.name token_round_robin
+.ctx packet
+.map token_map hash 4 8 64
+.map rr_state array 4 8 1
+  mov r3, r1
+  add r3, 20
+  jgt r3, r2, rr         ; short packet: round robin
+  ldxw r4, [r1+16]
+  stxw [r10-4], r4
+  ldmapfd r1, token_map
+  mov r2, r10
+  add r2, -4
+  call map_lookup_elem
+  jeq r0, 0, rr          ; unregistered user: round robin
+  ldxdw r5, [r0+0]
+  jeq r5, 0, drop
+  mov r6, -1
+  xadddw [r0+0], r6
+rr:
+  mov r6, 0
+  stxw [r10-8], r6
+  ldmapfd r1, rr_state
+  mov r2, r10
+  add r2, -8
+  call map_lookup_elem
+  jne r0, 0, have
+  mov r0, PASS
+  exit
+have:
+  ldxdw r6, [r0+0]
+  add r6, 1
+  stxdw [r0+0], r6
+  mod r6, %N%
+  mov r0, r6
+  exit
+drop:
+  mov r0, DROP
+  exit
+)";
+  return WithN(kTemplate, num_executors);
+}
+
 std::string LeastLoadedPolicyAsm(uint32_t num_executors,
                                  const std::string& load_map_path) {
   // Batch variant: one map_lookup_batch call reads every load register,
@@ -216,8 +262,8 @@ std::string LeastLoadedPolicyAsm(uint32_t num_executors,
       s += skip + ":\n";
     }
     // Pass 2: first index holding the minimum (ties toward the lowest
-    // index, as the native policy breaks them). Each miss falls through
-    // with an unchanged state; each hit exits directly.
+    // index). Each miss falls through with an unchanged state; each hit
+    // exits directly.
     for (uint32_t i = 0; i + 1 < n; ++i) {
       const std::string next = "next" + std::to_string(i);
       s += "  ldxdw r9, " + out_at(i) + "\n";

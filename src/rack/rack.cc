@@ -21,13 +21,13 @@ Rack::Rack(Simulator& sim, RackConfig config)
         host->syrupd->RegisterApp("rocksdb", 1000, config_.port).value();
     // Each host runs its own Syrup socket policy: round robin, so the
     // rack-level comparison isolates the *switch-layer* policy.
-    SYRUP_CHECK(host->syrupd
-                    ->DeployNativePolicy(
-                        app,
-                        std::make_shared<RoundRobinPolicy>(
-                            static_cast<uint32_t>(config_.threads_per_server)),
-                        Hook::kSocketSelect)
-                    .ok());
+    SYRUP_CHECK_OK(host->syrupd
+                       ->DeployPolicyFile(
+                           app,
+                           RoundRobinPolicyAsm(static_cast<uint32_t>(
+                               config_.threads_per_server)),
+                           Hook::kSocketSelect)
+                       .status());
 
     host->machine =
         std::make_unique<Machine>(sim, config_.threads_per_server);

@@ -5,7 +5,8 @@
 // abstraction: the switch's tenant program matches requests to *servers*,
 // and each host's syrupd-deployed socket policy matches datagrams to
 // *sockets*. The switch's outstanding-request registers are a Syrup Map
-// that device-level policies (e.g. LeastLoadedPolicy) read directly.
+// that device-level policies (e.g. LeastLoadedPolicyAsm, bound to it as an
+// extern map) read directly.
 #ifndef SYRUP_SRC_RACK_RACK_H_
 #define SYRUP_SRC_RACK_RACK_H_
 

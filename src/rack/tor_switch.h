@@ -12,13 +12,16 @@
 //     default path. ("Syrup can enforce isolation by inserting P4
 //     match/action rules that ... steer it to the correct handling
 //     function.")
-//   * Tenant programs are ordinary Syrup policies (native or verified
-//     bytecode) whose executors are *server ports* — the same matching
-//     abstraction as every other hook.
+//   * Tenant programs are ordinary Syrup policies whose executors are
+//     *server ports* — the same matching abstraction as every other hook.
+//     There is no daemon on the switch: its control plane loads each
+//     program with bpf::Load (verified bytecode, like every host's) and
+//     installs the resulting BytecodePacketPolicy.
 //   * Switch state (per-server outstanding-request counters, the registers
 //     a RackSched-style least-loaded policy needs) lives in a Syrup Map,
 //     satisfying §6.1's requirement that devices "support a Map
-//     abstraction which can reside in the device".
+//     abstraction which can reside in the device". A program reads it as
+//     an extern map the loader's resolver binds to outstanding_map().
 #ifndef SYRUP_SRC_RACK_TOR_SWITCH_H_
 #define SYRUP_SRC_RACK_TOR_SWITCH_H_
 

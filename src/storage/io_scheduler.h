@@ -1,9 +1,10 @@
 // The Syrup storage hook: matches IO requests (inputs) to NVMe submission
 // queues (executors) via a user-defined policy — §6.1's extension realized.
 //
-// Policies are ordinary PacketPolicy objects (native or verified bytecode)
-// running over the request's packet-compatible wire image, so policies
-// written for network hooks deploy here unchanged.
+// Policies are verified bytecode, loaded with bpf::Load (there is no daemon
+// on the device) and run as a BytecodePacketPolicy over the request's
+// packet-compatible wire image, so policies written for network hooks
+// deploy here unchanged.
 #ifndef SYRUP_SRC_STORAGE_IO_SCHEDULER_H_
 #define SYRUP_SRC_STORAGE_IO_SCHEDULER_H_
 

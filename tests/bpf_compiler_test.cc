@@ -20,6 +20,7 @@
 #include "src/bpf/assembler.h"
 #include "src/bpf/compiler.h"
 #include "src/bpf/jit.h"
+#include "src/bpf/loader.h"
 #include "src/bpf/verifier.h"
 #include "src/common/rng.h"
 #include "src/map/map.h"
@@ -759,13 +760,37 @@ TEST(Jit, DisableEnvForcesCompiledFallback) {
   }
 }
 
+// --- bpf::Load: the one load pipeline -------------------------------------------
+
+TEST(Loader, CreatesUnboundMapsAndRequiresExternBindings) {
+  // Without a resolver every declared map is created fresh (and listed);
+  // the program is verified and compiled for its context.
+  auto loaded = bpf::Load(SitaPolicyAsm(6), bpf::LoadOptions{});
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->created_maps, std::vector<uint32_t>{0});
+  EXPECT_EQ(loaded->program->maps[0]->spec().name, "sita_state");
+  EXPECT_EQ(loaded->compiled->maps, loaded->program->maps);
+  EXPECT_EQ(loaded->compiled->native, nullptr);  // compiled tier requested
+
+  // An extern map must be bound by the resolver.
+  EXPECT_EQ(bpf::Load(LeastLoadedPolicyAsm(4, "/tor/load"), bpf::LoadOptions{})
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+
+  // The program's `.ctx` must match the context it loads for.
+  bpf::LoadOptions thread;
+  thread.context = ProgramContext::kThread;
+  EXPECT_EQ(bpf::Load(SitaPolicyAsm(6), thread).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 // --- end to end: execution tier must not change simulation results ------------
 
 TEST(Compiler, ExperimentResultsIdenticalAcrossExecModes) {
   RocksDbExperimentConfig config;
   config.socket_policy = SocketPolicyKind::kRoundRobin;
   config.thread_sched = ThreadSchedKind::kGhostGetPriority;
-  config.use_bytecode = true;
   config.num_threads = 4;
   config.num_cores = 4;
   config.load_rps = 30'000;

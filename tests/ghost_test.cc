@@ -10,9 +10,9 @@
 #include "src/ghost/ghost.h"
 #include "src/map/map.h"
 #include "src/policies/builtin.h"
-#include "src/policies/ghost_policies.h"
 #include "src/sched/machine.h"
 #include "src/sim/simulator.h"
+#include "tests/oracles/native_policies.h"
 
 namespace syrup {
 namespace {

@@ -7,6 +7,7 @@
 
 #include "src/net/kcm.h"
 #include "src/policies/builtin.h"
+#include "tests/oracles/native_policies.h"
 
 namespace syrup {
 namespace {

@@ -1,17 +1,17 @@
 // Policy behaviour tests plus native-vs-bytecode equivalence: for every
-// shipped policy, the bytecode twin (verified, then run as its compiled
-// artifact, like a syrupd deployment) must make the same decision as the
-// native C++ mirror on identical inputs.
+// shipped policy, the bytecode twin (loaded by bpf::Load and run as its
+// compiled artifact, like a syrupd deployment) must make the same decision
+// as its C++ mirror (tests/oracles/native_policies.h) on identical inputs.
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "src/bpf/assembler.h"
-#include "src/bpf/verifier.h"
+#include "src/bpf/loader.h"
 #include "src/common/rng.h"
 #include "src/core/policy.h"
 #include "src/map/map.h"
 #include "src/policies/builtin.h"
+#include "tests/oracles/native_policies.h"
 
 namespace syrup {
 namespace {
@@ -27,38 +27,32 @@ Packet MakePacket(ReqType type, uint16_t src_port = 20'000,
   return pkt;
 }
 
-// Loads a bytecode policy, resolving declared maps, and compiles it as
-// syrupd's attach step does. Returns the policy and exposes its maps for
-// test setup.
+// A bytecode policy loaded by bpf::Load at `mode`'s tier: declared maps
+// are fresh, an `.extern_map` binds to `extern_map` (so the mirror can read
+// the same registers). Exposes the program's maps for test setup.
 struct LoadedPolicy {
   std::unique_ptr<BytecodePacketPolicy> policy;
   std::vector<std::shared_ptr<Map>> maps;
 };
 
-std::shared_ptr<const bpf::CompiledProgram> CompileShared(
-    const bpf::Program& program) {
-  auto compiled = bpf::Compile(program, bpf::ProgramContext::kPacket);
-  EXPECT_TRUE(compiled.ok()) << compiled.status();
-  return std::make_shared<const bpf::CompiledProgram>(
-      std::move(compiled).value());
-}
-
-LoadedPolicy LoadBytecode(const std::string& source, bpf::ExecEnv env = {}) {
-  auto assembled = bpf::Assemble(source);
-  EXPECT_TRUE(assembled.ok()) << assembled.status();
-  auto program = std::make_shared<bpf::Program>();
-  program->name = assembled->name;
-  program->insns = assembled->insns;
-  LoadedPolicy out;
-  for (const bpf::MapSlot& slot : assembled->map_slots) {
-    auto map = CreateMap(slot.spec).value();
-    out.maps.push_back(map);
-    program->maps.push_back(map);
+LoadedPolicy LoadBytecode(const std::string& source, bpf::ExecEnv env = {},
+                          std::shared_ptr<Map> extern_map = nullptr,
+                          bpf::ExecMode mode = bpf::ExecMode::kCompiled) {
+  bpf::LoadOptions options;
+  options.mode = mode;
+  options.resolve = [&extern_map](const bpf::MapSlot& slot)
+      -> StatusOr<std::shared_ptr<Map>> {
+    return slot.is_extern ? extern_map : nullptr;
+  };
+  StatusOr<bpf::LoadedProgram> loaded = bpf::Load(source, options);
+  if (!loaded.ok()) {
+    ADD_FAILURE() << loaded.status() << "\n" << source;
+    return {};
   }
-  EXPECT_TRUE(bpf::Verify(*program, bpf::ProgramContext::kPacket).ok())
-      << source;
-  out.policy = std::make_unique<BytecodePacketPolicy>(
-      CompileShared(*program), std::move(env));
+  LoadedPolicy out;
+  out.maps = loaded->program->maps;
+  out.policy = std::make_unique<BytecodePacketPolicy>(loaded->compiled,
+                                                      std::move(env));
   return out;
 }
 
@@ -308,6 +302,69 @@ TEST(Token, NativeMatchesBytecode) {
             bytecode.maps[0]->LookupU64(2).value());
 }
 
+// --- Token, then round robin (Fig. 7) ---------------------------------------------
+
+// Fig. 7's program against its mirror, TokenPolicy delegating to
+// RoundRobinPolicy, on both tiers.
+TEST(TokenRoundRobin, MatchesTokenThenRoundRobinMirrorOnBothTiers) {
+  for (bpf::ExecMode mode :
+       {bpf::ExecMode::kCompiled, bpf::ExecMode::kNative}) {
+    SCOPED_TRACE(bpf::ExecModeName(mode));
+    LoadedPolicy bytecode =
+        LoadBytecode(TokenRoundRobinPolicyAsm(6), {}, nullptr, mode);
+    ASSERT_NE(bytecode.policy, nullptr);
+    const std::shared_ptr<Map>& tokens = bytecode.maps[0];
+    auto native_map = TokenMap();
+    TokenPolicy native(native_map, std::make_shared<RoundRobinPolicy>(6));
+    auto set_tokens = [&](uint32_t user, uint64_t count) {
+      ASSERT_TRUE(tokens->UpdateU64(user, count).ok());
+      ASSERT_TRUE(native_map->UpdateU64(user, count).ok());
+    };
+    auto both = [&](const PacketView& view) {
+      const Decision d = native.Schedule(view);
+      EXPECT_EQ(bytecode.policy->Schedule(view), d);
+      return d;
+    };
+    set_tokens(1, 2);
+    set_tokens(2, 0);
+    Packet user1 = MakePacket(ReqType::kGet, 20'000, 1);
+    Packet user2 = MakePacket(ReqType::kGet, 20'000, 2);
+    Packet stranger = MakePacket(ReqType::kGet, 20'000, 77);
+    const PacketView short_view{user1.wire.data(), user1.wire.data() + 16};
+
+    EXPECT_EQ(both(PacketView::Of(user1)), 1u);     // token consumed
+    EXPECT_EQ(both(short_view), 2u);                // too short for a user
+    EXPECT_EQ(both(PacketView::Of(stranger)), 3u);  // unregistered user
+    EXPECT_EQ(both(PacketView::Of(user2)), kDrop);  // empty bucket...
+    EXPECT_EQ(both(PacketView::Of(user1)), 4u);     // ...left rr alone
+    EXPECT_EQ(both(PacketView::Of(user1)), kDrop);  // user 1 now empty
+    set_tokens(1, 1);                               // refill
+    EXPECT_EQ(both(PacketView::Of(user1)), 5u);
+    EXPECT_EQ(tokens->LookupU64(1).value(), 0u);
+
+    // A random mix with periodic refills.
+    Rng rng(8);
+    for (int i = 0; i < 400; ++i) {
+      if (i % 40 == 0) {
+        set_tokens(1, 3);
+        set_tokens(2, 1);
+      }
+      Packet pkt = MakePacket(ReqType::kGet, 20'000,
+                              1 + static_cast<uint32_t>(rng.NextBounded(3)));
+      PacketView view = PacketView::Of(pkt);
+      if (rng.NextBounded(8) == 0) {
+        view.end = view.start + 16;
+      }
+      ASSERT_EQ(native.Schedule(view), bytecode.policy->Schedule(view))
+          << "decision " << i;
+    }
+    for (uint32_t user : {1u, 2u}) {
+      EXPECT_EQ(tokens->LookupU64(user).value(),
+                native_map->LookupU64(user).value());
+    }
+  }
+}
+
 // --- MICA home --------------------------------------------------------------------
 
 TEST(MicaHome, SteersByKeyHash) {
@@ -331,29 +388,6 @@ TEST(MicaHome, NativeMatchesBytecode) {
 }
 
 // --- LeastLoaded / PowerOfTwo (batched map reads) ---------------------------------
-
-// Variant of LoadBytecode that resolves `.extern_map` slots to a caller
-// map, so native and bytecode read the same load registers.
-LoadedPolicy LoadBytecodeExtern(const std::string& source,
-                                const std::shared_ptr<Map>& extern_map,
-                                bpf::ExecEnv env = {}) {
-  auto assembled = bpf::Assemble(source);
-  EXPECT_TRUE(assembled.ok()) << assembled.status();
-  auto program = std::make_shared<bpf::Program>();
-  program->name = assembled->name;
-  program->insns = assembled->insns;
-  LoadedPolicy out;
-  for (const bpf::MapSlot& slot : assembled->map_slots) {
-    auto map = slot.is_extern ? extern_map : CreateMap(slot.spec).value();
-    out.maps.push_back(map);
-    program->maps.push_back(map);
-  }
-  EXPECT_TRUE(bpf::Verify(*program, bpf::ProgramContext::kPacket).ok())
-      << source;
-  out.policy = std::make_unique<BytecodePacketPolicy>(
-      CompileShared(*program), std::move(env));
-  return out;
-}
 
 std::shared_ptr<Map> LoadRegisterMap(uint32_t entries) {
   MapSpec spec;
@@ -418,7 +452,7 @@ TEST(LeastLoaded, NativeMatchesBytecode) {
   for (uint32_t n : {6u, 32u}) {
     auto load = LoadRegisterMap(2 * n);
     LoadedPolicy bytecode =
-        LoadBytecodeExtern(LeastLoadedPolicyAsm(n, "/syrup/t/load"), load);
+        LoadBytecode(LeastLoadedPolicyAsm(n, "/syrup/t/load"), {}, load);
     LeastLoadedPolicy native(n, load);
     Packet pkt = MakePacket(ReqType::kGet);
     const PacketView view = PacketView::Of(pkt);
@@ -453,8 +487,7 @@ TEST(PowerOfTwo, NativeMatchesBytecodeWithSharedRandomness) {
     env.random_u32 = [shared_rng]() {
       return static_cast<uint32_t>(shared_rng->Next());
     };
-    return LoadBytecodeExtern(PowerOfTwoPolicyAsm(8, "/syrup/t/load"), load,
-                              env);
+    return LoadBytecode(PowerOfTwoPolicyAsm(8, "/syrup/t/load"), env, load);
   }();
   auto native_rng = std::make_shared<Rng>(31);
   PowerOfTwoPolicy native(8, load, [native_rng]() {

@@ -17,6 +17,7 @@
 #include "src/sched/pinned_scheduler.h"
 #include "src/sim/simulator.h"
 #include "tests/oracles/interpreter.h"
+#include "tests/oracles/native_policies.h"
 
 namespace syrup {
 namespace {

@@ -5,13 +5,13 @@
 
 #include "src/apps/loadgen.h"
 #include "src/common/rng.h"
-#include "src/bpf/assembler.h"
-#include "src/bpf/verifier.h"
+#include "src/bpf/loader.h"
 #include "src/map/registry.h"
 #include "src/policies/builtin.h"
 #include "src/rack/rack.h"
 #include "src/rack/tor_switch.h"
 #include "src/sim/simulator.h"
+#include "tests/oracles/native_policies.h"
 
 namespace syrup {
 namespace {
@@ -24,6 +24,17 @@ Packet MakePacket(uint16_t dst_port, uint16_t src_port = 20'000,
   pkt.tuple.dst_port = dst_port;
   pkt.SetHeader(ReqType::kGet, 1, 0, req_id, 0);
   return pkt;
+}
+
+// Load options binding a program's extern map to the switch's registers,
+// as the switch's control plane does.
+bpf::LoadOptions ExternTo(const std::shared_ptr<Map>& registers) {
+  bpf::LoadOptions options;
+  options.resolve = [registers](const bpf::MapSlot& slot)
+      -> StatusOr<std::shared_ptr<Map>> {
+    return slot.is_extern ? registers : nullptr;
+  };
+  return options;
 }
 
 // --- TorSwitch ----------------------------------------------------------------
@@ -149,19 +160,10 @@ TEST(LeastLoaded, NativeMatchesBytecode) {
   spec.max_entries = 4;
   auto registers = CreateMap(spec).value();
 
-  auto assembled = bpf::Assemble(LeastLoadedPolicyAsm(4, "/tor/load"));
-  ASSERT_TRUE(assembled.ok()) << assembled.status();
-  auto program = std::make_shared<bpf::Program>();
-  program->name = assembled->name;
-  program->insns = assembled->insns;
-  ASSERT_EQ(assembled->map_slots.size(), 1u);
-  ASSERT_TRUE(assembled->map_slots[0].is_extern);
-  program->maps.push_back(registers);
-  ASSERT_TRUE(bpf::Verify(*program, bpf::ProgramContext::kPacket).ok());
-  BytecodePacketPolicy bytecode(
-      std::make_shared<const bpf::CompiledProgram>(
-          bpf::Compile(*program, bpf::ProgramContext::kPacket).value()),
-      bpf::ExecEnv{});
+  auto loaded =
+      bpf::Load(LeastLoadedPolicyAsm(4, "/tor/load"), ExternTo(registers));
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  BytecodePacketPolicy bytecode(loaded->compiled, bpf::ExecEnv{});
   LeastLoadedPolicy native(4, registers);
 
   Rng rng(33);
@@ -275,23 +277,15 @@ TEST(PowerOfTwo, NativeMatchesBytecode) {
   spec.max_entries = 8;
   auto registers = CreateMap(spec).value();
 
-  auto assembled = bpf::Assemble(PowerOfTwoPolicyAsm(8, "/tor/load"));
-  ASSERT_TRUE(assembled.ok()) << assembled.status();
-  auto program = std::make_shared<bpf::Program>();
-  program->name = assembled->name;
-  program->insns = assembled->insns;
-  program->maps.push_back(registers);
-  ASSERT_TRUE(bpf::Verify(*program, bpf::ProgramContext::kPacket).ok());
-
+  auto loaded =
+      bpf::Load(PowerOfTwoPolicyAsm(8, "/tor/load"), ExternTo(registers));
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
   auto bytecode_rng = std::make_shared<Rng>(77);
   bpf::ExecEnv env;
   env.random_u32 = [bytecode_rng]() {
     return static_cast<uint32_t>(bytecode_rng->Next());
   };
-  BytecodePacketPolicy bytecode(
-      std::make_shared<const bpf::CompiledProgram>(
-          bpf::Compile(*program, bpf::ProgramContext::kPacket).value()),
-      env);
+  BytecodePacketPolicy bytecode(loaded->compiled, env);
   auto native_rng = std::make_shared<Rng>(77);
   PowerOfTwoPolicy native(8, registers, [native_rng]() {
     return static_cast<uint32_t>(native_rng->Next());

@@ -4,12 +4,12 @@
 
 #include <vector>
 
-#include "src/bpf/assembler.h"
-#include "src/bpf/verifier.h"
+#include "src/bpf/loader.h"
 #include "src/policies/builtin.h"
 #include "src/sim/simulator.h"
 #include "src/storage/io_scheduler.h"
 #include "src/storage/nvme_device.h"
+#include "tests/oracles/native_policies.h"
 
 namespace syrup {
 namespace {
@@ -189,15 +189,10 @@ TEST(IoScheduler, BytecodePolicyDeploysOnStorageHook) {
   NvmeDevice device(sim, config);
   IoScheduler scheduler(device);
 
-  auto assembled = bpf::Assemble(MicaHomePolicyAsm(8)).value();
-  auto program = std::make_shared<bpf::Program>();
-  program->name = assembled.name;
-  program->insns = assembled.insns;
-  ASSERT_TRUE(bpf::Verify(*program, bpf::ProgramContext::kPacket).ok());
-  scheduler.SetPolicy(std::make_shared<BytecodePacketPolicy>(
-      std::make_shared<const bpf::CompiledProgram>(
-          bpf::Compile(*program, bpf::ProgramContext::kPacket).value()),
-      bpf::ExecEnv{}));
+  auto loaded = bpf::Load(MicaHomePolicyAsm(8), bpf::LoadOptions{});
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  scheduler.SetPolicy(
+      std::make_shared<BytecodePacketPolicy>(loaded->compiled, bpf::ExecEnv{}));
 
   ASSERT_TRUE(scheduler.Submit(MakeIo(IoOp::kRead, 1, /*blocks=*/13)));
   EXPECT_EQ(device.QueueLength(13 % 8), 0u);  // in service there

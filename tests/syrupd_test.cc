@@ -168,9 +168,8 @@ TEST_F(SyrupdTest, ExternMapRequiresPermission) {
 TEST_F(SyrupdTest, RemovePolicyRestoresDefault) {
   auto app = syrupd_.RegisterApp("a", 1000, 9000).value();
   ASSERT_TRUE(syrupd_
-                  .DeployNativePolicy(app,
-                                      std::make_shared<RoundRobinPolicy>(4),
-                                      Hook::kSocketSelect)
+                  .DeployPolicyFile(app, RoundRobinPolicyAsm(4),
+                                    Hook::kSocketSelect)
                   .ok());
   EXPECT_TRUE(static_cast<bool>(stack_.hooks().socket_select));
   ASSERT_TRUE(syrupd_.RemovePolicy(app, Hook::kSocketSelect).ok());
@@ -228,11 +227,12 @@ TEST_F(SyrupdTest, RejectedThreadDeployLeavesNoTrace) {
 }
 
 TEST_F(SyrupdTest, UnknownAppRejected) {
-  EXPECT_FALSE(syrupd_
-                   .DeployNativePolicy(999,
-                                       std::make_shared<RoundRobinPolicy>(4),
-                                       Hook::kSocketSelect)
-                   .ok());
+  EXPECT_EQ(syrupd_
+                .DeployPolicyFile(999, RoundRobinPolicyAsm(4),
+                                  Hook::kSocketSelect)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
 }
 
 // --- isolation (§4.3) ----------------------------------------------------------------
@@ -241,24 +241,16 @@ TEST_F(SyrupdTest, PoliciesOnlySeeOwnTraffic) {
   auto app_a = syrupd_.RegisterApp("a", 1000, 9000).value();
   auto app_b = syrupd_.RegisterApp("b", 2000, 9001).value();
 
-  // Counting policies so we can observe exactly which packets each saw.
-  class CountingPolicy : public PacketPolicy {
-   public:
-    Decision Schedule(const PacketView& pkt) override {
-      ++seen;
-      last_port = pkt.DstPort();
-      return 0;
-    }
-    std::string_view name() const override { return "counting"; }
-    int seen = 0;
-    uint16_t last_port = 0;
-  };
-  auto policy_a = std::make_shared<CountingPolicy>();
-  auto policy_b = std::make_shared<CountingPolicy>();
-  ASSERT_TRUE(
-      syrupd_.DeployNativePolicy(app_a, policy_a, Hook::kSocketSelect).ok());
-  ASSERT_TRUE(
-      syrupd_.DeployNativePolicy(app_b, policy_b, Hook::kSocketSelect).ok());
+  // Each policy counts its runs in policy.invocations under its own app,
+  // so the counters show exactly which packets each saw.
+  ASSERT_TRUE(syrupd_
+                  .DeployPolicyFile(app_a, ConstIndexPolicyAsm(0),
+                                    Hook::kSocketSelect)
+                  .ok());
+  ASSERT_TRUE(syrupd_
+                  .DeployPolicyFile(app_b, ConstIndexPolicyAsm(0),
+                                    Hook::kSocketSelect)
+                  .ok());
 
   stack_.GetOrCreateGroup(9000)->AddSocket(16);
   stack_.GetOrCreateGroup(9001)->AddSocket(16);
@@ -269,10 +261,9 @@ TEST_F(SyrupdTest, PoliciesOnlySeeOwnTraffic) {
   stack_.Rx(MakePacket(9001));
   sim_.RunToCompletion();
 
-  EXPECT_EQ(policy_a->seen, 3);
-  EXPECT_EQ(policy_a->last_port, 9000u);
-  EXPECT_EQ(policy_b->seen, 1);
-  EXPECT_EQ(policy_b->last_port, 9001u);
+  const obs::Snapshot snap = syrupd_.StatsSnapshot();
+  EXPECT_EQ(snap.CounterValue("a", "socket_select", "policy.invocations"), 3u);
+  EXPECT_EQ(snap.CounterValue("b", "socket_select", "policy.invocations"), 1u);
 }
 
 TEST_F(SyrupdTest, MaliciousDropPolicyOnlyHurtsItsOwner) {
@@ -281,9 +272,8 @@ TEST_F(SyrupdTest, MaliciousDropPolicyOnlyHurtsItsOwner) {
   (void)app_a;
   // "b" drops everything it schedules.
   ASSERT_TRUE(syrupd_
-                  .DeployNativePolicy(
-                      app_b, std::make_shared<ConstIndexPolicy>(kDrop),
-                      Hook::kSocketSelect)
+                  .DeployPolicyFile(app_b, ConstIndexPolicyAsm(kDrop),
+                                    Hook::kSocketSelect)
                   .ok());
   Socket* victim_sock = stack_.GetOrCreateGroup(9000)->AddSocket(16);
   Socket* malicious_sock = stack_.GetOrCreateGroup(9001)->AddSocket(16);
@@ -300,9 +290,8 @@ TEST_F(SyrupdTest, MaliciousDropPolicyOnlyHurtsItsOwner) {
 TEST_F(SyrupdTest, UnmatchedPortPassesThrough) {
   auto app = syrupd_.RegisterApp("a", 1000, 9000).value();
   ASSERT_TRUE(syrupd_
-                  .DeployNativePolicy(app,
-                                      std::make_shared<RoundRobinPolicy>(1),
-                                      Hook::kSocketSelect)
+                  .DeployPolicyFile(app, RoundRobinPolicyAsm(1),
+                                    Hook::kSocketSelect)
                   .ok());
   Socket* other = stack_.GetOrCreateGroup(7777)->AddSocket(16);
   stack_.Rx(MakePacket(7777));
@@ -490,14 +479,11 @@ TEST_F(SyrupdTest, ListDeploymentsReportsAttachedPolicies) {
   auto app_a = syrupd_.RegisterApp("alpha", 1000, 9000).value();
   auto app_b = syrupd_.RegisterApp("beta", 2000, 9001).value();
   ASSERT_TRUE(syrupd_
-                  .DeployNativePolicy(app_a,
-                                      std::make_shared<RoundRobinPolicy>(4),
-                                      Hook::kSocketSelect)
+                  .DeployPolicyFile(app_a, RoundRobinPolicyAsm(4),
+                                    Hook::kSocketSelect)
                   .ok());
   ASSERT_TRUE(syrupd_
-                  .DeployNativePolicy(app_b,
-                                      std::make_shared<SitaPolicy>(4),
-                                      Hook::kXdpSkb)
+                  .DeployPolicyFile(app_b, SitaPolicyAsm(4), Hook::kXdpSkb)
                   .ok());
   auto deployments = syrupd_.ListDeployments();
   ASSERT_EQ(deployments.size(), 2u);
@@ -545,9 +531,8 @@ TEST_F(SyrupdTest, ExecEnvTimeTracksSimulator) {
 TEST_F(SyrupdTest, StatsSnapshotCountsMatchDispatchDecisions) {
   auto app = syrupd_.RegisterApp("alpha", 1000, 9000).value();
   ASSERT_TRUE(syrupd_
-                  .DeployNativePolicy(app,
-                                      std::make_shared<RoundRobinPolicy>(2),
-                                      Hook::kSocketSelect)
+                  .DeployPolicyFile(app, RoundRobinPolicyAsm(2),
+                                    Hook::kSocketSelect)
                   .ok());
   ReuseportGroup* group = stack_.GetOrCreateGroup(9000);
   group->AddSocket(64);
@@ -580,9 +565,8 @@ TEST_F(SyrupdTest, StatsSnapshotCountsMatchDispatchDecisions) {
 TEST_F(SyrupdTest, StatsSnapshotClassifiesDropDecisions) {
   auto app = syrupd_.RegisterApp("dropper", 1000, 9000).value();
   ASSERT_TRUE(syrupd_
-                  .DeployNativePolicy(
-                      app, std::make_shared<ConstIndexPolicy>(kDrop),
-                      Hook::kSocketSelect)
+                  .DeployPolicyFile(app, ConstIndexPolicyAsm(kDrop),
+                                    Hook::kSocketSelect)
                   .ok());
   stack_.GetOrCreateGroup(9000)->AddSocket(64);
   for (int i = 0; i < 3; ++i) {
@@ -921,6 +905,127 @@ TEST_F(SyrupdTest, RejectedThreadDeployLeavesGaugesAlone) {
       << burner.status();
   EXPECT_EQ(syrupd_.StatsSnapshot().ToJson(), stats);
   EXPECT_EQ(syrupd_.AnalyzeDeployments().ToJson(), analysis);
+}
+
+// What a rejected deploy could leave behind, short of a spent prog id: its
+// declared maps' pins (and their op counters), gauges and analysis rows.
+struct DaemonTrace {
+  std::vector<std::string> pins;
+  std::string stats;
+  std::string analysis;
+};
+
+DaemonTrace TraceOf(Syrupd& syrupd) {
+  return {syrupd.registry().ListPaths(), syrupd.StatsSnapshot().ToJson(),
+          syrupd.AnalyzeDeployments().ToJson()};
+}
+
+void ExpectNoTraceLeft(Syrupd& syrupd, const DaemonTrace& before) {
+  const DaemonTrace after = TraceOf(syrupd);
+  EXPECT_EQ(after.pins, before.pins);
+  EXPECT_EQ(after.stats, before.stats);
+  EXPECT_EQ(after.analysis, before.analysis);
+}
+
+// The sources below each declare a fresh map: a rejection at the verifier
+// or at the budget gate must not pin it.
+constexpr char kUnverifiablePacketPolicy[] = R"(
+.name unbounded_read
+.ctx packet
+.map scratch array 4 8 1024
+  ldxw r0, [r1+0]
+  exit
+)";
+
+constexpr char kUnverifiableThreadPolicy[] = R"(
+.name uninit_class
+.ctx thread
+.map scratch hash 4 8 16
+  mov r0, r5
+  exit
+)";
+
+// Adds a map declaration to a burner policy above, which the budget gate
+// rejects at a tight hook.
+std::string WithScratchMap(const char* source) {
+  std::string text = source;
+  const std::string ctx_line = text.find(".ctx thread") != std::string::npos
+                                   ? ".ctx thread\n"
+                                   : ".ctx packet\n";
+  text.replace(text.find(ctx_line), ctx_line.size(),
+               ctx_line + ".map scratch array 4 8 1024\n");
+  return text;
+}
+
+TEST_F(SyrupdTest, RejectedPacketDeployLeavesNothingBehind) {
+  auto app = syrupd_.RegisterApp("a", 1000, 9000).value();
+  const StatusOr<int> live =
+      syrupd_.DeployPolicyFile(app, RoundRobinPolicyAsm(4),
+                               Hook::kSocketSelect);
+  ASSERT_TRUE(live.ok()) << live.status();
+  const DaemonTrace before = TraceOf(syrupd_);
+
+  const StatusOr<int> unverifiable = syrupd_.DeployPolicyFile(
+      app, kUnverifiablePacketPolicy, Hook::kSocketSelect);
+  ASSERT_FALSE(unverifiable.ok());
+  EXPECT_NE(unverifiable.status().message().find("verifier"),
+            std::string::npos)
+      << unverifiable.status();
+  ExpectNoTraceLeft(syrupd_, before);
+
+  const StatusOr<int> over_budget = syrupd_.DeployPolicyFile(
+      app, WithScratchMap(kBurnerPolicy), Hook::kXdpOffload);
+  ASSERT_FALSE(over_budget.ok());
+  EXPECT_NE(over_budget.status().message().find("worst-case path"),
+            std::string::npos)
+      << over_budget.status();
+  ExpectNoTraceLeft(syrupd_, before);
+
+  // No prog id was spent on either rejection.
+  EXPECT_EQ(syrupd_
+                .DeployPolicyFile(app, ConstIndexPolicyAsm(0), Hook::kXdpDrv)
+                .value(),
+            *live + 1);
+}
+
+TEST_F(SyrupdTest, RejectedThreadDeployLeavesNothingBehind) {
+  auto app = syrupd_.RegisterApp("a", 1000, 9000).value();
+  const StatusOr<int> live =
+      syrupd_.DeployPolicyFile(app, RoundRobinPolicyAsm(4),
+                               Hook::kSocketSelect);
+  ASSERT_TRUE(live.ok()) << live.status();
+  const DaemonTrace before = TraceOf(syrupd_);
+  Machine machine(sim_, 2);
+  GhostConfig config;
+  config.num_managed_cores = 1;
+
+  const StatusOr<int> unverifiable = syrupd_.DeployThreadPolicyFile(
+      app, kUnverifiableThreadPolicy, machine, config);
+  ASSERT_FALSE(unverifiable.ok());
+  EXPECT_NE(unverifiable.status().message().find("verifier"),
+            std::string::npos)
+      << unverifiable.status();
+  ExpectNoTraceLeft(syrupd_, before);
+
+  const StatusOr<int> over_budget = syrupd_.DeployThreadPolicyFile(
+      app, WithScratchMap(kThreadBurnerPolicy), machine, config);
+  ASSERT_FALSE(over_budget.ok());
+  EXPECT_NE(over_budget.status().message().find("worst-case path"),
+            std::string::npos)
+      << over_budget.status();
+  ExpectNoTraceLeft(syrupd_, before);
+  EXPECT_EQ(syrupd_.ghost_scheduler(), nullptr);
+
+  // No prog id was spent, and the machine's thread hook is still free.
+  EXPECT_EQ(syrupd_
+                .DeployThreadPolicyFile(app, R"(
+.name constant_class
+.ctx thread
+  mov r0, 1
+  exit
+)", machine, config)
+                .value(),
+            *live + 1);
 }
 
 // --- deployment interference analysis ----------------------------------------

@@ -7,8 +7,8 @@
 #include "src/ghost/ghost.h"
 #include "src/net/stack.h"
 #include "src/policies/builtin.h"
-#include "src/policies/ghost_policies.h"
 #include "src/sim/simulator.h"
+#include "tests/oracles/native_policies.h"
 
 namespace syrup {
 namespace {
@@ -87,9 +87,8 @@ TEST_F(TraceTest, SyrupdEmitsDeployEvents) {
   Syrupd syrupd(sim, &stack);
   auto app = syrupd.RegisterApp("traced", 1000, 9000).value();
   ASSERT_TRUE(syrupd
-                  .DeployNativePolicy(app,
-                                      std::make_shared<RoundRobinPolicy>(2),
-                                      Hook::kSocketSelect)
+                  .DeployPolicyFile(app, RoundRobinPolicyAsm(2),
+                                    Hook::kSocketSelect)
                   .ok());
   const auto events = Tracer::Get().SnapshotCategory("syrupd");
   ASSERT_EQ(events.size(), 1u);
